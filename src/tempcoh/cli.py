@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import PRESETS, resolve_config, resolve_delta_seconds
+from .config import (PRESETS, check_resolved_config, resolve_config,
+                     resolve_delta_seconds)
 from .data_io import (atomic_write_text, load_checkpoint, load_dataset,
                       load_encoder, load_phase_model, save_dataset,
                       save_encoder, save_phase_model)
@@ -120,12 +121,10 @@ def _run_finetune(resolved, run, paths) -> list[Path]:
             raise CheckpointError(
                 f"{init_path}: encoder expects {encoder.input_dim} input "
                 f"features but the dataset has {dataset.feature_dim}")
-        model = build_phase_model(resolved, encoder, dataset.num_phases)
-        model.init_head_uniform_fan(rng)
     else:
-        encoder = build_encoder(resolved, dataset.feature_dim)
-        model = build_phase_model(resolved, encoder, dataset.num_phases)
-        model.init_uniform_fan(rng)
+        encoder = build_encoder(resolved, dataset.feature_dim).init_uniform_fan(rng)
+    model = build_phase_model(resolved, encoder, dataset.num_phases)
+    model.init_head_uniform_fan(rng)
     result = finetune(model, labeled, make_finetune_config(resolved), rng)
     run["epochs_run"] = result.epochs_run
     run["stopped_early"] = result.stopped_early
@@ -469,11 +468,16 @@ def cmd_replay(args) -> int:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{manifest_path}: invalid JSON: {exc}") from exc
-    if manifest.get("format") != MANIFEST_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
         raise DataFormatError(f"{manifest_path}: not a run manifest")
     command = manifest.get("command")
     if command not in _RUNNERS:
         raise DataFormatError(f"{manifest_path}: unknown command {command!r}")
+    for field in ("run", "paths", "resolved_config"):
+        if not isinstance(manifest.get(field), dict):
+            raise DataFormatError(f"{manifest_path}: {field!r} is missing or "
+                                  f"not an object")
+    check_resolved_config(manifest["resolved_config"], str(manifest_path))
     return _execute(command, manifest["resolved_config"], manifest["run"],
                     manifest["paths"], manifest_path)
 

@@ -6,25 +6,25 @@ built-in default; the `desk` and `paper` presets bundle scale-dependent
 overrides. Precedence, highest first: command-line flag (including
 `--set section.key=value`), config file, preset, built-in default.
 
-`sampler.delta_seconds` defaults to the pretraining method's own value (15 s
-for contrastive2, 30 s otherwise) and therefore resolves to None until a
-method is known.
+The stage dataclasses own the keys and defaults of their sections: each
+`int` or `float` field is a key, converted with its own type. Only the
+model shape and `sampler.delta_seconds` are written here. The latter
+defaults to the pretraining method's own value (15 s for contrastive2, 30 s
+otherwise) and therefore resolves to None until a method is known.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
+import typing
 from pathlib import Path
 
-from .errors import UsageError
-
-
-def _to_int(s: str) -> int:
-    return int(s)
-
-
-def _to_float(s: str) -> float:
-    return float(s)
+from .errors import DataFormatError, UsageError
+from .losses import LossConfig
+from .sampling import SamplerConfig
+from .synthetic import SynthConfig
+from .training import FinetuneConfig, PretrainConfig
 
 
 def _to_optional_float(s: str):
@@ -40,92 +40,33 @@ def _to_int_list(s: str) -> list[int]:
     return [int(part) for part in s.split(",")]
 
 
-# section -> key -> converter from config-file string
+def _keys(cls, skip: tuple[str, ...] = ()) -> dict[str, tuple]:
+    """key -> (converter, default) for each int or float field of `cls`."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default) for f in dataclasses.fields(cls)
+            if hints[f.name] in (int, float) and f.name not in skip}
+
+
+# section -> key -> (converter from config-file string, built-in default).
+# `sampler.fps` is not a key: the frame rate comes from the dataset.
 SCHEMA = {
-    "synth": {
-        "num_phases": _to_int,
-        "feature_dim": _to_int,
-        "min_duration": _to_int,
-        "max_duration": _to_int,
-        "prototype_scale": _to_float,
-        "drift_step": _to_float,
-        "noise_std": _to_float,
-        "fps": _to_float,
-        "skip_probability": _to_float,
-    },
+    "synth": _keys(SynthConfig),
     "sampler": {
-        "delta_seconds": _to_optional_float,
-        "gamma_seconds": _to_float,
-        "tuples_per_video": _to_int,
+        "delta_seconds": (_to_optional_float, None),
+        **_keys(SamplerConfig, skip=("delta_seconds", "fps")),
     },
-    "loss": {
-        "margin_contrastive": _to_float,
-        "margin_ranking": _to_float,
-        "second_order_weight": _to_float,
-    },
+    "loss": _keys(LossConfig),
     "model": {
-        "hidden_sizes": _to_int_list,
-        "embedding_dim": _to_int,
-        "lstm_hidden": _to_int,
+        "hidden_sizes": (_to_int_list, [64]),
+        "embedding_dim": (int, 32),
+        "lstm_hidden": (int, 64),
     },
-    "pretrain": {
-        "epochs": _to_int,
-        "batch_size": _to_int,
-        "lr": _to_float,
-    },
-    "finetune": {
-        "batch_frames": _to_int,
-        "accumulate_batches": _to_int,
-        "stop_train_accuracy": _to_float,
-        "max_epochs": _to_int,
-        "lr": _to_float,
-    },
+    "pretrain": _keys(PretrainConfig),
+    "finetune": _keys(FinetuneConfig),
 }
 
-# Built-in defaults at desk scale. Learning rates are scale-dependent: at
-# paper scale Adam's 1e-4 is appropriate, but desk-scale runs take far fewer
-# optimizer steps, so the desk values are larger to converge within the same
-# epoch budget.
-DEFAULTS = {
-    "synth": {
-        "num_phases": 7,
-        "feature_dim": 16,
-        "min_duration": 60,
-        "max_duration": 300,
-        "prototype_scale": 2.0,
-        "drift_step": 0.02,
-        "noise_std": 0.5,
-        "fps": 5.0,
-        "skip_probability": 0.1,
-    },
-    "sampler": {
-        "delta_seconds": None,  # resolved per method: 15 s for contrastive2, else 30 s
-        "gamma_seconds": 120.0,
-        "tuples_per_video": 250,
-    },
-    "loss": {
-        "margin_contrastive": 2.0,
-        "margin_ranking": 2.0,
-        "second_order_weight": 0.5,
-    },
-    "model": {
-        "hidden_sizes": [64],
-        "embedding_dim": 32,
-        "lstm_hidden": 64,
-    },
-    "pretrain": {
-        "epochs": 25,
-        "batch_size": 64,
-        "lr": 1e-3,
-    },
-    "finetune": {
-        "batch_frames": 128,
-        "accumulate_batches": 3,
-        "stop_train_accuracy": 0.999,
-        "max_epochs": 100,
-        "lr": 3e-3,
-    },
-}
+DEFAULTS = {section: {key: default for key, (_, default) in keys.items()}
+            for section, keys in SCHEMA.items()}
 
 PRESETS = {
     "desk": {},
@@ -146,18 +87,18 @@ METHOD_DELTA_DEFAULTS = {
 }
 
 
-def _check_key(section: str, key: str, where: str) -> None:
+def _check_key(section: str, key: str, where: str, error=UsageError) -> None:
     if section not in SCHEMA:
-        raise UsageError(f"{where}: unknown config section [{section}]; "
-                         f"expected one of {sorted(SCHEMA)}")
+        raise error(f"{where}: unknown config section [{section}]; "
+                    f"expected one of {sorted(SCHEMA)}")
     if key not in SCHEMA[section]:
-        raise UsageError(f"{where}: unknown key {key!r} in section "
-                         f"[{section}]; expected one of {sorted(SCHEMA[section])}")
+        raise error(f"{where}: unknown key {key!r} in section "
+                    f"[{section}]; expected one of {sorted(SCHEMA[section])}")
 
 
 def _convert(section: str, key: str, raw: str, where: str):
     try:
-        return SCHEMA[section][key](raw)
+        return SCHEMA[section][key][0](raw)
     except ValueError as exc:
         raise UsageError(f"{where}: bad value {raw!r} for "
                          f"{section}.{key}: {exc}") from exc
@@ -211,6 +152,21 @@ def resolve_config(preset: str = "desk", config_file=None,
         (section, key), value = parse_set_flag(text)
         resolved[section][key] = value
     return resolved
+
+
+def check_resolved_config(resolved: dict, where: str) -> None:
+    """Raise DataFormatError unless `resolved` holds exactly SCHEMA's keys."""
+    for section, keys in resolved.items():
+        if not isinstance(keys, dict):
+            raise DataFormatError(f"{where}: config section [{section}] is "
+                                  f"not an object")
+        for key in keys:
+            _check_key(section, key, where, DataFormatError)
+    for section, keys in SCHEMA.items():
+        missing = sorted(set(keys) - set(resolved.get(section, {})))
+        if missing:
+            raise DataFormatError(f"{where}: config section [{section}] "
+                                  f"lacks {missing}")
 
 
 def resolve_delta_seconds(resolved: dict, method: str) -> float:

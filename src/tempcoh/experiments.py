@@ -37,30 +37,12 @@ def build_phase_model(resolved: dict, encoder: EncoderModel,
     return PhaseModel.create(encoder, resolved["model"]["lstm_hidden"], num_phases)
 
 
-def make_sampler_config(resolved: dict, method: str, fps: float) -> SamplerConfig:
-    sampler = resolved["sampler"]
-    return SamplerConfig(
-        delta_seconds=resolve_delta_seconds(resolved, method),
-        gamma_seconds=sampler["gamma_seconds"],
-        fps=fps,
-        tuples_per_video=sampler["tuples_per_video"],
-    )
-
-
-def make_loss_config(resolved: dict) -> LossConfig:
-    return LossConfig(**resolved["loss"])
-
-
 def make_pretrain_config(resolved: dict, method: str, fps: float) -> PretrainConfig:
-    pre = resolved["pretrain"]
-    return PretrainConfig(
-        method=method,
-        epochs=pre["epochs"],
-        batch_size=pre["batch_size"],
-        lr=pre["lr"],
-        loss=make_loss_config(resolved),
-        sampler=make_sampler_config(resolved, method, fps),
-    )
+    sampler = dict(resolved["sampler"],
+                   delta_seconds=resolve_delta_seconds(resolved, method))
+    return PretrainConfig(method=method, loss=LossConfig(**resolved["loss"]),
+                          sampler=SamplerConfig(fps=fps, **sampler),
+                          **resolved["pretrain"])
 
 
 def make_finetune_config(resolved: dict) -> FinetuneConfig:

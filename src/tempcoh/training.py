@@ -36,12 +36,17 @@ PRETRAIN_METHODS = {
 
 @dataclass(frozen=True)
 class PretrainConfig:
-    """Self-supervised pretraining settings."""
+    """Self-supervised pretraining settings.
+
+    Learning rates are scale-dependent: at paper scale Adam's 1e-4 is
+    appropriate (the `paper` preset sets it), but desk-scale runs take far
+    fewer optimizer steps, so the defaults here and in `FinetuneConfig` are
+    larger to converge within the same epoch budget."""
 
     method: str = "contrastive"
     epochs: int = 25
     batch_size: int = 64
-    lr: float = 1e-4
+    lr: float = 1e-3
     loss: LossConfig = field(default_factory=LossConfig)
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
 
@@ -146,7 +151,7 @@ class FinetuneConfig:
     accumulate_batches: int = 3
     stop_train_accuracy: float = 0.999
     max_epochs: int = 100
-    lr: float = 1e-4
+    lr: float = 3e-3  # desk scale; see PretrainConfig
 
     def __post_init__(self):
         if self.max_epochs < 0:

@@ -4,6 +4,7 @@ The CLI tests run `main(argv)` in process on a tiny shared dataset; every
 command writes a manifest that `replay` must reproduce byte for byte.
 """
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -22,7 +23,11 @@ from tempcoh.config import (
 )
 from tempcoh.data_io import load_dataset, load_encoder, load_phase_model
 from tempcoh.errors import UsageError
+from tempcoh.losses import LossConfig
 from tempcoh.models import EncoderModel
+from tempcoh.sampling import SamplerConfig
+from tempcoh.synthetic import SynthConfig
+from tempcoh.training import FinetuneConfig, PretrainConfig
 
 # ------------------------------------------------------------------ config
 
@@ -117,6 +122,43 @@ def test_delta_default_depends_on_method():
         assert resolve_delta_seconds(explicit, method) == 7.5
     with pytest.raises(UsageError, match="unknown pretraining method"):
         resolve_delta_seconds(resolved, "triplet")
+
+
+def test_stage_dataclass_defaults_are_the_config_defaults():
+    for section, cls in (("synth", SynthConfig), ("loss", LossConfig),
+                         ("finetune", FinetuneConfig)):
+        assert cls(**DEFAULTS[section]) == cls(), section
+    # Fields that are not keys: the method is a command argument, the
+    # frame rate comes from the dataset, and the nested configs are
+    # sections of their own. `delta_seconds` is a key, but its default
+    # (None) is resolved per method.
+    for section, cls, skip in (
+            ("pretrain", PretrainConfig, {"method", "loss", "sampler"}),
+            ("sampler", SamplerConfig, {"fps", "delta_seconds"})):
+        default = cls()
+        expected = {f.name: getattr(default, f.name)
+                    for f in dataclasses.fields(cls) if f.name not in skip}
+        actual = {k: v for k, v in DEFAULTS[section].items() if k not in skip}
+        assert actual == expected, section
+        assert all(type(actual[k]) is type(v) for k, v in expected.items())
+
+
+def test_settable_keys_are_pinned():
+    keys = {f"{section}.{key}" for section, section_keys in DEFAULTS.items()
+            for key in section_keys}
+    assert keys == {
+        "synth.num_phases", "synth.feature_dim", "synth.min_duration",
+        "synth.max_duration", "synth.prototype_scale", "synth.drift_step",
+        "synth.noise_std", "synth.fps", "synth.skip_probability",
+        "sampler.delta_seconds", "sampler.gamma_seconds",
+        "sampler.tuples_per_video",
+        "loss.margin_contrastive", "loss.margin_ranking",
+        "loss.second_order_weight",
+        "model.hidden_sizes", "model.embedding_dim", "model.lstm_hidden",
+        "pretrain.epochs", "pretrain.batch_size", "pretrain.lr",
+        "finetune.batch_frames", "finetune.accumulate_batches",
+        "finetune.stop_train_accuracy", "finetune.max_epochs", "finetune.lr",
+    }
 
 
 # -------------------------------------------------------------- CLI fixture
@@ -497,6 +539,48 @@ def test_replay_rejects_foreign_files(tmp_path, capsys):
     missing = tmp_path / "d.json"
     assert main(["replay", str(missing)]) == 2
     capsys.readouterr()
+
+
+def replay_malformed(work, tmp_path, capsys, edit) -> str:
+    """Replay an edited copy of the synth manifest; return its error text."""
+    manifest = read_manifest(work / "data" / "run_manifest.json")
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(edit(manifest)))
+    assert main(["replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
+    return err
+
+
+def test_replay_rejects_manifest_without_resolved_config(work, tmp_path, capsys):
+    def drop(manifest):
+        del manifest["resolved_config"]
+        return manifest
+
+    err = replay_malformed(work, tmp_path, capsys, drop)
+    assert "'resolved_config' is missing or not an object" in err
+
+
+def test_replay_rejects_manifest_that_is_not_an_object(work, tmp_path, capsys):
+    err = replay_malformed(work, tmp_path, capsys, lambda m: [m])
+    assert "not a run manifest" in err
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda c: c["synth"].update(bogus=1),
+     "unknown key 'bogus' in section [synth]"),
+    (lambda c: c.update(weights={"x": 1}), "unknown config section [weights]"),
+    (lambda c: c["loss"].pop("margin_ranking"),
+     "[loss] lacks ['margin_ranking']"),
+    (lambda c: c.update(model=[1]), "[model] is not an object"),
+], ids=["unknown-key", "unknown-section", "missing-key", "section-not-object"])
+def test_replay_rejects_config_unlike_the_schema(work, tmp_path, capsys,
+                                                 edit, message):
+    def edit_config(manifest):
+        edit(manifest["resolved_config"])
+        return manifest
+
+    assert message in replay_malformed(work, tmp_path, capsys, edit_config)
 
 
 # ------------------------------------------------------------- entry point

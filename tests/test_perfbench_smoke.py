@@ -1,0 +1,29 @@
+"""The benchmark still runs against the package.
+
+`perfbench` wraps tempcoh functions by name (`tempcoh.cli.pretrain`,
+`tempcoh.experiments.make_pretrain_config`, ...), so renaming one breaks
+every benchmark run. One short `cli-chain` run per mode checks that each
+binding it patches still exists and that the outputs pass its own checks.
+It asserts no timings.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_cli_chain_runs_clean(trace):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "cli-chain",
+         "--seed", "0", "--seconds", "1", "--trace", trace],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
