@@ -344,13 +344,17 @@ def _run_retrieve(resolved, run, paths) -> list[Path]:
     return [out, txt]
 
 
+# command -> (runner, `run` keys, `paths` keys the runner requires). Replay
+# checks a manifest for those keys before running it.
 _RUNNERS = {
-    "synth": _run_synth,
-    "pretrain": _run_pretrain,
-    "finetune": _run_finetune,
-    "eval": _run_eval,
-    "compare": _run_compare,
-    "retrieve": _run_retrieve,
+    "synth": (_run_synth, ("seed", "videos"), ("out",)),
+    "pretrain": (_run_pretrain, ("seed", "method"), ("data", "out")),
+    "finetune": (_run_finetune, ("seed", "labeled_sets"), ("data", "out")),
+    "eval": (_run_eval, ("split",), ("data", "model", "out")),
+    "compare": (_run_compare, ("seed", "seeds", "methods", "labeled_sets"),
+                ("data", "out")),
+    "retrieve": (_run_retrieve, ("seed", "queries", "split", "query_split"),
+                 ("data", "model", "out")),
 }
 
 
@@ -365,7 +369,7 @@ def _artifact_version(outputs: list[Path]) -> str:
 def _execute(command: str, resolved: dict, run: dict, paths: dict,
              manifest_path: Path) -> int:
     started = time.perf_counter()
-    outputs = _RUNNERS[command](resolved, run, paths)
+    outputs = _RUNNERS[command][0](resolved, run, paths)
     manifest = {
         "format": MANIFEST_FORMAT,
         "version": 1,
@@ -477,6 +481,12 @@ def cmd_replay(args) -> int:
         if not isinstance(manifest.get(field), dict):
             raise DataFormatError(f"{manifest_path}: {field!r} is missing or "
                                   f"not an object")
+    _, run_keys, path_keys = _RUNNERS[command]
+    for field, keys in (("run", run_keys), ("paths", path_keys)):
+        missing = [key for key in keys if key not in manifest[field]]
+        if missing:
+            raise DataFormatError(f"{manifest_path}: {field!r} lacks {missing} "
+                                  f"needed by {command!r}")
     check_resolved_config(manifest["resolved_config"], str(manifest_path))
     return _execute(command, manifest["resolved_config"], manifest["run"],
                     manifest["paths"], manifest_path)

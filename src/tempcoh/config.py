@@ -154,14 +154,37 @@ def resolve_config(preset: str = "desk", config_file=None,
     return resolved
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+# converter -> (test that a resolved value has the converter's type, its name).
+_VALUE_TYPES = {
+    int: (_is_int, "an integer"),
+    float: (_is_number, "a number"),
+    _to_optional_float: (lambda v: v is None or _is_number(v), "a number or null"),
+    _to_int_list: (lambda v: isinstance(v, list) and all(map(_is_int, v)),
+                   "a list of integers"),
+}
+
+
 def check_resolved_config(resolved: dict, where: str) -> None:
-    """Raise DataFormatError unless `resolved` holds exactly SCHEMA's keys."""
+    """Raise DataFormatError unless `resolved` holds exactly SCHEMA's keys,
+    each with a value of its converter's type."""
     for section, keys in resolved.items():
         if not isinstance(keys, dict):
             raise DataFormatError(f"{where}: config section [{section}] is "
                                   f"not an object")
-        for key in keys:
+        for key, value in keys.items():
             _check_key(section, key, where, DataFormatError)
+            has_type, type_name = _VALUE_TYPES[SCHEMA[section][key][0]]
+            if not has_type(value):
+                raise DataFormatError(f"{where}: config value {section}.{key} "
+                                      f"= {value!r} is not {type_name}")
     for section, keys in SCHEMA.items():
         missing = sorted(set(keys) - set(resolved.get(section, {})))
         if missing:

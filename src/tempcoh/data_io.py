@@ -12,9 +12,11 @@ directory is tied together by a JSON manifest. Checkpoints reuse the same
 binary envelope followed by a named float32 parameter table and a JSON
 metadata trailer.
 
-All writers go through a temp file plus os.replace, so a crash never leaves
-a half-written file under the final name. Readers reject truncated input
-(reporting the byte offset) and non-finite values.
+All writers go through a temp file of their own in the target's directory
+plus os.replace, so a crash never leaves a half-written file under the final
+name. Readers reject truncated input (reporting the byte offset) and
+non-finite values, and paths named in a dataset manifest that leave its
+directory.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 
@@ -103,9 +105,13 @@ class Dataset:
 
 def _atomic_write(path, write_fn) -> None:
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    # A random name per writer, so concurrent writers of one path never share
+    # a temp file. Exclusive creation (unlike mkstemp's mode 0600) gives the
+    # file the same umask-derived permissions as a plain open().
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    f = open(tmp, "xb")
     try:
-        with open(tmp, "wb") as f:
+        with f:
             write_fn(f)
         os.replace(tmp, path)
     except BaseException:
@@ -346,6 +352,37 @@ def save_dataset(directory, dataset: Dataset) -> Path:
     return path
 
 
+def _manifest_number(manifest: dict, key: str, kind, manifest_path) -> int | float:
+    try:
+        return kind(manifest[key])
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{manifest_path}: {key} must be a number, got "
+                              f"{manifest[key]!r}") from exc
+
+
+def _member_path(directory: Path, name, what: str, manifest_path) -> Path:
+    """`directory / name` for a relative path that stays inside `directory`."""
+    if not isinstance(name, str) or not name:
+        raise DataFormatError(f"{manifest_path}: {what} must be a non-empty "
+                              f"path string, got {name!r}")
+    rel = PurePath(name)
+    if rel.is_absolute() or ".." in rel.parts:
+        raise DataFormatError(f"{manifest_path}: {what} {name!r} points "
+                              f"outside the dataset directory")
+    return directory / rel
+
+
+def _check_video_entry(entry, index: int, manifest_path) -> None:
+    if not isinstance(entry, dict):
+        raise DataFormatError(f"{manifest_path}: videos[{index}] is not an object")
+    for key, kind in (("video_id", str), ("num_frames", int), ("features", str)):
+        if key not in entry:
+            raise DataFormatError(f"{manifest_path}: videos[{index}] lacks {key!r}")
+        if not isinstance(entry[key], kind) or isinstance(entry[key], bool):
+            raise DataFormatError(f"{manifest_path}: videos[{index}].{key} must "
+                                  f"be {kind.__name__}, got {entry[key]!r}")
+
+
 def load_dataset(directory) -> Dataset:
     directory = Path(directory)
     manifest_path = directory / "dataset.json"
@@ -355,6 +392,8 @@ def load_dataset(directory) -> Dataset:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{manifest_path}: invalid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataFormatError(f"{manifest_path}: not a dataset manifest")
     for key in ("format", "version", "fps", "num_phases", "feature_dim",
                 "splits_file", "videos"):
         if key not in manifest:
@@ -365,38 +404,49 @@ def load_dataset(directory) -> Dataset:
     if manifest["version"] != FORMAT_VERSION:
         raise DataFormatError(f"{manifest_path}: unsupported version "
                               f"{manifest['version']}")
-    num_phases = int(manifest["num_phases"])
-    fps = float(manifest["fps"])
-    feature_dim = int(manifest["feature_dim"])
+    num_phases = _manifest_number(manifest, "num_phases", int, manifest_path)
+    fps = _manifest_number(manifest, "fps", float, manifest_path)
+    feature_dim = _manifest_number(manifest, "feature_dim", int, manifest_path)
+    if not isinstance(manifest["videos"], list):
+        raise DataFormatError(f"{manifest_path}: videos must be a list")
     videos = []
-    for entry in manifest["videos"]:
-        seq = load_features(directory / entry["features"])
+    for index, entry in enumerate(manifest["videos"]):
+        _check_video_entry(entry, index, manifest_path)
+        features_path = _member_path(directory, entry["features"],
+                                     f"videos[{index}].features", manifest_path)
+        seq = load_features(features_path)
         if seq.video_id != entry["video_id"]:
             raise DataFormatError(
-                f"{directory / entry['features']}: holds video "
+                f"{features_path}: holds video "
                 f"{seq.video_id!r} but manifest names {entry['video_id']!r}")
         if seq.num_frames != entry["num_frames"]:
             raise DataFormatError(
-                f"{directory / entry['features']}: {seq.num_frames} frames, "
+                f"{features_path}: {seq.num_frames} frames, "
                 f"manifest says {entry['num_frames']}")
         if seq.feature_dim != feature_dim:
             raise DataFormatError(
-                f"{directory / entry['features']}: feature dim "
+                f"{features_path}: feature dim "
                 f"{seq.feature_dim}, manifest says {feature_dim}")
         if abs(seq.fps - fps) > 1e-5:
             raise DataFormatError(
-                f"{directory / entry['features']}: fps {seq.fps}, "
+                f"{features_path}: fps {seq.fps}, "
                 f"manifest says {fps}")
         if "labels" in entry:
-            labels = load_labels(directory / entry["labels"], seq.num_frames)
+            labels_path = _member_path(directory, entry["labels"],
+                                       f"videos[{index}].labels", manifest_path)
+            labels = load_labels(labels_path, seq.num_frames)
             if labels is not None and labels.size and labels.max() >= num_phases:
                 raise DataFormatError(
-                    f"{directory / entry['labels']}: phase id {labels.max()} "
+                    f"{labels_path}: phase id {labels.max()} "
                     f">= num_phases {num_phases}")
             seq.labels = labels
         videos.append(seq)
-    splits = load_splits(directory / manifest["splits_file"])
-    return Dataset(videos, splits, num_phases, fps)
+    splits = load_splits(_member_path(directory, manifest["splits_file"],
+                                      "splits_file", manifest_path))
+    try:
+        return Dataset(videos, splits, num_phases, fps)
+    except ValueError as exc:
+        raise DataFormatError(f"{manifest_path}: {exc}") from exc
 
 
 def save_checkpoint(path, kind: str, params: dict[str, np.ndarray],

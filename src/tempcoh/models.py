@@ -3,7 +3,10 @@
 Everything is plain numpy with hand-written backward passes. Dense products
 go through einsum rather than BLAS matmul because einsum reduces each output
 row in a batch-size-independent order, which keeps batched forwards exactly
-equal to stacked single-example forwards.
+equal to stacked single-example forwards. The per-frame LSTM loops write into
+preallocated buffers with `out=` to cut per-step allocation and call
+overhead; each element still goes through the same operations in the same
+order as a plain expression would, so results are bitwise unchanged.
 
 Parameters are stored as float32 by default (matching the checkpoint
 format); gradient-check tests build float64 models instead. A parameter is
@@ -25,15 +28,6 @@ def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     if x.ndim == 1:
         return np.einsum("oi,i->o", weight, x) + bias
     return np.einsum("bi,oi->bo", x, weight) + bias
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def _uniform_fan_in(rng, shape: tuple[int, ...], fan_in: int, dtype) -> np.ndarray:
@@ -273,14 +267,47 @@ class PhaseModel:
             out[name] = self.parameters()[name]
         return out
 
-    def _gates(self, zx_t: np.ndarray, h: np.ndarray):
-        z = zx_t + np.einsum("oi,i->o", self.lstm_w_hidden, h)
+    def _recurrence(self, zx: np.ndarray, h: np.ndarray, c: np.ndarray):
+        """Run the cell over precomputed input pre-activations zx (T, 4H)
+        from the carried state (h, c), which is read and never written.
+
+        Returns (gates, cs, tanh_cs, hs_out), each row the values at one
+        step. The sigmoid over all four gates is exp(min(z, 0)) / (1 +
+        exp(-|z|)): per element the same operations as the stable two-branch
+        form 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, without
+        masks."""
+        n = zx.shape[0]
         hs = self.hidden_size
-        gi = _sigmoid(z[:hs])
-        gf = _sigmoid(z[hs:2 * hs])
-        gg = np.tanh(z[2 * hs:3 * hs])
-        go = _sigmoid(z[3 * hs:])
-        return gi, gf, gg, go
+        dt = self.dtype
+        w_hidden = self.lstm_w_hidden
+        gates = np.empty((n, 4 * hs), dtype=dt)
+        cs = np.empty((n, hs), dtype=dt)
+        tanh_cs = np.empty((n, hs), dtype=dt)
+        hs_out = np.empty((n, hs), dtype=dt)
+        gi, gf = gates[:, :hs], gates[:, hs:2 * hs]
+        gg, go = gates[:, 2 * hs:3 * hs], gates[:, 3 * hs:]
+        z = np.empty(4 * hs, dtype=dt)
+        z_cand = z[2 * hs:3 * hs]
+        num_den = np.empty((2, 4 * hs), dtype=dt)
+        num, den = num_den
+        ig = np.empty(hs, dtype=dt)
+        for zx_t, g_t, gi_t, gf_t, gg_t, go_t, c_t, tc_t, h_t in zip(
+                zx, gates, gi, gf, gg, go, cs, tanh_cs, hs_out):
+            np.einsum("oi,i->o", w_hidden, h, out=z)
+            np.add(zx_t, z, out=z)
+            np.minimum(z, 0.0, out=num)
+            np.copysign(z, -1.0, out=den)
+            np.exp(num_den, out=num_den)
+            np.add(1.0, den, out=den)
+            np.divide(num, den, out=g_t)
+            np.tanh(z_cand, out=gg_t)
+            np.multiply(gf_t, c, out=c_t)
+            np.multiply(gi_t, gg_t, out=ig)
+            np.add(c_t, ig, out=c_t)
+            np.tanh(c_t, out=tc_t)
+            np.multiply(go_t, tc_t, out=h_t)
+            h, c = h_t, c_t
+        return gates, cs, tanh_cs, hs_out
 
     def lstm_step(self, embedding, state: LstmState):
         """One recurrent step on an already-embedded frame.
@@ -291,9 +318,10 @@ class PhaseModel:
             raise ValueError(f"embedding shape {emb.shape} does not match "
                              f"encoder output {self.encoder.embedding_dim}")
         zx = _affine(emb, self.lstm_w_input, self.lstm_bias)
-        gi, gf, gg, go = self._gates(zx, state.h)
-        c = gf * state.c + gi * gg
-        h = go * np.tanh(c)
+        _, cs, _, hs_out = self._recurrence(
+            zx[None], np.asarray(state.h, dtype=self.dtype),
+            np.asarray(state.c, dtype=self.dtype))
+        h, c = hs_out[0], cs[0]
         logits = _affine(h, self.clf_weight, self.clf_bias)
         return logits, LstmState(h, c)
 
@@ -309,34 +337,60 @@ class PhaseModel:
         if frames.ndim != 2 or frames.shape[0] == 0:
             raise ValueError("frames must be a non-empty (T, features) array")
         emb, enc_cache = self.encoder.forward_cached(frames)
-        n = frames.shape[0]
-        hs = self.hidden_size
         zx = _affine(emb, self.lstm_w_input, self.lstm_bias)  # (T, 4H)
-        h, c = state_in.h.copy(), state_in.c.copy()
-        h_prev = np.empty((n, hs), dtype=self.dtype)
-        c_prev = np.empty((n, hs), dtype=self.dtype)
-        gates = np.empty((n, 4 * hs), dtype=self.dtype)
-        cs = np.empty((n, hs), dtype=self.dtype)
-        tanh_cs = np.empty((n, hs), dtype=self.dtype)
-        hs_out = np.empty((n, hs), dtype=self.dtype)
-        for t in range(n):
-            h_prev[t] = h
-            c_prev[t] = c
-            gi, gf, gg, go = self._gates(zx[t], h)
-            gates[t, :hs], gates[t, hs:2 * hs] = gi, gf
-            gates[t, 2 * hs:3 * hs], gates[t, 3 * hs:] = gg, go
-            c = gf * c + gi * gg
-            tc = np.tanh(c)
-            h = go * tc
-            cs[t] = c
-            tanh_cs[t] = tc
-            hs_out[t] = h
+        h0 = np.asarray(state_in.h, dtype=self.dtype)
+        c0 = np.asarray(state_in.c, dtype=self.dtype)
+        gates, cs, tanh_cs, hs_out = self._recurrence(zx, h0, c0)
         logits = _affine(hs_out, self.clf_weight, self.clf_bias)
-        state_out = LstmState(h.copy(), c.copy())
+        state_out = LstmState(hs_out[-1].copy(), cs[-1].copy())
         cache = None
         if keep_cache:
+            h_prev = np.concatenate([h0[None], hs_out[:-1]])
+            c_prev = np.concatenate([c0[None], cs[:-1]])
             cache = (enc_cache, emb, h_prev, c_prev, gates, cs, tanh_cs, hs_out)
         return logits, state_out, cache
+
+    def _recurrence_backward(self, dh_seq: np.ndarray, gates: np.ndarray,
+                             c_prev: np.ndarray, tanh_cs: np.ndarray) -> np.ndarray:
+        """Gradients (T, 4H) of the gate pre-activations, given the upstream
+        gradients dh_seq (T, H) of the hidden outputs and the cached forward
+        values; nothing flows into the carried-in state."""
+        n, hs = tanh_cs.shape
+        dt = dh_seq.dtype
+        gi, gf = gates[:, :hs], gates[:, hs:2 * hs]
+        gg, go = gates[:, 2 * hs:3 * hs], gates[:, 3 * hs:]
+        # The gate pre-activation gradients are ((a * x1) * x2) * x3 with
+        # a = (dc, dc, dc, dh) per gate, e.g. ((dc * gg) * gi) * (1 - gi) for
+        # the input gate. x1..x3 are known before the loop. The candidate's
+        # x3 is 1, which leaves (dc * gi) * (1 - gg**2) exact.
+        cand = slice(2 * hs, 3 * hs)
+        x1 = np.concatenate([gg, c_prev, gi, tanh_cs], axis=1)
+        x2 = gates.copy()
+        x2[:, cand] = 1.0 - gg ** 2
+        x3 = 1.0 - gates
+        x3[:, cand] = 1.0
+        one_minus_tanh_sq = 1.0 - tanh_cs ** 2
+        dzs = np.empty((n, 4 * hs), dtype=dt)
+        a = np.empty(4 * hs, dtype=dt)
+        dc, dh = a[:hs], a[3 * hs:]
+        dc_copies = a[hs:3 * hs].reshape(2, hs)
+        dh_go = np.empty(hs, dtype=dt)
+        dh_next = np.zeros(hs, dtype=dt)
+        dc_next = np.zeros(hs, dtype=dt)
+        w_hidden = self.lstm_w_hidden
+        for t in reversed(range(n)):
+            np.add(dh_seq[t], dh_next, out=dh)
+            np.multiply(dh, go[t], out=dh_go)
+            np.multiply(dh_go, one_minus_tanh_sq[t], out=dh_go)
+            np.add(dc_next, dh_go, out=dc)
+            np.copyto(dc_copies, dc)
+            np.multiply(dc, gf[t], out=dc_next)
+            dz = dzs[t]
+            np.multiply(a, x1[t], out=dz)
+            np.multiply(dz, x2[t], out=dz)
+            np.multiply(dz, x3[t], out=dz)
+            np.einsum("oi,o->i", w_hidden, dz, out=dh_next)
+        return dzs
 
     def backward_chunk(self, cache, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
         """Backpropagate through classifier, LSTM and encoder for one chunk.
@@ -344,30 +398,12 @@ class PhaseModel:
         The carried-in state is treated as a constant, so no gradient flows
         across chunk boundaries."""
         enc_cache, emb, h_prev, c_prev, gates, cs, tanh_cs, hs_out = cache
-        n, hs = hs_out.shape
         grads: dict[str, np.ndarray] = {
             "classifier.weight": np.einsum("tk,th->kh", grad_logits, hs_out),
             "classifier.bias": grad_logits.sum(axis=0),
         }
         dh_seq = np.einsum("tk,kh->th", grad_logits, self.clf_weight)
-        dzs = np.empty((n, 4 * hs), dtype=dh_seq.dtype)
-        dh_next = np.zeros(hs, dtype=dh_seq.dtype)
-        dc_next = np.zeros(hs, dtype=dh_seq.dtype)
-        for t in reversed(range(n)):
-            gi, gf = gates[t, :hs], gates[t, hs:2 * hs]
-            gg, go = gates[t, 2 * hs:3 * hs], gates[t, 3 * hs:]
-            dh = dh_seq[t] + dh_next
-            do = dh * tanh_cs[t]
-            dc = dc_next + dh * go * (1.0 - tanh_cs[t] ** 2)
-            di = dc * gg
-            dg = dc * gi
-            df = dc * c_prev[t]
-            dc_next = dc * gf
-            dzs[t, :hs] = di * gi * (1.0 - gi)
-            dzs[t, hs:2 * hs] = df * gf * (1.0 - gf)
-            dzs[t, 2 * hs:3 * hs] = dg * (1.0 - gg ** 2)
-            dzs[t, 3 * hs:] = do * go * (1.0 - go)
-            dh_next = np.einsum("oi,o->i", self.lstm_w_hidden, dzs[t])
+        dzs = self._recurrence_backward(dh_seq, gates, c_prev, tanh_cs)
         grads["lstm.w_input"] = np.einsum("to,ti->oi", dzs, emb)
         grads["lstm.w_hidden"] = np.einsum("to,ti->oi", dzs, h_prev)
         grads["lstm.bias"] = dzs.sum(axis=0)

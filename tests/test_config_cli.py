@@ -583,6 +583,37 @@ def test_replay_rejects_config_unlike_the_schema(work, tmp_path, capsys,
     assert message in replay_malformed(work, tmp_path, capsys, edit_config)
 
 
+@pytest.mark.parametrize("field,key", [("run", "seed"), ("run", "videos"),
+                                       ("paths", "out")])
+def test_replay_rejects_manifest_without_a_runner_key(work, tmp_path, capsys,
+                                                      field, key):
+    def drop(manifest):
+        del manifest[field][key]
+        return manifest
+
+    err = replay_malformed(work, tmp_path, capsys, drop)
+    assert f"{field!r} lacks [{key!r}] needed by 'synth'" in err
+
+
+@pytest.mark.parametrize("section,key,value,type_name", [
+    ("synth", "num_phases", "x", "an integer"),
+    ("synth", "num_phases", True, "an integer"),
+    ("synth", "noise_std", "0.5", "a number"),
+    ("sampler", "delta_seconds", "15", "a number or null"),
+    ("model", "hidden_sizes", [64.0], "a list of integers"),
+], ids=["str-for-int", "bool-for-int", "str-for-float", "str-for-optional-float",
+        "float-in-int-list"])
+def test_replay_rejects_config_value_of_the_wrong_type(work, tmp_path, capsys,
+                                                       section, key, value,
+                                                       type_name):
+    def retype(manifest):
+        manifest["resolved_config"][section][key] = value
+        return manifest
+
+    err = replay_malformed(work, tmp_path, capsys, retype)
+    assert f"config value {section}.{key} = {value!r} is not {type_name}" in err
+
+
 # ------------------------------------------------------------- entry point
 
 def test_version_and_help_exit_zero(capsys):

@@ -164,6 +164,34 @@ def test_failed_write_leaves_no_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_failed_write_keeps_old_target_and_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "out.bin"
+    dio.atomic_write_bytes(target, b"old")
+
+    def boom(f):
+        f.write(b"part")
+        raise RuntimeError("disk on fire")
+
+    with pytest.raises(RuntimeError):
+        dio._atomic_write(target, boom)
+    assert target.read_bytes() == b"old"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_overlapping_writers_of_one_path_use_their_own_temp_files(tmp_path):
+    # A second writer runs to completion while the first is mid-write; with
+    # a shared temp name it would take over the first writer's file.
+    target = tmp_path / "out.bin"
+
+    def outer(f):
+        f.write(b"outer")
+        dio.atomic_write_bytes(target, b"inner")
+
+    dio._atomic_write(target, outer)
+    assert target.read_bytes() == b"outer"
+    assert list(tmp_path.iterdir()) == [target]
+
+
 # ------------------------------------------------------------------ labels
 
 def test_labels_round_trip(tmp_path, rng):
@@ -288,6 +316,37 @@ def test_dataset_manifest_cross_checks(tmp_path, rng):
     manifest_path.unlink()
     with pytest.raises(DataFormatError, match="not found"):
         load_dataset(root)
+
+
+def _outside_features(root, manifest):
+    # A valid copy of the dataset next to it, so only the path check stops
+    # the read.
+    save_dataset(root.parent / "ds", load_dataset(root))
+    manifest["videos"][0]["features"] = f"../ds/{manifest['videos'][0]['features']}"
+
+
+@pytest.mark.parametrize("edit,problem", [
+    (lambda root, m: m.__setitem__("num_phases", "seven"), "num_phases must be"),
+    (lambda root, m: m["videos"][0].pop("video_id"), "lacks 'video_id'"),
+    (_outside_features, "outside the dataset directory"),
+    (lambda root, m: m["videos"][1].__setitem__(
+        "labels", str(root / m["videos"][1]["labels"])),
+     "outside the dataset directory"),
+    (lambda root, m: m["videos"].append(dict(m["videos"][0])), "duplicate video"),
+], ids=["non-numeric-num_phases", "video-without-id", "features-outside",
+        "absolute-labels-path", "duplicate-video"])
+def test_dataset_manifest_errors_name_the_manifest(tmp_path, rng, edit, problem):
+    dataset = generate_dataset(SynthConfig(min_duration=5, max_duration=9,
+                                           feature_dim=4), 4, rng)
+    root = tmp_path / "data"
+    save_dataset(root, dataset)
+    manifest_path = root / "dataset.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(root, manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(DataFormatError, match=problem) as err:
+        load_dataset(root)
+    assert str(manifest_path) in str(err.value)
 
 
 def test_dataset_rejects_wrong_video_id_in_file(tmp_path, rng):

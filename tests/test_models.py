@@ -248,6 +248,140 @@ def test_forward_chunk_rejects_empty_input(rng):
         model.forward_chunk(np.zeros((0, 3)), model.zero_state())
 
 
+# Oracle for the LSTM step loops: the straightforward per-frame bodies with
+# a masked two-branch sigmoid. PhaseModel's buffered loops must reproduce them
+# bit for bit.
+
+def _masked_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _reference_forward_chunk(model, frames, state_in):
+    frames = np.asarray(frames, dtype=model.dtype)
+    emb, enc_cache = model.encoder.forward_cached(frames)
+    n = frames.shape[0]
+    hs = model.hidden_size
+    zx = np.einsum("bi,oi->bo", emb, model.lstm_w_input) + model.lstm_bias
+    h, c = state_in.h.copy(), state_in.c.copy()
+    h_prev = np.empty((n, hs), dtype=model.dtype)
+    c_prev = np.empty((n, hs), dtype=model.dtype)
+    gates = np.empty((n, 4 * hs), dtype=model.dtype)
+    cs = np.empty((n, hs), dtype=model.dtype)
+    tanh_cs = np.empty((n, hs), dtype=model.dtype)
+    hs_out = np.empty((n, hs), dtype=model.dtype)
+    for t in range(n):
+        h_prev[t] = h
+        c_prev[t] = c
+        z = zx[t] + np.einsum("oi,i->o", model.lstm_w_hidden, h)
+        gi = _masked_sigmoid(z[:hs])
+        gf = _masked_sigmoid(z[hs:2 * hs])
+        gg = np.tanh(z[2 * hs:3 * hs])
+        go = _masked_sigmoid(z[3 * hs:])
+        gates[t, :hs], gates[t, hs:2 * hs] = gi, gf
+        gates[t, 2 * hs:3 * hs], gates[t, 3 * hs:] = gg, go
+        c = gf * c + gi * gg
+        tc = np.tanh(c)
+        h = go * tc
+        cs[t] = c
+        tanh_cs[t] = tc
+        hs_out[t] = h
+    logits = np.einsum("bi,oi->bo", hs_out, model.clf_weight) + model.clf_bias
+    cache = (enc_cache, emb, h_prev, c_prev, gates, cs, tanh_cs, hs_out)
+    return logits, LstmState(h.copy(), c.copy()), cache
+
+
+def _reference_backward_chunk(model, cache, grad_logits):
+    enc_cache, emb, h_prev, c_prev, gates, cs, tanh_cs, hs_out = cache
+    n, hs = hs_out.shape
+    grads = {
+        "classifier.weight": np.einsum("tk,th->kh", grad_logits, hs_out),
+        "classifier.bias": grad_logits.sum(axis=0),
+    }
+    dh_seq = np.einsum("tk,kh->th", grad_logits, model.clf_weight)
+    dzs = np.empty((n, 4 * hs), dtype=dh_seq.dtype)
+    dh_next = np.zeros(hs, dtype=dh_seq.dtype)
+    dc_next = np.zeros(hs, dtype=dh_seq.dtype)
+    for t in reversed(range(n)):
+        gi, gf = gates[t, :hs], gates[t, hs:2 * hs]
+        gg, go = gates[t, 2 * hs:3 * hs], gates[t, 3 * hs:]
+        dh = dh_seq[t] + dh_next
+        do = dh * tanh_cs[t]
+        dc = dc_next + dh * go * (1.0 - tanh_cs[t] ** 2)
+        di = dc * gg
+        dg = dc * gi
+        df = dc * c_prev[t]
+        dc_next = dc * gf
+        dzs[t, :hs] = di * gi * (1.0 - gi)
+        dzs[t, hs:2 * hs] = df * gf * (1.0 - gf)
+        dzs[t, 2 * hs:3 * hs] = dg * (1.0 - gg ** 2)
+        dzs[t, 3 * hs:] = do * go * (1.0 - go)
+        dh_next = np.einsum("oi,o->i", model.lstm_w_hidden, dzs[t])
+    grads["lstm.w_input"] = np.einsum("to,ti->oi", dzs, emb)
+    grads["lstm.w_hidden"] = np.einsum("to,ti->oi", dzs, h_prev)
+    grads["lstm.bias"] = dzs.sum(axis=0)
+    grad_emb = np.einsum("to,oi->ti", dzs, model.lstm_w_input)
+    grads.update(model.encoder.backward(enc_cache, grad_emb))
+    return grads
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 128])
+@pytest.mark.parametrize("dtype,grad_dtype", [
+    (np.float32, np.float32), (np.float32, np.float64), (np.float64, np.float64)])
+def test_lstm_chunk_loops_match_reference_bitwise(rng, n, dtype, grad_dtype):
+    # Desk shapes: 16 features -> 64 -> 32-d embedding, 64 LSTM units, 7
+    # phases. Weights are scaled up so the gate pre-activations are large
+    # and of both signs, exercising both sigmoid branches and saturation.
+    enc = EncoderModel.create(16, [64], 32, dtype=dtype).init_uniform_fan(rng)
+    model = PhaseModel.create(enc, 64, 7).init_head_uniform_fan(rng)
+    model.lstm_w_input *= 8
+    model.lstm_w_hidden *= 8
+    frames = (3.0 * rng.normal(size=(n, 16))).astype(dtype)
+    state_in = LstmState(rng.normal(size=64).astype(dtype),
+                         rng.normal(size=64).astype(dtype))
+    h_in, c_in = state_in.h.copy(), state_in.c.copy()
+
+    logits, state, cache = model.forward_chunk_cached(frames, state_in)
+    ref_logits, ref_state, ref_cache = _reference_forward_chunk(
+        model, frames, LstmState(h_in.copy(), c_in.copy()))
+
+    sigmoids = np.delete(ref_cache[4], np.s_[2 * 64:3 * 64], axis=1)  # not tanh
+    assert (sigmoids < 0.5).any() and (sigmoids > 0.5).any()
+    assert _same_bits(logits, ref_logits)
+    assert _same_bits(state.h, ref_state.h) and _same_bits(state.c, ref_state.c)
+    for (a_in, z), (r_in, r_z) in zip(cache[0], ref_cache[0]):
+        assert _same_bits(a_in, r_in) and _same_bits(z, r_z)
+    for got, want in zip(cache[1:], ref_cache[1:]):
+        assert _same_bits(got, want)
+    assert _same_bits(state_in.h, h_in) and _same_bits(state_in.c, c_in)
+
+    grad_logits = rng.normal(size=logits.shape).astype(grad_dtype)
+    grads = model.backward_chunk(cache, grad_logits)
+    ref_grads = _reference_backward_chunk(model, ref_cache, grad_logits)
+    assert grads.keys() == ref_grads.keys()
+    for name in ref_grads:
+        assert _same_bits(grads[name], ref_grads[name]), name
+
+
+def test_forward_chunk_state_out_does_not_alias_cache(rng):
+    model = f64_phase_model(rng, n_in=4, hidden=(), d=4, h=5, k=3)
+    frames = rng.normal(size=(6, 4))
+    _, state, cache = model.forward_chunk_cached(frames, model.zero_state())
+    before = [arr.copy() for arr in cache[1:]]
+    state.h += 1.0
+    state.c += 1.0
+    for got, want in zip(cache[1:], before):
+        assert _same_bits(got, want)
+
+
 def test_phase_model_create_validation():
     enc = EncoderModel.create(3, [], 2)
     with pytest.raises(ValueError):
