@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (PRESETS, check_resolved_config, resolve_config,
+from .config import (PRESETS, check_resolved_config, is_int, resolve_config,
                      resolve_delta_seconds)
 from .data_io import (atomic_write_text, load_checkpoint, load_dataset,
                       load_encoder, load_phase_model, save_dataset,
@@ -357,6 +357,17 @@ _RUNNERS = {
                  ("data", "model", "out")),
 }
 
+# (test, name) of the type of each `run` value a runner requires; every
+# other required `run` or `paths` value is a string.
+_STRING = (lambda v: isinstance(v, str), "a string")
+_REQUIRED_TYPES = {
+    "seed": (is_int, "an integer"),
+    "videos": (is_int, "an integer"),
+    "seeds": (is_int, "an integer"),
+    "methods": (lambda v: isinstance(v, list)
+                and all(isinstance(m, str) for m in v), "a list of strings"),
+}
+
 
 def _artifact_version(outputs: list[Path]) -> str:
     digest = hashlib.sha256()
@@ -470,7 +481,7 @@ def cmd_replay(args) -> int:
     manifest_path = Path(args.manifest).resolve()
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{manifest_path}: invalid JSON: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
         raise DataFormatError(f"{manifest_path}: not a run manifest")
@@ -487,9 +498,20 @@ def cmd_replay(args) -> int:
         if missing:
             raise DataFormatError(f"{manifest_path}: {field!r} lacks {missing} "
                                   f"needed by {command!r}")
+        for key in keys:
+            value = manifest[field][key]
+            has_type, type_name = _REQUIRED_TYPES.get(key, _STRING)
+            if not has_type(value):
+                raise DataFormatError(f"{manifest_path}: {field} value {key} "
+                                      f"= {value!r} is not {type_name}")
     check_resolved_config(manifest["resolved_config"], str(manifest_path))
-    return _execute(command, manifest["resolved_config"], manifest["run"],
-                    manifest["paths"], manifest_path)
+    try:
+        return _execute(command, manifest["resolved_config"], manifest["run"],
+                        manifest["paths"], manifest_path)
+    except ValueError as exc:
+        # The stage configs reject out-of-range values when they are built;
+        # in a replay those values come from the manifest.
+        raise DataFormatError(f"{manifest_path}: {exc}") from exc
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

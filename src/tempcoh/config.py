@@ -154,20 +154,20 @@ def resolve_config(preset: str = "desk", config_file=None,
     return resolved
 
 
-def _is_int(value) -> bool:
+def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    return is_int(value) or isinstance(value, float)
 
 
 # converter -> (test that a resolved value has the converter's type, its name).
 _VALUE_TYPES = {
-    int: (_is_int, "an integer"),
+    int: (is_int, "an integer"),
     float: (_is_number, "a number"),
     _to_optional_float: (lambda v: v is None or _is_number(v), "a number or null"),
-    _to_int_list: (lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    _to_int_list: (lambda v: isinstance(v, list) and all(map(is_int, v)),
                    "a list of integers"),
 }
 

@@ -168,6 +168,13 @@ class _Reader:
                 f"bytes at offset {self.pos}")
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not valid UTF-8: {exc}") from exc
+
+
 def _pack_string(s: str) -> bytes:
     raw = s.encode("utf-8")
     return struct.pack("<I", len(raw)) + raw
@@ -235,7 +242,7 @@ def save_labels(path, labels: np.ndarray) -> None:
 
 def load_labels(path, expected_frames: int | None = None) -> np.ndarray | None:
     """Read a label sidecar; a file with no data rows means labels absent."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         return None
     if lines[0].strip() != LABELS_HEADER:
@@ -300,7 +307,7 @@ def save_splits(path, splits: dict[str, str]) -> None:
 
 def load_splits(path) -> dict[str, str]:
     out: dict[str, str] = {}
-    for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for ln, line in enumerate(_read_text(path).splitlines(), 1):
         line = line.strip()
         if not line:
             continue
@@ -389,7 +396,7 @@ def load_dataset(directory) -> Dataset:
     if not manifest_path.exists():
         raise DataFormatError(f"{manifest_path}: not found")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = json.loads(_read_text(manifest_path))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{manifest_path}: invalid JSON: {exc}") from exc
     if not isinstance(manifest, dict):

@@ -13,10 +13,6 @@ class NoValidDistantFrame(SamplingError):
     """The sequence is too short to contain any frame at distant offset."""
 
 
-class ResampleExhausted(SamplingError):
-    """A bounded offset re-draw loop ran out of attempts."""
-
-
 class UsageError(TempcohError):
     """Bad command-line arguments or configuration keys/values."""
 

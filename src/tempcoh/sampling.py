@@ -1,18 +1,27 @@
 """Sampling of pretraining tuples from temporally ordered sequences.
 
 A first-order tuple is (t, t+D, t+G) and a second-order tuple is
-(t, t+D, t+2D, t+G), where D is a small offset drawn uniformly from
-[-delta_frames, delta_frames] and G a distant offset drawn uniformly from
-[-(T-1), -gamma_frames] union [gamma_frames, T-1]. All emitted indices lie
-in [0, T-1].
+(t, t+D, t+2D, t+G), where D is a near offset with |D| <= delta_frames and
+G a distant offset with |G| >= gamma_frames. All emitted indices lie in
+[0, T-1].
 
-Boundary handling: the anchor t is drawn uniformly over the anchors for
-which at least one valid distant offset exists (this is all of [0, T-1]
-whenever T >= 2 * gamma_frames). The distant offset is drawn uniformly over
-its valid subset directly, which is distributed identically to re-drawing G
-with t held fixed until t+G falls in range. The near offset is re-drawn with
-t held fixed, up to a bounded number of attempts; D = 0 is always valid, so
-exhaustion is not reachable under the config invariants.
+Each value is drawn uniformly from its valid set given the values before
+it, directly and never by rejection:
+
+- the anchor t from the anchors with at least one valid distant partner,
+  [0, T-1-gamma] union [gamma, T-1], which is all of [0, T-1] whenever
+  T >= 2 * gamma_frames;
+- D from [max(-delta, -t), min(delta, T-1-t)], or for second order from
+  [max(-delta, -(t//2)), min(delta, (T-1-t)//2)] so that t+2D is in range
+  too;
+- G from [-t, -gamma] union [gamma, T-1-t].
+
+This is the distribution of re-drawing each offset uniformly from
+[-delta, delta] or [-(T-1), -gamma] union [gamma, T-1] with t held fixed
+until it lands in range. One generator call draws a value for every row:
+an epoch schedule takes its anchors, near offsets and distant offsets with
+one `integers` call each, then shuffles with one `permutation`, whatever
+its size. A single tuple is a one-row draw through the same kernel.
 """
 
 from __future__ import annotations
@@ -22,9 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NoValidDistantFrame, ResampleExhausted
-
-MAX_OFFSET_ATTEMPTS = 1000
+from .errors import NoValidDistantFrame
 
 
 @dataclass(frozen=True)
@@ -66,68 +73,61 @@ class SampledTuple:
     indices: tuple[int, ...]
 
 
-def _uniform_from_ranges(ranges, rng) -> int:
-    """Uniform integer from a union of disjoint inclusive [lo, hi] ranges."""
-    sizes = [hi - lo + 1 for lo, hi in ranges]
-    total = sum(sizes)
-    k = int(rng.integers(total))
-    for (lo, _), size in zip(ranges, sizes):
-        if k < size:
-            return lo + k
-        k -= size
-    raise AssertionError("unreachable")
+@dataclass(frozen=True, eq=False)
+class EpochSchedule:
+    """One epoch of shuffled tuples: row i is the tuple `indices[i]` drawn
+    from the video at position `video[i]` of the list it was built from."""
+
+    video: np.ndarray  # (N,) video positions
+    indices: np.ndarray  # (N, arity) frame indices
+
+    def __len__(self) -> int:
+        return len(self.video)
 
 
-def _anchor_ranges(num_frames: int, gamma_f: int):
-    """Anchors with at least one valid distant partner."""
-    last = num_frames - 1
-    left = (0, last - gamma_f)  # a positive distant offset fits
-    right = (gamma_f, last)  # a negative distant offset fits
-    if left[1] >= right[0] - 1:
-        return [(0, last)]
-    return [left, right]
-
-
-def _distant_ranges(t: int, num_frames: int, gamma_f: int):
-    last = num_frames - 1
-    ranges = []
-    if t >= gamma_f:
-        ranges.append((-t, -gamma_f))
-    if last - t >= gamma_f:
-        ranges.append((gamma_f, last - t))
-    return ranges
-
-
-def _sample_near_offset(t, num_frames, delta_f, rng, second_order: bool) -> int:
-    last = num_frames - 1
-    for _ in range(MAX_OFFSET_ATTEMPTS):
-        d = int(rng.integers(-delta_f, delta_f + 1))
-        if not 0 <= t + d <= last:
-            continue
-        if second_order and not 0 <= t + 2 * d <= last:
-            continue
-        return d
-    raise ResampleExhausted(
-        f"no valid near offset for t={t}, T={num_frames} "
-        f"within {MAX_OFFSET_ATTEMPTS} attempts"
-    )
-
-
-def _sample(num_frames: int, cfg: SamplerConfig, rng, second_order: bool) -> SampledTuple:
+def _check_length(num_frames: int, gamma_f: int) -> None:
     if num_frames < 1:
         raise ValueError("num_frames must be >= 1")
-    gamma_f = cfg.gamma_frames
     if num_frames - 1 < gamma_f:
         raise NoValidDistantFrame(
             f"sequence of {num_frames} frames has no frame at distance "
             f">= {gamma_f} frames"
         )
-    t = _uniform_from_ranges(_anchor_ranges(num_frames, gamma_f), rng)
-    d = _sample_near_offset(t, num_frames, cfg.delta_frames, rng, second_order)
-    g = _uniform_from_ranges(_distant_ranges(t, num_frames, gamma_f), rng)
+
+
+def _draw(last: np.ndarray, cfg: SamplerConfig, rng, second_order: bool) -> np.ndarray:
+    """(N, arity) frame indices, one tuple per entry of `last`, the last
+    frame index of that row's video (each at least gamma_frames).
+
+    Three generator calls whatever N: all anchors, all near offsets, all
+    distant offsets."""
+    gamma_f, delta_f = cfg.gamma_frames, cfg.delta_frames
+    # Anchors: [0, last-gamma] then [gamma, last], one range when they meet.
+    left = last - gamma_f + 1
+    merged = left >= gamma_f
+    k = rng.integers(0, np.where(merged, last + 1, 2 * left))
+    t = np.where(merged | (k < left), k, k - left + gamma_f)
+    if second_order:  # t + 2d must be in range as well
+        lo = np.maximum(-delta_f, -(t // 2))
+        hi = np.minimum(delta_f, (last - t) // 2)
+    else:
+        lo = np.maximum(-delta_f, -t)
+        hi = np.minimum(delta_f, last - t)
+    d = rng.integers(lo, hi + 1)
+    # Distant offsets: [-t, -gamma] then [gamma, last-t].
+    below = np.maximum(t - gamma_f + 1, 0)
+    above = np.maximum(last - t - gamma_f + 1, 0)
+    k = rng.integers(0, below + above)
+    g = np.where(k < below, k - t, k - below + gamma_f)
     if second_order:
-        return SampledTuple("second", (t, t + d, t + 2 * d, t + g))
-    return SampledTuple("first", (t, t + d, t + g))
+        return np.stack((t, t + d, t + 2 * d, t + g), axis=1)
+    return np.stack((t, t + d, t + g), axis=1)
+
+
+def _sample(num_frames: int, cfg: SamplerConfig, rng, second_order: bool) -> SampledTuple:
+    _check_length(num_frames, cfg.gamma_frames)
+    row = _draw(np.array([num_frames - 1]), cfg, rng, second_order)[0]
+    return SampledTuple("second" if second_order else "first", tuple(row.tolist()))
 
 
 def sample_first_order(num_frames: int, cfg: SamplerConfig, rng) -> SampledTuple:
@@ -145,21 +145,23 @@ def build_epoch_schedule(
     cfg: SamplerConfig,
     rng,
     order: str = "first",
-) -> list[tuple[object, SampledTuple]]:
+) -> EpochSchedule:
     """Sample `tuples_per_video` tuples per video and shuffle them.
 
-    `videos` is a sequence of (video_id, num_frames) pairs. Sampler failures
-    are re-raised with the offending video named.
+    `videos` is a sequence of (video_id, num_frames) pairs; the schedule
+    refers to them by position. A video too short for a distant frame is
+    named in the raised error. Makes four generator calls.
     """
     if order not in ("first", "second"):
         raise ValueError(f"order must be 'first' or 'second', got {order!r}")
-    second = order == "second"
-    schedule: list[tuple[object, SampledTuple]] = []
     for video_id, num_frames in videos:
         try:
-            for _ in range(cfg.tuples_per_video):
-                schedule.append((video_id, _sample(num_frames, cfg, rng, second)))
+            _check_length(num_frames, cfg.gamma_frames)
         except NoValidDistantFrame as exc:
             raise NoValidDistantFrame(f"video {video_id!r}: {exc}") from exc
-    perm = rng.permutation(len(schedule))
-    return [schedule[i] for i in perm]
+    per_video = cfg.tuples_per_video
+    last = np.repeat(np.array([n - 1 for _, n in videos], dtype=np.int64), per_video)
+    indices = _draw(last, cfg, rng, order == "second")
+    perm = rng.permutation(len(last))
+    video = np.repeat(np.arange(len(videos)), per_video)
+    return EpochSchedule(video[perm], indices[perm])

@@ -88,12 +88,13 @@ def pretrain(encoder: EncoderModel, videos: list[FrameSequence],
     """
     if not videos:
         raise ValueError("need at least one video to pretrain on")
-    by_id = {}
     for v in videos:
         if v.feature_dim != encoder.input_dim:
             raise ValueError(f"video {v.video_id!r} has feature dim "
                              f"{v.feature_dim}, encoder expects {encoder.input_dim}")
-        by_id[v.video_id] = v.features
+    # All frames in one array; a video's frame i is row starts[video] + i.
+    features = np.concatenate([v.features for v in videos])
+    starts = np.cumsum([0] + [v.num_frames for v in videos[:-1]])
     lengths = [(v.video_id, v.num_frames) for v in videos]
     kind = cfg.loss_kind
     arity = LOSS_ARITY[kind]
@@ -104,31 +105,32 @@ def pretrain(encoder: EncoderModel, videos: list[FrameSequence],
     for epoch in range(cfg.epochs):
         schedule = build_epoch_schedule(lengths, cfg.sampler, rng,
                                         order=cfg.tuple_order)
+        rows = starts[schedule.video][:, None] + schedule.indices
         loss_sum = 0.0
         for start in range(0, len(schedule), cfg.batch_size):
-            batch = schedule[start:start + cfg.batch_size]
+            batch = rows[start:start + cfg.batch_size]
             n = len(batch)
-            frames = np.empty((n, arity, encoder.input_dim), dtype=np.float32)
-            for row, (vid, tup) in enumerate(batch):
-                frames[row] = by_id[vid][list(tup.indices)]
-            embedded = []
-            caches = []
-            for pos in range(arity):
-                emb, cache = encoder.forward_cached(frames[:, pos, :])
-                embedded.append(emb.astype(np.float64))
-                caches.append(cache)
+            # One forward over the tuples' frames stacked position-major:
+            # rows [pos*n, (pos+1)*n) hold tuple position pos. The encoder
+            # treats rows independently, so each block equals a forward of
+            # that position alone.
+            emb, cache = encoder.forward_cached(features[batch.T.ravel()])
+            blocks = [slice(pos * n, (pos + 1) * n) for pos in range(arity)]
+            embedded = [emb[b].astype(np.float64) for b in blocks]
             losses, grads = batch_loss_and_gradients(kind, embedded, cfg.loss)
             if not np.isfinite(losses).all():
-                bad = int(np.flatnonzero(~np.isfinite(losses))[0])
+                bad = start + int(np.flatnonzero(~np.isfinite(losses))[0])
                 raise NonFiniteLossError(
                     f"non-finite {cfg.method} loss at epoch {epoch}, batch "
-                    f"starting at tuple {start}, video {batch[bad][0]!r}, "
-                    f"frames {batch[bad][1].indices}")
+                    f"starting at tuple {start}, video "
+                    f"{videos[schedule.video[bad]].video_id!r}, "
+                    f"frames {tuple(schedule.indices[bad].tolist())}")
             loss_sum += float(losses.sum())
             total: dict[str, np.ndarray] = {}
-            for pos in range(arity):
+            for pos, b in enumerate(blocks):
                 upstream = (grads[pos] / n).astype(encoder.dtype)
-                for name, g in encoder.backward(caches[pos], upstream).items():
+                block_cache = [(a_in[b], z[b]) for a_in, z in cache]
+                for name, g in encoder.backward(block_cache, upstream).items():
                     if name in total:
                         total[name] += g
                     else:

@@ -539,6 +539,10 @@ def test_replay_rejects_foreign_files(tmp_path, capsys):
     missing = tmp_path / "d.json"
     assert main(["replay", str(missing)]) == 2
     capsys.readouterr()
+    not_utf8 = tmp_path / "e.json"
+    not_utf8.write_bytes(b"\xff{}")
+    assert main(["replay", str(not_utf8)]) == 2
+    assert str(not_utf8) in capsys.readouterr().err
 
 
 def replay_malformed(work, tmp_path, capsys, edit) -> str:
@@ -612,6 +616,40 @@ def test_replay_rejects_config_value_of_the_wrong_type(work, tmp_path, capsys,
 
     err = replay_malformed(work, tmp_path, capsys, retype)
     assert f"config value {section}.{key} = {value!r} is not {type_name}" in err
+
+
+@pytest.mark.parametrize("field,key,value,type_name", [
+    ("run", "seed", "x", "an integer"),
+    ("run", "seed", True, "an integer"),
+    ("run", "seed", 1.5, "an integer"),
+    ("run", "videos", "x", "an integer"),
+    ("paths", "out", 7, "a string"),
+], ids=["str-seed", "bool-seed", "float-seed", "str-videos", "int-out"])
+def test_replay_rejects_run_value_of_the_wrong_type(work, tmp_path, capsys,
+                                                    field, key, value, type_name):
+    def retype(manifest):
+        manifest[field][key] = value
+        return manifest
+
+    err = replay_malformed(work, tmp_path, capsys, retype)
+    assert f"{field} value {key} = {value!r} is not {type_name}" in err
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("num_phases", 1, "num_phases must be >= 2"),
+    ("skip_probability", 1.0, "skip_probability must be in [0, 1)"),
+], ids=["num-phases", "skip-probability"])
+def test_replay_names_the_manifest_for_out_of_range_config(work, tmp_path, capsys,
+                                                           key, value, message):
+    def edit(manifest):
+        manifest["resolved_config"]["synth"][key] = value
+        return manifest
+
+    out = work / "data"
+    before = {p: p.read_bytes() for p in out.iterdir()}
+    err = replay_malformed(work, tmp_path, capsys, edit)
+    assert f"{tmp_path / 'edited.json'}: {message}" in err
+    assert {p: p.read_bytes() for p in out.iterdir()} == before
 
 
 # ------------------------------------------------------------- entry point

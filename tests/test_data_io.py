@@ -349,6 +349,21 @@ def test_dataset_manifest_errors_name_the_manifest(tmp_path, rng, edit, problem)
     assert str(manifest_path) in str(err.value)
 
 
+@pytest.mark.parametrize("name", ["dataset.json", "splits.txt", "labels"])
+def test_dataset_text_file_not_utf8_is_named(tmp_path, rng, name):
+    dataset = generate_dataset(SynthConfig(min_duration=5, max_duration=9,
+                                           feature_dim=4), 4, rng)
+    root = tmp_path / "data"
+    save_dataset(root, dataset)
+    if name == "labels":
+        name = f"{dataset.videos[0].video_id}.feat.labels.csv"
+    path = root / name
+    path.write_bytes(b"\xff" + path.read_bytes())
+    with pytest.raises(DataFormatError, match="not valid UTF-8") as err:
+        load_dataset(root)
+    assert str(path) in str(err.value)
+
+
 def test_dataset_rejects_wrong_video_id_in_file(tmp_path, rng):
     dataset = generate_dataset(SynthConfig(min_duration=5, max_duration=9,
                                            feature_dim=4), 4, rng)

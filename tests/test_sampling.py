@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from tempcoh.errors import NoValidDistantFrame, ResampleExhausted
+from tempcoh.errors import NoValidDistantFrame
 from tempcoh.sampling import (
-    MAX_OFFSET_ATTEMPTS,
-    SampledTuple,
+    EpochSchedule,
     SamplerConfig,
-    _sample_near_offset,
     build_epoch_schedule,
     sample_first_order,
     sample_second_order,
@@ -118,9 +116,8 @@ def test_distant_offset_conditional_support_and_uniformity(rng):
 
 def test_near_offset_uniform_away_from_boundaries(rng):
     # For anchors at least delta_f from both ends the near offset is an
-    # unconstrained uniform draw from [-delta_f, delta_f]; check the
-    # empirical frequencies within 3 standard errors, and that zero and
-    # both signs occur.
+    # unconstrained uniform draw from [-delta_f, delta_f]; chi-square at
+    # significance 0.001 over its 301 values, and zero and both signs occur.
     t_total = 1000
     delta_f = 150
     cfg = frame_cfg(delta_f, 600)
@@ -133,11 +130,8 @@ def test_near_offset_uniform_away_from_boundaries(rng):
     deltas = np.asarray(deltas)
     assert deltas.min() == -delta_f and deltas.max() == delta_f
     assert (deltas == 0).any()
-    support = 2 * delta_f + 1
-    p = 1.0 / support
-    se = np.sqrt(p * (1 - p) / deltas.size)
-    counts = np.bincount(deltas + delta_f, minlength=support)
-    assert np.max(np.abs(counts / deltas.size - p)) < 3 * se
+    counts = np.bincount(deltas + delta_f, minlength=2 * delta_f + 1)
+    assert stats.chisquare(counts).pvalue > 0.001
 
 
 def test_distant_offset_magnitude_never_below_gamma(rng):
@@ -163,21 +157,6 @@ def test_no_valid_distant_frame_raised_exactly_at_threshold(rng):
         sample_second_order(t_total, cfg, rng)
 
 
-def test_resample_exhausted_after_attempt_cap():
-    class AlwaysInvalid:
-        def __init__(self):
-            self.calls = 0
-
-        def integers(self, low, high):
-            self.calls += 1
-            return low  # proposes t + d = -5 forever
-
-    stub = AlwaysInvalid()
-    with pytest.raises(ResampleExhausted):
-        _sample_near_offset(0, 601, 5, stub, second_order=False)
-    assert stub.calls == MAX_OFFSET_ATTEMPTS
-
-
 def test_determinism_same_seed_same_stream():
     cfg = frame_cfg(20, 80)
     rng1 = np.random.default_rng(123)
@@ -193,24 +172,26 @@ def test_schedule_counts_full_scale(rng):
     cfg = SamplerConfig(tuples_per_video=250)
     videos = [(f"v{i:02d}", 1500) for i in range(60)]
     schedule = build_epoch_schedule(videos, cfg, rng)
+    assert isinstance(schedule, EpochSchedule)
     assert len(schedule) == 15_000
-    per_video = {}
-    for vid, tup in schedule:
-        per_video[vid] = per_video.get(vid, 0) + 1
-        assert isinstance(tup, SampledTuple)
-    assert set(per_video.values()) == {250}
+    assert schedule.video.shape == (15_000,)
+    assert schedule.indices.shape == (15_000, 3)
+    per_video = np.bincount(schedule.video, minlength=len(videos))
+    assert set(per_video.tolist()) == {250}
 
 
 def test_schedule_single_entry(rng):
     cfg = frame_cfg(2, 10, tuples=1)
-    schedule = build_epoch_schedule([("only", 30)], cfg, rng)
-    assert len(schedule) == 1 and schedule[0][0] == "only"
+    videos = [("only", 30)]
+    schedule = build_epoch_schedule(videos, cfg, rng)
+    assert len(schedule) == 1 and videos[schedule.video[0]][0] == "only"
 
 
 def test_schedule_is_shuffled_across_videos(rng):
     cfg = frame_cfg(2, 10, tuples=50)
-    schedule = build_epoch_schedule([("a", 40), ("b", 40)], cfg, rng)
-    first_half = [vid for vid, _ in schedule[:50]]
+    videos = [("a", 40), ("b", 40)]
+    schedule = build_epoch_schedule(videos, cfg, rng)
+    first_half = [videos[v][0] for v in schedule.video[:50]]
     assert set(first_half) == {"a", "b"}  # not grouped by video
 
 
@@ -219,13 +200,16 @@ def test_schedule_determinism():
     videos = [("a", 100), ("b", 200), ("c", 55)]
     s1 = build_epoch_schedule(videos, cfg, np.random.default_rng(9))
     s2 = build_epoch_schedule(videos, cfg, np.random.default_rng(9))
-    assert s1 == s2
+    assert np.array_equal(s1.video, s2.video)
+    assert np.array_equal(s1.indices, s2.indices)
 
 
 def test_schedule_second_order(rng):
     cfg = frame_cfg(2, 10, tuples=20)
     schedule = build_epoch_schedule([("a", 60)], cfg, rng, order="second")
-    assert all(t.order == "second" and len(t.indices) == 4 for _, t in schedule)
+    assert schedule.indices.shape == (20, 4)
+    t, near, near2, _ = schedule.indices.T
+    assert np.array_equal(near2 - near, near - t)  # (t, t+D, t+2D, t+G)
 
 
 def test_schedule_rejects_unknown_order(rng):
@@ -238,3 +222,59 @@ def test_schedule_error_names_offending_video(rng):
     videos = [("long_enough", 400), ("tiny", 50)]
     with pytest.raises(NoValidDistantFrame, match="tiny"):
         build_epoch_schedule(videos, cfg, rng)
+
+
+@pytest.mark.parametrize("order", ["first", "second"])
+def test_schedule_rows_satisfy_tuple_invariants_at_every_length(rng, order):
+    # Every video length from gamma_f + 1 to 3 * gamma_f, including the
+    # lengths below 2 * gamma_f whose anchors form two separate ranges.
+    delta_f, gamma_f = 4, 12
+    cfg = frame_cfg(delta_f, gamma_f, tuples=300)
+    lengths = list(range(gamma_f + 1, 3 * gamma_f + 1))
+    schedule = build_epoch_schedule([(f"v{n}", n) for n in lengths], cfg, rng,
+                                    order=order)
+    assert schedule.indices.shape == (300 * len(lengths), 3 if order == "first" else 4)
+    num_frames = np.asarray(lengths)[schedule.video]
+    idx = schedule.indices
+    t, near, far = idx[:, 0], idx[:, 1], idx[:, -1]
+    assert ((idx >= 0) & (idx < num_frames[:, None])).all()
+    assert (np.abs(near - t) <= delta_f).all()
+    assert (np.abs(far - t) >= gamma_f).all()
+    if order == "second":
+        assert np.array_equal(idx[:, 2] - near, near - t)
+    for n in lengths:
+        if n >= 2 * gamma_f:
+            continue
+        anchors = set(t[num_frames == n].tolist())
+        left = set(range(0, n - gamma_f))
+        right = set(range(gamma_f, n))
+        assert anchors <= left | right
+        assert anchors & left and anchors & right
+
+
+class CountingGenerator:
+    """A numpy Generator that counts its calls and offers only the two
+    methods the sampler may use."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self._rng.integers(*args, **kwargs)
+
+    def permutation(self, *args, **kwargs):
+        self.calls += 1
+        return self._rng.permutation(*args, **kwargs)
+
+
+@pytest.mark.parametrize("order", ["first", "second"])
+@pytest.mark.parametrize("num_videos,tuples", [(1, 1), (3, 40), (60, 250)])
+def test_schedule_makes_four_generator_calls_at_any_size(order, num_videos, tuples):
+    cfg = frame_cfg(5, 20, tuples=tuples)
+    rng = CountingGenerator(4)
+    videos = [(f"v{i}", 30 + 7 * i) for i in range(num_videos)]
+    schedule = build_epoch_schedule(videos, cfg, rng, order=order)
+    assert len(schedule) == num_videos * tuples
+    assert rng.calls == 4

@@ -4,9 +4,11 @@
 import numpy as np
 import pytest
 
+from tempcoh import training
 from tempcoh.data_io import FrameSequence
 from tempcoh.errors import NonFiniteLossError
-from tempcoh.models import EncoderModel, PhaseModel
+from tempcoh.losses import LOSS_ARITY, batch_loss_and_gradients
+from tempcoh.models import AdamState, EncoderModel, PhaseModel, adam_step
 from tempcoh.sampling import SamplerConfig
 from tempcoh.synthetic import SynthConfig, generate_dataset
 from tempcoh.training import (
@@ -161,9 +163,83 @@ def test_pretrain_raises_on_non_finite_features(rng):
     videos = unlabeled_videos(rng)
     videos[0].features[3, 2] = np.nan
     enc = EncoderModel.create(6, [8], 4).init_uniform_fan(rng)
-    with pytest.raises(NonFiniteLossError, match="non-finite"):
+    # The first offending tuple holds frame 3 of video u0.
+    with pytest.raises(NonFiniteLossError,
+                       match=r"non-finite .* video 'u0', "
+                             r"frames \((\d+, )*3(, \d+)*\)$"):
         pretrain(enc, videos, PretrainConfig(epochs=1, sampler=SMALL_SAMPLER),
                  rng=0)
+
+
+def _reference_pretrain(encoder, videos, cfg, schedules):
+    """Pretraining over given epoch schedules as one row copy per tuple and
+    one encoder forward per tuple position: the loop `pretrain` replaced
+    with a single gather and a single forward per batch."""
+    kind = cfg.loss_kind
+    arity = LOSS_ARITY[kind]
+    adam = AdamState(lr=cfg.lr)
+    history = []
+    for schedule in schedules:
+        loss_sum = 0.0
+        for start in range(0, len(schedule), cfg.batch_size):
+            stop = start + cfg.batch_size
+            batch = list(zip(schedule.video[start:stop],
+                             schedule.indices[start:stop]))
+            n = len(batch)
+            frames = np.empty((n, arity, encoder.input_dim), dtype=np.float32)
+            for row, (vid, indices) in enumerate(batch):
+                frames[row] = videos[vid].features[list(indices)]
+            embedded = []
+            caches = []
+            for pos in range(arity):
+                emb, cache = encoder.forward_cached(frames[:, pos, :])
+                embedded.append(emb.astype(np.float64))
+                caches.append(cache)
+            losses, grads = batch_loss_and_gradients(kind, embedded, cfg.loss)
+            loss_sum += float(losses.sum())
+            total = {}
+            for pos in range(arity):
+                upstream = (grads[pos] / n).astype(encoder.dtype)
+                for name, g in encoder.backward(caches[pos], upstream).items():
+                    if name in total:
+                        total[name] += g
+                    else:
+                        total[name] = g
+            adam_step(encoder.parameters(), total, adam)
+        history.append(loss_sum / len(schedule))
+    return history
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch_size", [1, 17, 64])
+@pytest.mark.parametrize("method", sorted(PRETRAIN_METHODS))
+def test_pretrain_equals_per_position_forward_bitwise(monkeypatch, method,
+                                                      batch_size, dtype):
+    rng = np.random.default_rng(batch_size)
+    videos = [FrameSequence(f"u{i}", rng.normal(size=(60 + 7 * i, 6))
+                            .astype(np.float32), 1.0) for i in range(3)]
+    sampler = SamplerConfig(delta_seconds=3.0, gamma_seconds=20.0, fps=1.0,
+                            tuples_per_video=40)
+    cfg = PretrainConfig(method=method, epochs=2, batch_size=batch_size,
+                         sampler=sampler)
+    enc = EncoderModel.create(6, [8], 5, dtype=dtype).init_uniform_fan(
+        np.random.default_rng(3))
+    ref = enc.copy()
+    schedules = []
+    build = training.build_epoch_schedule
+
+    def recording(*args, **kwargs):
+        schedules.append(build(*args, **kwargs))
+        return schedules[-1]
+
+    monkeypatch.setattr(training, "build_epoch_schedule", recording)
+    result = pretrain(enc, videos, cfg, rng=11)
+    assert len(schedules) == 2
+    assert schedules[0].indices.shape[1] == LOSS_ARITY[cfg.loss_kind]
+    expected = _reference_pretrain(ref, videos, cfg, schedules)
+    assert result.epoch_losses == expected
+    for name, arr in ref.parameters().items():
+        assert enc.parameters()[name].tobytes() == arr.tobytes(), name
 
 
 def test_pretrain_batch_observer_sees_all_tuples(rng):
