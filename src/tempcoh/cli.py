@@ -369,6 +369,26 @@ _REQUIRED_TYPES = {
 }
 
 
+def _check_run_ranges(command: str, run: dict) -> None:
+    """Raise a ValueError for a run value out of range: a `compare` with
+    `seeds` below 1 or `methods` empty or naming an unknown method, or a
+    `retrieve` with a `query_split` letter that is not a split. The values
+    already have the types `_REQUIRED_TYPES` names."""
+    if command == "compare":
+        if run["seeds"] < 1:
+            raise ValueError(f"seeds must be at least 1, got {run['seeds']}")
+        if not run["methods"]:
+            raise ValueError("methods must name at least one method")
+        for m in run["methods"]:
+            if m not in PRETRAIN_METHODS:
+                raise ValueError(f"unknown method {m!r}; expected methods "
+                                 f"from {sorted(PRETRAIN_METHODS)}")
+    elif command == "retrieve":
+        for letter in run["query_split"]:
+            if letter not in SPLIT_CHOICES:
+                raise ValueError(f"query_split: unknown split {letter!r}")
+
+
 def _artifact_version(outputs: list[Path]) -> str:
     digest = hashlib.sha256()
     for path in outputs:
@@ -403,6 +423,14 @@ def _execute(command: str, resolved: dict, run: dict, paths: dict,
 
 def _common_setup(args) -> dict:
     return resolve_config(args.preset, args.config, args.set)
+
+
+def _checked_run(command: str, run: dict) -> dict:
+    try:
+        _check_run_ranges(command, run)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return run
 
 
 def cmd_synth(args) -> int:
@@ -446,31 +474,22 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.seeds < 1:
-        raise UsageError("--seeds must be at least 1")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods:
-        raise UsageError("--methods must name at least one method")
-    for m in methods:
-        if m not in PRETRAIN_METHODS:
-            raise UsageError(f"unknown method {m!r}; expected a comma list "
-                             f"of {sorted(PRETRAIN_METHODS)}")
+    run = _checked_run("compare", {
+        "seed": args.seed, "seeds": args.seeds, "methods": methods,
+        "labeled_sets": args.labeled_sets})
     resolved = _common_setup(args)
     out = Path(args.out).resolve()
-    run = {"seed": args.seed, "seeds": args.seeds, "methods": methods,
-           "labeled_sets": args.labeled_sets}
     paths = {"data": str(Path(args.data).resolve()), "out": str(out)}
     return _execute("compare", resolved, run, paths, out / "run_manifest.json")
 
 
 def cmd_retrieve(args) -> int:
-    for letter in args.query_split:
-        if letter not in SPLIT_CHOICES:
-            raise UsageError(f"--query-split: unknown split {letter!r}")
+    run = _checked_run("retrieve", {
+        "seed": args.seed, "queries": args.queries, "split": args.split,
+        "query_split": args.query_split})
     resolved = _common_setup(args)
     out = Path(args.out).resolve()
-    run = {"seed": args.seed, "queries": args.queries, "split": args.split,
-           "query_split": args.query_split}
     paths = {"data": str(Path(args.data).resolve()),
              "model": str(Path(args.model).resolve()), "out": str(out)}
     return _execute("retrieve", resolved, run, paths,
@@ -506,10 +525,11 @@ def cmd_replay(args) -> int:
                                       f"= {value!r} is not {type_name}")
     check_resolved_config(manifest["resolved_config"], str(manifest_path))
     try:
+        _check_run_ranges(command, manifest["run"])
         return _execute(command, manifest["resolved_config"], manifest["run"],
                         manifest["paths"], manifest_path)
     except ValueError as exc:
-        # The stage configs reject out-of-range values when they are built;
+        # The run ranges and the stage configs reject out-of-range values;
         # in a replay those values come from the manifest.
         raise DataFormatError(f"{manifest_path}: {exc}") from exc
 

@@ -4,9 +4,20 @@ Everything is plain numpy with hand-written backward passes. Dense products
 go through einsum rather than BLAS matmul because einsum reduces each output
 row in a batch-size-independent order, which keeps batched forwards exactly
 equal to stacked single-example forwards. The per-frame LSTM loops write into
-preallocated buffers with `out=` to cut per-step allocation and call
-overhead; each element still goes through the same operations in the same
-order as a plain expression would, so results are bitwise unchanged.
+preallocated buffers to cut per-step allocation and call overhead; each
+element still goes through the same operations in the same order as a plain
+expression would, so results are bitwise unchanged. Their ufuncs take `out`
+positionally, which skips keyword parsing, and constants come as prebuilt
+arrays of the model dtype, which skips converting a Python float on every
+call; both give the same bits. `np.minimum`/`np.maximum` keep the keyword
+form, because numpy 2 deprecates their positional `out`.
+
+Weight gradients are sums over rows of outer products, `_row_outer_sum`.
+einsum walks such a reduction with the row axis outermost and the output's
+last axis innermost, so its cost depends on which output axis is last: the
+longer one is cheaper. Either layout adds each element's products one row
+at a time, in row order, with the same inner kernel, so computing the
+transposed product and transposing back gives the same bits.
 
 Parameters are stored as float32 by default (matching the checkpoint
 format); gradient-check tests build float64 models instead. A parameter is
@@ -28,6 +39,15 @@ def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     if x.ndim == 1:
         return np.einsum("oi,i->o", weight, x) + bias
     return np.einsum("bi,oi->bo", x, weight) + bias
+
+
+def _row_outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum over t of outer(a[t], b[t]) for a (T, O) and b (T, I), as a
+    contiguous (O, I) array bitwise equal to einsum("to,ti->oi", a, b); the
+    longer of O and I is the innermost output axis."""
+    if a.shape[1] > b.shape[1]:
+        return np.ascontiguousarray(np.einsum("ti,to->io", b, a).T)
+    return np.einsum("to,ti->oi", a, b)
 
 
 def _uniform_fan_in(rng, shape: tuple[int, ...], fan_in: int, dtype) -> np.ndarray:
@@ -140,8 +160,15 @@ class EncoderModel:
             a = np.maximum(z, 0)
         return a, cache
 
-    def backward(self, cache, grad_embedding: np.ndarray) -> dict[str, np.ndarray]:
-        """Parameter gradients (trainable layers only) for one cached forward."""
+    def backward(self, cache, grad_embedding: np.ndarray,
+                 blocks=(slice(None),)) -> dict[str, np.ndarray]:
+        """Parameter gradients (trainable layers only) for one cached forward.
+
+        `blocks` are row slices that together cover the batch. Each weight
+        and bias gradient is reduced over every block's rows separately and
+        the block results are added in order, which is bitwise equal to
+        adding up one backward call per block; the rowwise steps run once
+        over all rows."""
         if len(cache) != self.num_layers:
             raise ValueError("cache does not match this encoder")
         grads: dict[str, np.ndarray] = {}
@@ -150,8 +177,14 @@ class EncoderModel:
             a_in, z = cache[i]
             dz = da * (z > 0)
             if self.trainable[i]:
-                grads[f"encoder.{i}.weight"] = np.einsum("bo,bi->oi", dz, a_in)
-                grads[f"encoder.{i}.bias"] = dz.sum(axis=0)
+                first, *rest = blocks
+                weight = _row_outer_sum(dz[first], a_in[first])
+                bias = dz[first].sum(axis=0)
+                for block in rest:
+                    weight += _row_outer_sum(dz[block], a_in[block])
+                    bias += dz[block].sum(axis=0)
+                grads[f"encoder.{i}.weight"] = weight
+                grads[f"encoder.{i}.bias"] = bias
             if i > 0:
                 da = np.einsum("bo,oi->bi", dz, self.weights[i])
         return grads
@@ -291,21 +324,24 @@ class PhaseModel:
         num_den = np.empty((2, 4 * hs), dtype=dt)
         num, den = num_den
         ig = np.empty(hs, dtype=dt)
+        zero = np.zeros(4 * hs, dtype=dt)
+        one = np.ones(4 * hs, dtype=dt)
+        minus_one = -one
         for zx_t, g_t, gi_t, gf_t, gg_t, go_t, c_t, tc_t, h_t in zip(
                 zx, gates, gi, gf, gg, go, cs, tanh_cs, hs_out):
             np.einsum("oi,i->o", w_hidden, h, out=z)
-            np.add(zx_t, z, out=z)
-            np.minimum(z, 0.0, out=num)
-            np.copysign(z, -1.0, out=den)
-            np.exp(num_den, out=num_den)
-            np.add(1.0, den, out=den)
-            np.divide(num, den, out=g_t)
-            np.tanh(z_cand, out=gg_t)
-            np.multiply(gf_t, c, out=c_t)
-            np.multiply(gi_t, gg_t, out=ig)
-            np.add(c_t, ig, out=c_t)
-            np.tanh(c_t, out=tc_t)
-            np.multiply(go_t, tc_t, out=h_t)
+            np.add(zx_t, z, z)
+            np.minimum(z, zero, out=num)
+            np.copysign(z, minus_one, den)
+            np.exp(num_den, num_den)
+            np.add(one, den, den)
+            np.divide(num, den, g_t)
+            np.tanh(z_cand, gg_t)
+            np.multiply(gf_t, c, c_t)
+            np.multiply(gi_t, gg_t, ig)
+            np.add(c_t, ig, c_t)
+            np.tanh(c_t, tc_t)
+            np.multiply(go_t, tc_t, h_t)
             h, c = h_t, c_t
         return gates, cs, tanh_cs, hs_out
 
@@ -378,17 +414,18 @@ class PhaseModel:
         dh_next = np.zeros(hs, dtype=dt)
         dc_next = np.zeros(hs, dtype=dt)
         w_hidden = self.lstm_w_hidden
-        for t in reversed(range(n)):
-            np.add(dh_seq[t], dh_next, out=dh)
-            np.multiply(dh, go[t], out=dh_go)
-            np.multiply(dh_go, one_minus_tanh_sq[t], out=dh_go)
-            np.add(dc_next, dh_go, out=dc)
+        for dh_t, go_t, tsq_t, gf_t, x1_t, x2_t, x3_t, dz in zip(
+                dh_seq[::-1], go[::-1], one_minus_tanh_sq[::-1], gf[::-1],
+                x1[::-1], x2[::-1], x3[::-1], dzs[::-1]):
+            np.add(dh_t, dh_next, dh)
+            np.multiply(dh, go_t, dh_go)
+            np.multiply(dh_go, tsq_t, dh_go)
+            np.add(dc_next, dh_go, dc)
             np.copyto(dc_copies, dc)
-            np.multiply(dc, gf[t], out=dc_next)
-            dz = dzs[t]
-            np.multiply(a, x1[t], out=dz)
-            np.multiply(dz, x2[t], out=dz)
-            np.multiply(dz, x3[t], out=dz)
+            np.multiply(dc, gf_t, dc_next)
+            np.multiply(a, x1_t, dz)
+            np.multiply(dz, x2_t, dz)
+            np.multiply(dz, x3_t, dz)
             np.einsum("oi,o->i", w_hidden, dz, out=dh_next)
         return dzs
 
@@ -399,13 +436,13 @@ class PhaseModel:
         across chunk boundaries."""
         enc_cache, emb, h_prev, c_prev, gates, cs, tanh_cs, hs_out = cache
         grads: dict[str, np.ndarray] = {
-            "classifier.weight": np.einsum("tk,th->kh", grad_logits, hs_out),
+            "classifier.weight": _row_outer_sum(grad_logits, hs_out),
             "classifier.bias": grad_logits.sum(axis=0),
         }
         dh_seq = np.einsum("tk,kh->th", grad_logits, self.clf_weight)
         dzs = self._recurrence_backward(dh_seq, gates, c_prev, tanh_cs)
-        grads["lstm.w_input"] = np.einsum("to,ti->oi", dzs, emb)
-        grads["lstm.w_hidden"] = np.einsum("to,ti->oi", dzs, h_prev)
+        grads["lstm.w_input"] = _row_outer_sum(dzs, emb)
+        grads["lstm.w_hidden"] = _row_outer_sum(dzs, h_prev)
         grads["lstm.bias"] = dzs.sum(axis=0)
         grad_emb = np.einsum("to,oi->ti", dzs, self.lstm_w_input)
         grads.update(self.encoder.backward(enc_cache, grad_emb))
@@ -490,8 +527,12 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     for name in sorted(grads):
         p = params[name]
         g = grads[name].astype(p.dtype, copy=False)
-        m = state.m.setdefault(name, np.zeros_like(p))
-        v = state.v.setdefault(name, np.zeros_like(p))
+        m = state.m.get(name)
+        if m is None:
+            m = state.m[name] = np.zeros_like(p)
+        v = state.v.get(name)
+        if v is None:
+            v = state.v[name] = np.zeros_like(p)
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2

@@ -95,9 +95,11 @@ def _check_length(num_frames: int, gamma_f: int) -> None:
         )
 
 
-def _draw(last: np.ndarray, cfg: SamplerConfig, rng, second_order: bool) -> np.ndarray:
-    """(N, arity) frame indices, one tuple per entry of `last`, the last
-    frame index of that row's video (each at least gamma_frames).
+def _draw(last, cfg: SamplerConfig, rng, second_order: bool) -> np.ndarray:
+    """(N, arity) frame indices, one tuple per entry of the (N,) array
+    `last`, the last frame index of that row's video (each at least
+    gamma_frames). An integer `last` gives one (arity,) tuple from the same
+    formula without the cost of array operations on one-element arrays.
 
     Three generator calls whatever N: all anchors, all near offsets, all
     distant offsets."""
@@ -120,13 +122,13 @@ def _draw(last: np.ndarray, cfg: SamplerConfig, rng, second_order: bool) -> np.n
     k = rng.integers(0, below + above)
     g = np.where(k < below, k - t, k - below + gamma_f)
     if second_order:
-        return np.stack((t, t + d, t + 2 * d, t + g), axis=1)
-    return np.stack((t, t + d, t + g), axis=1)
+        return np.stack((t, t + d, t + 2 * d, t + g), axis=-1)
+    return np.stack((t, t + d, t + g), axis=-1)
 
 
 def _sample(num_frames: int, cfg: SamplerConfig, rng, second_order: bool) -> SampledTuple:
     _check_length(num_frames, cfg.gamma_frames)
-    row = _draw(np.array([num_frames - 1]), cfg, rng, second_order)[0]
+    row = _draw(num_frames - 1, cfg, rng, second_order)
     return SampledTuple("second" if second_order else "first", tuple(row.tolist()))
 
 

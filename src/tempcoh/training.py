@@ -126,15 +126,10 @@ def pretrain(encoder: EncoderModel, videos: list[FrameSequence],
                     f"{videos[schedule.video[bad]].video_id!r}, "
                     f"frames {tuple(schedule.indices[bad].tolist())}")
             loss_sum += float(losses.sum())
-            total: dict[str, np.ndarray] = {}
-            for pos, b in enumerate(blocks):
-                upstream = (grads[pos] / n).astype(encoder.dtype)
-                block_cache = [(a_in[b], z[b]) for a_in, z in cache]
-                for name, g in encoder.backward(block_cache, upstream).items():
-                    if name in total:
-                        total[name] += g
-                    else:
-                        total[name] = g
+            # One backward over the whole stack; summing the parameter
+            # gradients block by block keeps the per-position order.
+            upstream = (np.concatenate(grads) / n).astype(encoder.dtype)
+            total = encoder.backward(cache, upstream, blocks)
             adam_step(encoder.parameters(), total, adam)
             if batch_observer is not None:
                 batch_observer(epoch, n)

@@ -652,6 +652,52 @@ def test_replay_names_the_manifest_for_out_of_range_config(work, tmp_path, capsy
     assert {p: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.fixture(scope="module")
+def compare_manifest(work, tmp_path_factory):
+    out = tmp_path_factory.mktemp("cmp") / "cmp"
+    assert main(["compare", "--data", str(work / "data"), "--seeds", "1",
+                 "--methods", "contrastive", "--out", str(out),
+                 "--set", "pretrain.epochs=1",
+                 "--set", "finetune.max_epochs=1"]) == 0
+    return out / "run_manifest.json"
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("seeds", 0, "seeds must be at least 1, got 0"),
+    ("methods", [], "methods must name at least one method"),
+    ("methods", ["nope"], "unknown method 'nope'"),
+], ids=["zero-seeds", "no-methods", "unknown-method"])
+def test_replay_names_the_manifest_for_out_of_range_compare_run(
+        compare_manifest, tmp_path, capsys, key, value, message):
+    manifest = read_manifest(compare_manifest)
+    manifest["run"][key] = value
+    out = Path(manifest["paths"]["out"])
+    before = {p: p.read_bytes() for p in out.iterdir()}
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["replay", str(path)]) == 2
+    assert f"{path}: {message}" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_replay_names_the_manifest_for_unknown_query_split(work, tmp_path, capsys):
+    out = tmp_path / "hits.csv"
+    base = ["retrieve", "--data", str(work / "data"),
+            "--model", str(work / "enc.ckpt"), "--queries", "random:2",
+            "--out", str(out)]
+    assert main([*base, "--query-split", "AZ"]) == 1
+    assert "query_split: unknown split 'Z'" in capsys.readouterr().err
+    assert main(base) == 0
+    manifest = read_manifest(str(out) + ".manifest.json")
+    manifest["run"]["query_split"] = "AZ"
+    before = out.read_bytes()
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["replay", str(path)]) == 2
+    assert f"{path}: query_split: unknown split 'Z'" in capsys.readouterr().err
+    assert out.read_bytes() == before
+
+
 # ------------------------------------------------------------- entry point
 
 def test_version_and_help_exit_zero(capsys):

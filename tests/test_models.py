@@ -11,6 +11,7 @@ from tempcoh.models import (
     EncoderModel,
     LstmState,
     PhaseModel,
+    _row_outer_sum,
     adam_step,
     softmax_cross_entropy,
     softmax_cross_entropy_batch,
@@ -112,6 +113,50 @@ def test_two_branch_accumulation_is_twice_single_branch(rng):
               for name, g in single.items()}
     for name in single:
         assert np.array_equal(summed[name], 2.0 * single[name])
+
+
+@pytest.mark.parametrize("dtype_a,dtype_b", [
+    (np.float32, np.float32), (np.float64, np.float64),
+    (np.float32, np.float64), (np.float64, np.float32)],
+    ids=["f32", "f64", "f32-f64", "f64-f32"])
+@pytest.mark.parametrize("rows", [1, 9, 128])
+@pytest.mark.parametrize("out_width,in_width", [
+    (1, 1), (1, 6), (6, 1), (16, 16), (7, 40), (40, 7), (256, 32), (32, 64)])
+def test_row_outer_sum_equals_einsum_bitwise(rng, dtype_a, dtype_b, rows,
+                                             out_width, in_width):
+    a = (50.0 * rng.normal(size=(rows, out_width))).astype(dtype_a)
+    b = rng.normal(size=(rows, in_width)).astype(dtype_b)
+    got = _row_outer_sum(a, b)
+    assert got.flags.c_contiguous
+    assert _same_bits(got, np.einsum("to,ti->oi", a, b))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("frozen", [None, 0, 1], ids=["none", "layer0", "layer1"])
+@pytest.mark.parametrize("arity", [3, 4])
+def test_encoder_backward_blocks_equal_in_order_sum_of_block_calls(rng, dtype,
+                                                                  frozen, arity):
+    enc = EncoderModel.create(16, [64], 32, dtype=dtype).init_uniform_fan(rng)
+    if frozen is not None:
+        enc.set_trainable(lambda i: i != frozen)
+    n = 17
+    x = rng.normal(size=(arity * n, 16)).astype(dtype)
+    upstream = rng.normal(size=(arity * n, 32)).astype(dtype)
+    _, cache = enc.forward_cached(x)
+    blocks = [slice(pos * n, (pos + 1) * n) for pos in range(arity)]
+    got = enc.backward(cache, upstream, blocks)
+    want: dict[str, np.ndarray] = {}
+    for b in blocks:
+        block_cache = [(a_in[b], z[b]) for a_in, z in cache]
+        for name, g in enc.backward(block_cache, upstream[b]).items():
+            if name in want:
+                want[name] += g
+            else:
+                want[name] = g
+    assert got.keys() == want.keys()
+    assert len(got) == 2 * (2 if frozen is None else 1)
+    for name in want:
+        assert _same_bits(got[name], want[name]), name
 
 
 # ---------------------------------------------------------------- freezing
@@ -472,6 +517,17 @@ def test_adam_equal_gradients_update_identically(rng):
     for _ in range(5):
         adam_step(params, {"a": g.copy(), "b": g.copy()}, state)
     assert np.array_equal(params["a"], params["b"])
+
+
+def test_adam_keeps_existing_moments():
+    params = {"w": np.zeros(3)}
+    state = AdamState(lr=1e-2)
+    adam_step(params, {"w": np.full(3, 0.5)}, state)
+    m, v = state.m["w"], state.v["w"]
+    adam_step(params, {"w": np.full(3, 0.5)}, state)
+    assert state.m["w"] is m and state.v["w"] is v
+    assert np.allclose(m, 0.9 * 0.05 + 0.1 * 0.5, rtol=0, atol=1e-15)
+    assert np.allclose(v, 0.999 * 0.00025 + 0.001 * 0.25, rtol=0, atol=1e-15)
 
 
 def test_adam_rejects_unknown_or_misshapen_gradients():

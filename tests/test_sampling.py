@@ -8,6 +8,7 @@ from tempcoh.errors import NoValidDistantFrame
 from tempcoh.sampling import (
     EpochSchedule,
     SamplerConfig,
+    _draw,
     build_epoch_schedule,
     sample_first_order,
     sample_second_order,
@@ -155,6 +156,22 @@ def test_no_valid_distant_frame_raised_exactly_at_threshold(rng):
     for t_total in (601, 1000):  # T - 1 >= 600: must succeed
         sample_first_order(t_total, cfg, rng)
         sample_second_order(t_total, cfg, rng)
+
+
+@pytest.mark.parametrize("second_order", [False, True], ids=["first", "second"])
+def test_one_row_draw_equals_first_row_of_one_element_draw(second_order):
+    # An integer `last` takes the scalar path of the kernel; it must draw the
+    # same tuple and leave the generator in the same state as an array row.
+    cfg = frame_cfg(3, 8)
+    for seed in range(40):
+        for last in (8, 9, 15, 16, 17, 40):
+            scalar_rng = np.random.default_rng(seed)
+            array_rng = np.random.default_rng(seed)
+            row = _draw(last, cfg, scalar_rng, second_order)
+            first = _draw(np.array([last]), cfg, array_rng, second_order)[0]
+            assert row.shape == first.shape
+            assert row.tolist() == first.tolist()
+            assert scalar_rng.bit_generator.state == array_rng.bit_generator.state
 
 
 def test_determinism_same_seed_same_stream():
