@@ -26,13 +26,15 @@ from .data_io import (atomic_write_text, load_checkpoint, load_dataset,
                       load_encoder, load_phase_model, save_dataset,
                       save_encoder, save_phase_model)
 from .errors import CheckpointError, DataFormatError, TempcohError, UsageError
-from .experiments import (BASELINE, build_encoder, build_phase_model,
-                          make_finetune_config, make_pretrain_config,
+from .experiments import (BASELINE, finetune_stage, pretrain_stage,
                           run_comparison)
 from .metrics import MetricSummary
 from .retrieval import phase_agreement, retrieval_report
 from .synthetic import SynthConfig, generate_dataset
-from .training import PRETRAIN_METHODS, evaluate, finetune, pretrain
+# The runners train through `experiments`; `pretrain` and `finetune` stay
+# bound here because the benchmark's StageClock (perfbench/layers.py)
+# patches `pretrain`, `finetune` and `evaluate` by name in this module.
+from .training import PRETRAIN_METHODS, evaluate, finetune, pretrain  # noqa: F401
 
 MANIFEST_FORMAT = "tempcoh-run"
 LABELED_SET_CHOICES = ("A", "AB", "ABC")
@@ -91,15 +93,11 @@ def _run_pretrain(resolved, run, paths) -> list[Path]:
     method = run["method"]
     resolved["sampler"]["delta_seconds"] = resolve_delta_seconds(resolved, method)
     run["fps"] = dataset.fps
-    cfg = make_pretrain_config(resolved, method, dataset.fps)
-    encoder = build_encoder(resolved, dataset.feature_dim)
-    rng = np.random.default_rng(run["seed"])
-    encoder.init_uniform_fan(rng)
-    result = pretrain(encoder, dataset.split("A", "B", "C"), cfg, rng)
+    encoder, result = pretrain_stage(dataset, resolved, run["seed"], method)
     out = Path(paths["out"])
     _mkparent(out)
     save_encoder(out, encoder, {"method": method, "seed": run["seed"],
-                                "epochs": cfg.epochs})
+                                "epochs": resolved["pretrain"]["epochs"]})
     losses_csv = Path(str(out) + ".losses.csv")
     lines = ["epoch,mean_loss"]
     lines += [f"{i},{_fnum(x)}" for i, x in enumerate(result.epoch_losses)]
@@ -109,11 +107,10 @@ def _run_pretrain(resolved, run, paths) -> list[Path]:
 
 def _run_finetune(resolved, run, paths) -> list[Path]:
     dataset = load_dataset(paths["data"])
-    labeled = dataset.split(*tuple(run["labeled_sets"]))
-    if not labeled:
+    labeled_sets = tuple(run["labeled_sets"])
+    if not dataset.split(*labeled_sets):
         raise DataFormatError(f"labeled sets {run['labeled_sets']} contain "
                               f"no videos")
-    rng = np.random.default_rng(run["seed"])
     init_path = paths.get("init")
     if init_path:
         encoder, _ = load_encoder(init_path)
@@ -122,10 +119,9 @@ def _run_finetune(resolved, run, paths) -> list[Path]:
                 f"{init_path}: encoder expects {encoder.input_dim} input "
                 f"features but the dataset has {dataset.feature_dim}")
     else:
-        encoder = build_encoder(resolved, dataset.feature_dim).init_uniform_fan(rng)
-    model = build_phase_model(resolved, encoder, dataset.num_phases)
-    model.init_head_uniform_fan(rng)
-    result = finetune(model, labeled, make_finetune_config(resolved), rng)
+        encoder, _ = pretrain_stage(dataset, resolved, run["seed"], BASELINE)
+    model, result = finetune_stage(dataset, resolved, encoder, labeled_sets,
+                                   run["seed"])
     run["epochs_run"] = result.epochs_run
     run["stopped_early"] = result.stopped_early
     out = Path(paths["out"])
@@ -344,18 +340,24 @@ def _run_retrieve(resolved, run, paths) -> list[Path]:
     return [out, txt]
 
 
-# command -> (runner, `run` keys, `paths` keys the runner requires). Replay
-# checks a manifest for those keys before running it.
+# command -> (runner, `run` keys, `paths` keys the runner requires, where
+# the manifest goes: appended to the `out` path). A command records `seed`
+# and its `run` keys from the arguments of the same names; replay checks a
+# manifest for the required keys before running it.
 _RUNNERS = {
-    "synth": (_run_synth, ("seed", "videos"), ("out",)),
-    "pretrain": (_run_pretrain, ("seed", "method"), ("data", "out")),
-    "finetune": (_run_finetune, ("seed", "labeled_sets"), ("data", "out")),
-    "eval": (_run_eval, ("split",), ("data", "model", "out")),
+    "synth": (_run_synth, ("seed", "videos"), ("out",), "/run_manifest.json"),
+    "pretrain": (_run_pretrain, ("seed", "method"), ("data", "out"),
+                 ".manifest.json"),
+    "finetune": (_run_finetune, ("seed", "labeled_sets"), ("data", "out"),
+                 ".manifest.json"),
+    "eval": (_run_eval, ("split",), ("data", "model", "out"), ".manifest.json"),
     "compare": (_run_compare, ("seed", "seeds", "methods", "labeled_sets"),
-                ("data", "out")),
+                ("data", "out"), "/run_manifest.json"),
     "retrieve": (_run_retrieve, ("seed", "queries", "split", "query_split"),
-                 ("data", "model", "out")),
+                 ("data", "model", "out"), ".manifest.json"),
 }
+# Path arguments, made absolute in `paths`; `init` is finetune's optional one.
+_PATH_ARGS = ("data", "model", "init", "out")
 
 # (test, name) of the type of each `run` value a runner requires; every
 # other required `run` or `paths` value is a string.
@@ -370,23 +372,34 @@ _REQUIRED_TYPES = {
 
 
 def _check_run_ranges(command: str, run: dict) -> None:
-    """Raise a ValueError for a run value out of range: a `compare` with
-    `seeds` below 1 or `methods` empty or naming an unknown method, or a
-    `retrieve` with a `query_split` letter that is not a split. The values
-    already have the types `_REQUIRED_TYPES` names."""
-    if command == "compare":
+    """Raise a ValueError for a run value out of range: a `synth` with
+    fewer than 4 videos, a `pretrain` with an unknown method, a `compare`
+    with `seeds` below 1 or `methods` empty or naming an unknown method, or
+    a `retrieve` with a `query_split` letter that is not a split. The
+    values already have the types `_REQUIRED_TYPES` names."""
+    if command == "synth":
+        if run["videos"] < 4:
+            raise ValueError(f"videos must be at least 4 (A/B/C/D split), "
+                             f"got {run['videos']}")
+    elif command == "pretrain":
+        _check_methods([run["method"]])
+    elif command == "compare":
         if run["seeds"] < 1:
             raise ValueError(f"seeds must be at least 1, got {run['seeds']}")
         if not run["methods"]:
             raise ValueError("methods must name at least one method")
-        for m in run["methods"]:
-            if m not in PRETRAIN_METHODS:
-                raise ValueError(f"unknown method {m!r}; expected methods "
-                                 f"from {sorted(PRETRAIN_METHODS)}")
+        _check_methods(run["methods"])
     elif command == "retrieve":
         for letter in run["query_split"]:
             if letter not in SPLIT_CHOICES:
                 raise ValueError(f"query_split: unknown split {letter!r}")
+
+
+def _check_methods(methods: list[str]) -> None:
+    for m in methods:
+        if m not in PRETRAIN_METHODS:
+            raise ValueError(f"unknown method {m!r}; expected methods "
+                             f"from {sorted(PRETRAIN_METHODS)}")
 
 
 def _artifact_version(outputs: list[Path]) -> str:
@@ -421,79 +434,26 @@ def _execute(command: str, resolved: dict, run: dict, paths: dict,
     return 0
 
 
-def _common_setup(args) -> dict:
-    return resolve_config(args.preset, args.config, args.set)
-
-
-def _checked_run(command: str, run: dict) -> dict:
+def _run_command(args) -> int:
+    """Run `args.command` from its parsed arguments."""
+    command = args.command
+    _, run_keys, _, manifest_suffix = _RUNNERS[command]
+    run = {key: getattr(args, key) for key in ("seed", *run_keys)}
     try:
         _check_run_ranges(command, run)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return run
+    resolved = resolve_config(args.preset, args.config, args.set)
+    paths = {key: str(Path(value).resolve()) if value else None
+             for key, value in vars(args).items() if key in _PATH_ARGS}
+    return _execute(command, resolved, run, paths,
+                    Path(paths["out"] + manifest_suffix))
 
 
-def cmd_synth(args) -> int:
-    if args.videos < 4:
-        raise UsageError("--videos must be at least 4 (A/B/C/D split)")
-    resolved = _common_setup(args)
-    out = Path(args.out).resolve()
-    run = {"seed": args.seed, "videos": args.videos}
-    paths = {"out": str(out)}
-    return _execute("synth", resolved, run, paths, out / "run_manifest.json")
-
-
-def cmd_pretrain(args) -> int:
-    resolved = _common_setup(args)
-    out = Path(args.out).resolve()
-    run = {"seed": args.seed, "method": args.method}
-    paths = {"data": str(Path(args.data).resolve()), "out": str(out)}
-    return _execute("pretrain", resolved, run, paths,
-                    Path(str(out) + ".manifest.json"))
-
-
-def cmd_finetune(args) -> int:
-    resolved = _common_setup(args)
-    out = Path(args.out).resolve()
-    run = {"seed": args.seed, "labeled_sets": args.labeled_sets}
-    paths = {"data": str(Path(args.data).resolve()),
-             "init": str(Path(args.init).resolve()) if args.init else None,
-             "out": str(out)}
-    return _execute("finetune", resolved, run, paths,
-                    Path(str(out) + ".manifest.json"))
-
-
-def cmd_eval(args) -> int:
-    resolved = _common_setup(args)
-    out = Path(args.out).resolve()
-    run = {"seed": args.seed, "split": args.split}
-    paths = {"data": str(Path(args.data).resolve()),
-             "model": str(Path(args.model).resolve()), "out": str(out)}
-    return _execute("eval", resolved, run, paths,
-                    Path(str(out) + ".manifest.json"))
-
-
-def cmd_compare(args) -> int:
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    run = _checked_run("compare", {
-        "seed": args.seed, "seeds": args.seeds, "methods": methods,
-        "labeled_sets": args.labeled_sets})
-    resolved = _common_setup(args)
-    out = Path(args.out).resolve()
-    paths = {"data": str(Path(args.data).resolve()), "out": str(out)}
-    return _execute("compare", resolved, run, paths, out / "run_manifest.json")
-
-
-def cmd_retrieve(args) -> int:
-    run = _checked_run("retrieve", {
-        "seed": args.seed, "queries": args.queries, "split": args.split,
-        "query_split": args.query_split})
-    resolved = _common_setup(args)
-    out = Path(args.out).resolve()
-    paths = {"data": str(Path(args.data).resolve()),
-             "model": str(Path(args.model).resolve()), "out": str(out)}
-    return _execute("retrieve", resolved, run, paths,
-                    Path(str(out) + ".manifest.json"))
+# Each command has its own name, which build_parser looks up when it runs:
+# the benchmark (perfbench/layers.py) wraps `cmd_<command>` to count calls.
+cmd_synth = cmd_pretrain = cmd_finetune = cmd_eval = cmd_compare = \
+    cmd_retrieve = _run_command
 
 
 def cmd_replay(args) -> int:
@@ -511,7 +471,7 @@ def cmd_replay(args) -> int:
         if not isinstance(manifest.get(field), dict):
             raise DataFormatError(f"{manifest_path}: {field!r} is missing or "
                                   f"not an object")
-    _, run_keys, path_keys = _RUNNERS[command]
+    _, run_keys, path_keys, _ = _RUNNERS[command]
     for field, keys in (("run", run_keys), ("paths", path_keys)):
         missing = [key for key in keys if key not in manifest[field]]
         if missing:
@@ -532,6 +492,10 @@ def cmd_replay(args) -> int:
         # The run ranges and the stage configs reject out-of-range values;
         # in a replay those values come from the manifest.
         raise DataFormatError(f"{manifest_path}: {exc}") from exc
+
+
+def _method_list(text: str) -> list[str]:
+    return [m.strip() for m in text.split(",") if m.strip()]
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -595,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of seeds (base seed from --seed)")
     p.add_argument("--labeled-sets", default="A", choices=LABELED_SET_CHOICES,
                    dest="labeled_sets", help="label budget (default: A)")
-    p.add_argument("--methods", required=True,
+    p.add_argument("--methods", required=True, type=_method_list,
                    help="comma list of pretraining methods")
     p.add_argument("--out", required=True, help="output directory")
     _add_common(p)

@@ -5,7 +5,9 @@ Per seed, every arm shares the same fine-tuning RNG stream (head
 initialization and video shuffling), so arms differ only in how the encoder
 was obtained: freshly initialized (baseline) or initialized and pretrained.
 RNG streams are derived as default_rng([seed, lane]) with lane 0 for the
-baseline encoder, 1 for pretraining, 2 for fine-tuning.
+baseline encoder, 1 for pretraining, 2 for fine-tuning. The single-step
+`pretrain` and `finetune` commands run the same two stages, so one seed
+trains one model whichever entry point runs it.
 """
 
 from __future__ import annotations
@@ -45,10 +47,6 @@ def make_pretrain_config(resolved: dict, method: str, fps: float) -> PretrainCon
                           **resolved["pretrain"])
 
 
-def make_finetune_config(resolved: dict) -> FinetuneConfig:
-    return FinetuneConfig(**resolved["finetune"])
-
-
 @dataclass
 class ArmResult:
     """One trained and evaluated arm of the comparison."""
@@ -61,27 +59,43 @@ class ArmResult:
     pretrain_log: PretrainResult | None
 
 
-def run_arm(dataset: Dataset, resolved: dict, labeled_sets: tuple[str, ...],
-            seed: int, method: str) -> ArmResult:
-    """Train one arm end to end and evaluate it on split D."""
-    unlabeled = dataset.split("A", "B", "C")
-    labeled = dataset.split(*labeled_sets)
-    test = dataset.split("D")
+def pretrain_stage(dataset: Dataset, resolved: dict, seed: int,
+                   method: str) -> tuple[EncoderModel, PretrainResult | None]:
+    """The encoder that goes into fine-tuning: for BASELINE only initialized
+    from lane 0, otherwise initialized from lane 1 and pretrained on splits
+    A+B+C with that same stream."""
     encoder = build_encoder(resolved, dataset.feature_dim)
-    pretrain_log = None
     if method == BASELINE:
         encoder.init_uniform_fan(np.random.default_rng([seed, 0]))
-    else:
-        rng = np.random.default_rng([seed, 1])
-        encoder.init_uniform_fan(rng)
-        cfg = make_pretrain_config(resolved, method, dataset.fps)
-        pretrain_log = pretrain(encoder, unlabeled, cfg, rng)
-    snapshot = encoder.copy()
+        return encoder, None
+    rng = np.random.default_rng([seed, 1])
+    encoder.init_uniform_fan(rng)
+    cfg = make_pretrain_config(resolved, method, dataset.fps)
+    return encoder, pretrain(encoder, dataset.split("A", "B", "C"), cfg, rng)
+
+
+def finetune_stage(dataset: Dataset, resolved: dict, encoder: EncoderModel,
+                   labeled_sets: tuple[str, ...],
+                   seed: int) -> tuple[PhaseModel, FinetuneResult]:
+    """A phase model on `encoder` (which it trains in place), its head
+    initialized from lane 2 and trained on the labeled splits with that
+    same stream."""
     model = build_phase_model(resolved, encoder, dataset.num_phases)
     rng = np.random.default_rng([seed, 2])
     model.init_head_uniform_fan(rng)
-    finetune_log = finetune(model, labeled, make_finetune_config(resolved), rng)
-    report = evaluate(model, test).report
+    result = finetune(model, dataset.split(*labeled_sets),
+                      FinetuneConfig(**resolved["finetune"]), rng)
+    return model, result
+
+
+def run_arm(dataset: Dataset, resolved: dict, labeled_sets: tuple[str, ...],
+            seed: int, method: str) -> ArmResult:
+    """Train one arm end to end and evaluate it on split D."""
+    encoder, pretrain_log = pretrain_stage(dataset, resolved, seed, method)
+    snapshot = encoder.copy()
+    model, finetune_log = finetune_stage(dataset, resolved, encoder,
+                                         labeled_sets, seed)
+    report = evaluate(model, dataset.split("D")).report
     return ArmResult(seed, method, snapshot, report, finetune_log, pretrain_log)
 
 

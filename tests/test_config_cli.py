@@ -272,8 +272,9 @@ def test_pretrain_zero_epochs_checkpoint_is_the_raw_init(work, tmp_path):
                  "--method", "contrastive", "--out", str(out),
                  "--seed", "7", "--set", "pretrain.epochs=0"]) == 0
     loaded, _ = load_encoder(out)
+    # Pretraining initializes from lane 1 of the seed, as `compare` does.
     expected = EncoderModel.create(6, [64], 32).init_uniform_fan(
-        np.random.default_rng(7))
+        np.random.default_rng([7, 1]))
     for name, arr in expected.parameters().items():
         assert np.array_equal(loaded.parameters()[name], arr)
 
@@ -652,6 +653,19 @@ def test_replay_names_the_manifest_for_out_of_range_config(work, tmp_path, capsy
     assert {p: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_replay_names_the_manifest_for_too_few_synth_videos(work, tmp_path,
+                                                          capsys):
+    def edit(manifest):
+        manifest["run"]["videos"] = 3
+        return manifest
+
+    out = work / "data"
+    before = {p: p.read_bytes() for p in out.iterdir()}
+    err = replay_malformed(work, tmp_path, capsys, edit)
+    assert f"{tmp_path / 'edited.json'}: videos must be at least 4" in err
+    assert {p: p.read_bytes() for p in out.iterdir()} == before
+
+
 @pytest.fixture(scope="module")
 def compare_manifest(work, tmp_path_factory):
     out = tmp_path_factory.mktemp("cmp") / "cmp"
@@ -678,6 +692,21 @@ def test_replay_names_the_manifest_for_out_of_range_compare_run(
     assert main(["replay", str(path)]) == 2
     assert f"{path}: {message}" in capsys.readouterr().err
     assert {p: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("method", ["nope", "baseline"])
+def test_replay_names_the_manifest_for_unknown_pretrain_method(work, tmp_path,
+                                                               capsys, method):
+    # `baseline` is compare's name for the no-pretraining arm, not a method.
+    manifest = read_manifest(work / "enc.ckpt.manifest.json")
+    manifest["run"]["method"] = method
+    manifest["resolved_config"]["sampler"]["delta_seconds"] = None
+    before = {p: Path(p).read_bytes() for p in manifest["outputs"]}
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["replay", str(path)]) == 2
+    assert f"{path}: unknown method {method!r}" in capsys.readouterr().err
+    assert {p: Path(p).read_bytes() for p in manifest["outputs"]} == before
 
 
 def test_replay_names_the_manifest_for_unknown_query_split(work, tmp_path, capsys):

@@ -46,29 +46,32 @@ def test_config_validation():
 
 # ------------------------------------------------------------- invariants
 
+def draw_tuples(t_total: int, cfg: SamplerConfig, rng, order: str = "first"):
+    """(tuples_per_video, arity) tuples drawn from one video of t_total
+    frames through the epoch-schedule path."""
+    return build_epoch_schedule([("v", t_total)], cfg, rng, order=order).indices
+
+
 def test_first_order_invariants_over_many_draws(rng):
     t_total = 1000
-    cfg = frame_cfg(150, 600)
-    for _ in range(30_000):
-        tup = sample_first_order(t_total, cfg, rng)
-        assert tup.order == "first" and len(tup.indices) == 3
-        t, near, far = tup.indices
-        assert all(0 <= i <= t_total - 1 for i in tup.indices)
-        assert abs(near - t) <= 150
-        assert abs(far - t) >= 600
+    idx = draw_tuples(t_total, frame_cfg(150, 600, tuples=30_000), rng)
+    assert idx.shape == (30_000, 3)
+    t, near, far = idx.T
+    assert ((idx >= 0) & (idx <= t_total - 1)).all()
+    assert (np.abs(near - t) <= 150).all()
+    assert (np.abs(far - t) >= 600).all()
 
 
 def test_second_order_invariants_over_many_draws(rng):
     t_total = 1000
-    cfg = frame_cfg(75, 600)
-    for _ in range(30_000):
-        tup = sample_second_order(t_total, cfg, rng)
-        assert tup.order == "second" and len(tup.indices) == 4
-        t, near, near2, far = tup.indices
-        assert all(0 <= i <= t_total - 1 for i in tup.indices)
-        assert abs(near - t) <= 75
-        assert near2 - near == near - t  # third index is t + 2*delta
-        assert abs(far - t) >= 600
+    idx = draw_tuples(t_total, frame_cfg(75, 600, tuples=30_000), rng,
+                      order="second")
+    assert idx.shape == (30_000, 4)
+    t, near, near2, far = idx.T
+    assert ((idx >= 0) & (idx <= t_total - 1)).all()
+    assert (np.abs(near - t) <= 75).all()
+    assert np.array_equal(near2 - near, near - t)  # third index is t + 2*delta
+    assert (np.abs(far - t) >= 600).all()
 
 
 def test_second_order_zero_offset_tuple_is_legal(rng):
@@ -89,10 +92,8 @@ def test_anchor_uniform_chi_square(rng):
     # With T >= 2 * gamma_f every anchor has a valid distant partner, so t
     # is uniform over [0, T-1]; chi-square at significance 0.001.
     t_total = 300
-    cfg = frame_cfg(10, 100)
-    counts = np.zeros(t_total, dtype=np.int64)
-    for _ in range(100_000):
-        counts[sample_first_order(t_total, cfg, rng).indices[0]] += 1
+    anchors = draw_tuples(t_total, frame_cfg(10, 100, tuples=100_000), rng)[:, 0]
+    counts = np.bincount(anchors, minlength=t_total)
     result = stats.chisquare(counts)
     assert result.pvalue > 0.001
 
@@ -100,15 +101,12 @@ def test_anchor_uniform_chi_square(rng):
 def test_distant_offset_conditional_support_and_uniformity(rng):
     # T=10, gamma_f=4: conditioned on t=0 the distant offset can only be
     # {4,...,9}; each value's frequency is 1/6 within 0.01.
-    cfg = frame_cfg(3, 4)
-    gammas = []
-    draws = 0
+    cfg = frame_cfg(3, 4, tuples=250_000)
+    gammas = np.empty(0, dtype=np.int64)
     while len(gammas) < 20_000:
-        draws += 1
-        tup = sample_first_order(10, cfg, rng)
-        t = tup.indices[0]
-        if t == 0:
-            gammas.append(tup.indices[2] - t)
+        t, _, far = draw_tuples(10, cfg, rng).T
+        gammas = np.concatenate((gammas, (far - t)[t == 0]))
+    gammas = gammas[:20_000]
     values, counts = np.unique(gammas, return_counts=True)
     assert set(values.tolist()) == {4, 5, 6, 7, 8, 9}
     freqs = counts / len(gammas)
@@ -121,14 +119,9 @@ def test_near_offset_uniform_away_from_boundaries(rng):
     # significance 0.001 over its 301 values, and zero and both signs occur.
     t_total = 1000
     delta_f = 150
-    cfg = frame_cfg(delta_f, 600)
-    deltas = []
-    for _ in range(100_000):
-        tup = sample_first_order(t_total, cfg, rng)
-        t = tup.indices[0]
-        if delta_f <= t <= t_total - 1 - delta_f:
-            deltas.append(tup.indices[1] - t)
-    deltas = np.asarray(deltas)
+    t, near, _ = draw_tuples(t_total, frame_cfg(delta_f, 600, tuples=100_000),
+                             rng).T
+    deltas = (near - t)[(delta_f <= t) & (t <= t_total - 1 - delta_f)]
     assert deltas.min() == -delta_f and deltas.max() == delta_f
     assert (deltas == 0).any()
     counts = np.bincount(deltas + delta_f, minlength=2 * delta_f + 1)
