@@ -22,6 +22,7 @@ directory.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -495,7 +496,7 @@ def load_checkpoint(path):
                 raise DataFormatError(f"{path}: parameter {name!r} claims "
                                       f"{ndim} dimensions")
             shape = tuple(r.u32(f"{name} dim {d}") for d in range(ndim))
-            n = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+            n = math.prod(shape)
             raw = r.take(n * 4, f"{name} data")
             arr = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
             if not np.isfinite(arr).all():
@@ -509,23 +510,60 @@ def load_checkpoint(path):
         metadata = json.loads(meta_raw)
     except DataFormatError as exc:
         raise CheckpointError(str(exc)) from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"{path}: metadata is not valid JSON: {exc}") from exc
     return kind, params, metadata
 
 
-def _fill_params(model, params: dict[str, np.ndarray], path) -> None:
-    expected = model.parameters()
+def _check_params(params: dict[str, np.ndarray], expected: dict[str, tuple],
+                  path) -> None:
     if set(params) != set(expected):
         missing = sorted(set(expected) - set(params))
         extra = sorted(set(params) - set(expected))
         raise CheckpointError(f"{path}: parameter names do not match model "
                               f"(missing {missing}, unexpected {extra})")
-    for name, arr in expected.items():
-        if params[name].shape != arr.shape:
+    for name, shape in expected.items():
+        if params[name].shape != shape:
             raise CheckpointError(f"{path}: parameter {name!r} has shape "
-                                  f"{params[name].shape}, expected {arr.shape}")
-        arr[...] = params[name]
+                                  f"{params[name].shape}, expected {shape}")
+
+
+def _meta_size(value, what: str, minimum: int, path) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise CheckpointError(f"{path}: metadata {what} must be an integer "
+                              f">= {minimum}, got {value!r}")
+    return value
+
+
+def _meta_layer_sizes(metadata, key: str, path) -> list[int]:
+    """The encoder's layer sizes from checkpoint metadata, validated."""
+    if not isinstance(metadata, dict):
+        raise CheckpointError(f"{path}: metadata is not a JSON object")
+    sizes = metadata.get(key)
+    if not isinstance(sizes, list) or len(sizes) < 2:
+        raise CheckpointError(f"{path}: metadata lacks a valid {key} list")
+    return [_meta_size(s, f"{key}[{i}]", 1, path) for i, s in enumerate(sizes)]
+
+
+def _encoder_shapes(sizes: list[int]) -> dict[str, tuple]:
+    shapes = {}
+    for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+        shapes[f"encoder.{i}.weight"] = (fan_out, fan_in)
+        shapes[f"encoder.{i}.bias"] = (fan_out,)
+    return shapes
+
+
+def _build_encoder(params: dict[str, np.ndarray], num_layers: int,
+                   trainable) -> EncoderModel:
+    """An encoder holding the checkpoint's arrays; a `trainable` that is not
+    a list of one flag per layer leaves every layer trainable."""
+    if isinstance(trainable, list) and len(trainable) == num_layers:
+        trainable = [bool(t) for t in trainable]
+    else:
+        trainable = None
+    return EncoderModel([params[f"encoder.{i}.weight"] for i in range(num_layers)],
+                        [params[f"encoder.{i}.bias"] for i in range(num_layers)],
+                        trainable)
 
 
 def save_encoder(path, encoder: EncoderModel, extra_metadata: dict | None = None) -> None:
@@ -542,15 +580,9 @@ def load_encoder(path) -> tuple[EncoderModel, dict]:
     kind, params, metadata = load_checkpoint(path)
     if kind != "encoder":
         raise CheckpointError(f"{path}: checkpoint kind {kind!r}, expected 'encoder'")
-    sizes = metadata.get("layer_sizes")
-    if not isinstance(sizes, list) or len(sizes) < 2:
-        raise CheckpointError(f"{path}: metadata lacks a valid layer_sizes list")
-    encoder = EncoderModel.create(sizes[0], sizes[1:-1], sizes[-1])
-    _fill_params(encoder, params, path)
-    trainable = metadata.get("trainable")
-    if isinstance(trainable, list) and len(trainable) == encoder.num_layers:
-        encoder.trainable = [bool(t) for t in trainable]
-    return encoder, metadata
+    sizes = _meta_layer_sizes(metadata, "layer_sizes", path)
+    _check_params(params, _encoder_shapes(sizes), path)
+    return _build_encoder(params, len(sizes) - 1, metadata.get("trainable")), metadata
 
 
 def save_phase_model(path, model: PhaseModel, extra_metadata: dict | None = None) -> None:
@@ -570,18 +602,16 @@ def load_phase_model(path) -> tuple[PhaseModel, dict]:
     if kind != "phase_model":
         raise CheckpointError(f"{path}: checkpoint kind {kind!r}, "
                               f"expected 'phase_model'")
-    sizes = metadata.get("encoder_layer_sizes")
-    if not isinstance(sizes, list) or len(sizes) < 2:
-        raise CheckpointError(f"{path}: metadata lacks encoder_layer_sizes")
-    try:
-        hidden_size = int(metadata["hidden_size"])
-        num_phases = int(metadata["num_phases"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: metadata lacks hidden_size/num_phases") from exc
-    encoder = EncoderModel.create(sizes[0], sizes[1:-1], sizes[-1])
-    model = PhaseModel.create(encoder, hidden_size, num_phases)
-    _fill_params(model, params, path)
-    trainable = metadata.get("encoder_trainable")
-    if isinstance(trainable, list) and len(trainable) == encoder.num_layers:
-        encoder.trainable = [bool(t) for t in trainable]
+    sizes = _meta_layer_sizes(metadata, "encoder_layer_sizes", path)
+    h = _meta_size(metadata.get("hidden_size"), "hidden_size", 1, path)
+    k = _meta_size(metadata.get("num_phases"), "num_phases", 2, path)
+    shapes = _encoder_shapes(sizes)
+    shapes.update({"lstm.w_input": (4 * h, sizes[-1]), "lstm.w_hidden": (4 * h, h),
+                   "lstm.bias": (4 * h,), "classifier.weight": (k, h),
+                   "classifier.bias": (k,)})
+    _check_params(params, shapes, path)
+    encoder = _build_encoder(params, len(sizes) - 1, metadata.get("encoder_trainable"))
+    model = PhaseModel(encoder, params["lstm.w_input"], params["lstm.w_hidden"],
+                       params["lstm.bias"], params["classifier.weight"],
+                       params["classifier.bias"])
     return model, metadata

@@ -1,23 +1,22 @@
 """Trainable models: frame encoder, encoder+LSTM phase model, Adam.
 
-Everything is plain numpy with hand-written backward passes. Dense products
-go through einsum rather than BLAS matmul because einsum reduces each output
-row in a batch-size-independent order, which keeps batched forwards exactly
-equal to stacked single-example forwards. The per-frame LSTM loops write into
-preallocated buffers to cut per-step allocation and call overhead; each
-element still goes through the same operations in the same order as a plain
-expression would, so results are bitwise unchanged. Their ufuncs take `out`
-positionally, which skips keyword parsing, and constants come as prebuilt
-arrays of the model dtype, which skips converting a Python float on every
-call; both give the same bits. `np.minimum`/`np.maximum` keep the keyword
-form, because numpy 2 deprecates their positional `out`.
+Everything is plain numpy with hand-written backward passes. A row of a
+batched product must equal the same row computed alone, so forward
+products and input gradients go through `np.matvec`/`np.vecmat` (numpy >=
+2.2), which make one BLAS gemv call per row: a row's result depends neither
+on the rows around it, nor on its memory offset, nor on the BLAS thread
+count. It does depend on the kernel, which follows the weight's memory
+order and the vector's stride, so the constructors require C-contiguous
+weights and the entry points make their inputs contiguous. Weight
+gradients are sums over rows: `_row_outer_sum` is one gemm, which gives
+the same bits for the same rows at any offset, so per-block reductions
+added in order equal one backward call per block, added up.
 
-Weight gradients are sums over rows of outer products, `_row_outer_sum`.
-einsum walks such a reduction with the row axis outermost and the output's
-last axis innermost, so its cost depends on which output axis is last: the
-longer one is cheaper. Either layout adds each element's products one row
-at a time, in row order, with the same inner kernel, so computing the
-transposed product and transposing back gives the same bits.
+The per-frame LSTM loops write into preallocated buffers; each element goes
+through the same operations in the same order as a plain expression would.
+Their ufuncs take `out` positionally (no keyword parsing) and constants as
+prebuilt arrays of the model dtype (no float conversion per call), except
+`np.minimum`/`np.maximum`, whose positional `out` numpy 2 deprecates.
 
 Parameters are stored as float32 by default (matching the checkpoint
 format); gradient-check tests build float64 models instead. A parameter is
@@ -35,19 +34,13 @@ DEFAULT_DTYPE = np.float32
 
 
 def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """x @ weight.T + bias with batch-size-independent summation order."""
-    if x.ndim == 1:
-        return np.einsum("oi,i->o", weight, x) + bias
-    return np.einsum("bi,oi->bo", x, weight) + bias
+    """x @ weight.T + bias for one row or a stack, one gemv per row."""
+    return np.matvec(weight, x) + bias
 
 
 def _row_outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum over t of outer(a[t], b[t]) for a (T, O) and b (T, I), as a
-    contiguous (O, I) array bitwise equal to einsum("to,ti->oi", a, b); the
-    longer of O and I is the innermost output axis."""
-    if a.shape[1] > b.shape[1]:
-        return np.ascontiguousarray(np.einsum("ti,to->io", b, a).T)
-    return np.einsum("to,ti->oi", a, b)
+    """sum over t of outer(a[t], b[t]) for a (T, O) and b (T, I), one gemm."""
+    return a.T @ b
 
 
 def _uniform_fan_in(rng, shape: tuple[int, ...], fan_in: int, dtype) -> np.ndarray:
@@ -63,6 +56,8 @@ class EncoderModel:
             raise ValueError("weights and biases must be non-empty and aligned")
         self.weights = list(weights)
         self.biases = list(biases)
+        if not all(w.flags.c_contiguous for w in self.weights):
+            raise ValueError("encoder weights must be C-contiguous")
         self.trainable = list(trainable) if trainable is not None else [True] * len(weights)
         if len(self.trainable) != len(self.weights):
             raise ValueError("trainable mask length must match layer count")
@@ -141,7 +136,7 @@ class EncoderModel:
 
     def forward(self, x) -> np.ndarray:
         """Embed a single feature vector or a (batch, features) stack."""
-        a = np.asarray(x, dtype=self.dtype)
+        a = np.ascontiguousarray(x, dtype=self.dtype)
         self._check_input(a)
         for w, b in zip(self.weights, self.biases):
             a = np.maximum(_affine(a, w, b), 0)
@@ -149,7 +144,7 @@ class EncoderModel:
 
     def forward_cached(self, x: np.ndarray):
         """Batched forward keeping per-layer inputs and pre-activations."""
-        a = np.asarray(x, dtype=self.dtype)
+        a = np.ascontiguousarray(x, dtype=self.dtype)
         if a.ndim != 2:
             raise ValueError("forward_cached expects a (batch, features) array")
         self._check_input(a)
@@ -186,7 +181,7 @@ class EncoderModel:
                 grads[f"encoder.{i}.weight"] = weight
                 grads[f"encoder.{i}.bias"] = bias
             if i > 0:
-                da = np.einsum("bo,oi->bi", dz, self.weights[i])
+                da = np.vecmat(dz, self.weights[i])
         return grads
 
     def copy(self) -> "EncoderModel":
@@ -233,6 +228,8 @@ class PhaseModel:
             raise ValueError("LSTM parameter shapes are inconsistent")
         if clf_weight.shape[1] != h:
             raise ValueError("classifier width does not match LSTM hidden size")
+        if not all(w.flags.c_contiguous for w in (lstm_w_input, lstm_w_hidden, clf_weight)):
+            raise ValueError("LSTM and classifier weights must be C-contiguous")
 
     @classmethod
     def create(cls, encoder: EncoderModel, hidden_size: int, num_phases: int):
@@ -329,7 +326,7 @@ class PhaseModel:
         minus_one = -one
         for zx_t, g_t, gi_t, gf_t, gg_t, go_t, c_t, tc_t, h_t in zip(
                 zx, gates, gi, gf, gg, go, cs, tanh_cs, hs_out):
-            np.einsum("oi,i->o", w_hidden, h, out=z)
+            np.matvec(w_hidden, h, z)
             np.add(zx_t, z, z)
             np.minimum(z, zero, out=num)
             np.copysign(z, minus_one, den)
@@ -349,13 +346,13 @@ class PhaseModel:
         """One recurrent step on an already-embedded frame.
 
         Returns (logits, new state)."""
-        emb = np.asarray(embedding, dtype=self.dtype)
+        emb = np.ascontiguousarray(embedding, dtype=self.dtype)
         if emb.shape != (self.encoder.embedding_dim,):
             raise ValueError(f"embedding shape {emb.shape} does not match "
                              f"encoder output {self.encoder.embedding_dim}")
         zx = _affine(emb, self.lstm_w_input, self.lstm_bias)
         _, cs, _, hs_out = self._recurrence(
-            zx[None], np.asarray(state.h, dtype=self.dtype),
+            zx[None], np.ascontiguousarray(state.h, dtype=self.dtype),
             np.asarray(state.c, dtype=self.dtype))
         h, c = hs_out[0], cs[0]
         logits = _affine(h, self.clf_weight, self.clf_bias)
@@ -374,7 +371,7 @@ class PhaseModel:
             raise ValueError("frames must be a non-empty (T, features) array")
         emb, enc_cache = self.encoder.forward_cached(frames)
         zx = _affine(emb, self.lstm_w_input, self.lstm_bias)  # (T, 4H)
-        h0 = np.asarray(state_in.h, dtype=self.dtype)
+        h0 = np.ascontiguousarray(state_in.h, dtype=self.dtype)
         c0 = np.asarray(state_in.c, dtype=self.dtype)
         gates, cs, tanh_cs, hs_out = self._recurrence(zx, h0, c0)
         logits = _affine(hs_out, self.clf_weight, self.clf_bias)
@@ -426,7 +423,7 @@ class PhaseModel:
             np.multiply(a, x1_t, dz)
             np.multiply(dz, x2_t, dz)
             np.multiply(dz, x3_t, dz)
-            np.einsum("oi,o->i", w_hidden, dz, out=dh_next)
+            np.vecmat(dz, w_hidden, dh_next)
         return dzs
 
     def backward_chunk(self, cache, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
@@ -435,16 +432,17 @@ class PhaseModel:
         The carried-in state is treated as a constant, so no gradient flows
         across chunk boundaries."""
         enc_cache, emb, h_prev, c_prev, gates, cs, tanh_cs, hs_out = cache
+        grad_logits = np.ascontiguousarray(grad_logits)
         grads: dict[str, np.ndarray] = {
             "classifier.weight": _row_outer_sum(grad_logits, hs_out),
             "classifier.bias": grad_logits.sum(axis=0),
         }
-        dh_seq = np.einsum("tk,kh->th", grad_logits, self.clf_weight)
+        dh_seq = np.vecmat(grad_logits, self.clf_weight)
         dzs = self._recurrence_backward(dh_seq, gates, c_prev, tanh_cs)
         grads["lstm.w_input"] = _row_outer_sum(dzs, emb)
         grads["lstm.w_hidden"] = _row_outer_sum(dzs, h_prev)
         grads["lstm.bias"] = dzs.sum(axis=0)
-        grad_emb = np.einsum("to,oi->ti", dzs, self.lstm_w_input)
+        grad_emb = np.vecmat(dzs, self.lstm_w_input)
         grads.update(self.encoder.backward(enc_cache, grad_emb))
         return grads
 

@@ -10,6 +10,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tempcoh.data_io as dio
 from tempcoh.data_io import (
@@ -33,7 +35,7 @@ from tempcoh.data_io import (
     save_splits,
     write_video,
 )
-from tempcoh.errors import CheckpointError, DataFormatError
+from tempcoh.errors import CheckpointError, DataFormatError, TempcohError
 from tempcoh.models import EncoderModel, PhaseModel
 from tempcoh.synthetic import SynthConfig, generate_dataset
 from tempcoh.training import evaluate
@@ -498,6 +500,152 @@ def test_checkpoint_missing_parameters_rejected(tmp_path, rng):
                     {"layer_sizes": [4, 2], "trainable": [True]})
     with pytest.raises(CheckpointError, match="missing"):
         load_encoder(tmp_path / "bad.ckpt")
+
+
+def _edited_checkpoint(path, rng, loader, edit):
+    """Save a small encoder or phase model, then rewrite its metadata."""
+    enc = EncoderModel.create(4, [6], 3).init_uniform_fan(rng)
+    if loader is load_encoder:
+        save_encoder(path, enc)
+    else:
+        save_phase_model(path, PhaseModel.create(enc, 5, 3).init_head_uniform_fan(rng))
+    kind, params, metadata = load_checkpoint(path)
+    save_checkpoint(path, kind, params, edit(metadata))
+
+
+def _set(key, value):
+    def edit(metadata):
+        metadata[key] = value
+        return metadata
+    return edit
+
+
+def _set_first_size(value):
+    def edit(metadata):
+        key = "layer_sizes" if "layer_sizes" in metadata else "encoder_layer_sizes"
+        metadata[key][0] = value
+        return metadata
+    return edit
+
+
+@pytest.mark.parametrize("loader", [load_encoder, load_phase_model],
+                         ids=["encoder", "phase_model"])
+def test_checkpoint_metadata_not_an_object_names_the_file(tmp_path, rng, loader):
+    path = tmp_path / "ck.ckpt"
+    _edited_checkpoint(path, rng, loader, lambda metadata: [metadata])
+    with pytest.raises(CheckpointError, match="not a JSON object") as err:
+        loader(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("loader", [load_encoder, load_phase_model],
+                         ids=["encoder", "phase_model"])
+@pytest.mark.parametrize("size", ["four", 4.0, True, None])
+def test_checkpoint_non_integer_layer_size_names_the_file(tmp_path, rng, loader, size):
+    path = tmp_path / "ck.ckpt"
+    _edited_checkpoint(path, rng, loader, _set_first_size(size))
+    with pytest.raises(CheckpointError, match="must be an integer") as err:
+        loader(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("loader,edit,what", [
+    (load_encoder, _set_first_size(0), r"layer_sizes\[0\]"),
+    (load_phase_model, _set_first_size(0), r"encoder_layer_sizes\[0\]"),
+    (load_phase_model, _set("hidden_size", 0), "hidden_size"),
+    (load_phase_model, _set("num_phases", 1), "num_phases")],
+    ids=["encoder-layer", "phase-layer", "hidden", "phases"])
+def test_checkpoint_size_below_minimum_names_the_file(tmp_path, rng, loader, edit, what):
+    path = tmp_path / "ck.ckpt"
+    _edited_checkpoint(path, rng, loader, edit)
+    with pytest.raises(CheckpointError, match=what) as err:
+        loader(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("loader,edit", [
+    (load_encoder, _set_first_size(2**40)),
+    (load_phase_model, _set_first_size(2**40)),
+    (load_phase_model, _set("hidden_size", 2**40)),
+    (load_phase_model, _set("num_phases", 2**40))],
+    ids=["encoder-layer", "phase-layer", "hidden", "phases"])
+def test_checkpoint_huge_size_is_a_shape_mismatch_not_an_allocation(tmp_path, rng,
+                                                                    loader, edit):
+    path = tmp_path / "ck.ckpt"
+    _edited_checkpoint(path, rng, loader, edit)
+    with pytest.raises(CheckpointError, match="shape") as err:
+        loader(path)
+    assert str(path) in str(err.value)
+
+
+# Fuzzing: whatever the metadata or the bytes, a loader returns a model or
+# raises a TempcohError that names the file.
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+SIZE_LISTS = st.lists(st.one_of(st.integers(-2, 8), st.sampled_from([2**31, 2**40, 2**64])),
+                      max_size=4)
+METADATA_KEYS = ["layer_sizes", "trainable", "encoder_layer_sizes",
+                 "encoder_trainable", "hidden_size", "num_phases"]
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoints(tmp_path_factory):
+    """(loader, path, valid bytes) for a small encoder and phase model."""
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(0)
+    out = []
+    for loader in (load_encoder, load_phase_model):
+        path = root / f"{loader.__name__}.ckpt"
+        _edited_checkpoint(path, rng, loader, lambda metadata: metadata)
+        out.append((loader, path, path.read_bytes()))
+    return out
+
+
+def _valid_checkpoint(path, raw):
+    path.write_bytes(raw)
+    return load_checkpoint(path)
+
+
+def _loads_or_names_the_file(loader, path):
+    try:
+        loader(path)
+    except TempcohError as exc:
+        assert str(path) in str(exc)
+
+
+@given(st.data())
+def test_fuzz_checkpoint_metadata_value(saved_checkpoints, data):
+    for loader, path, raw in saved_checkpoints:
+        kind, params, _ = _valid_checkpoint(path, raw)
+        save_checkpoint(path, kind, params, data.draw(JSON_VALUES, label="metadata"))
+        _loads_or_names_the_file(loader, path)
+
+
+@given(st.data())
+def test_fuzz_checkpoint_metadata_key_values(saved_checkpoints, data):
+    for loader, path, raw in saved_checkpoints:
+        kind, params, metadata = _valid_checkpoint(path, raw)
+        for key in data.draw(st.lists(st.sampled_from(METADATA_KEYS), min_size=1,
+                                      max_size=3), label="keys"):
+            metadata[key] = data.draw(JSON_VALUES | SIZE_LISTS | st.integers(), label=key)
+        save_checkpoint(path, kind, params, metadata)
+        _loads_or_names_the_file(loader, path)
+
+
+@given(st.data())
+def test_fuzz_checkpoint_truncated_or_byte_flipped(saved_checkpoints, data):
+    for loader, path, raw in saved_checkpoints:
+        damaged = bytearray(raw[:data.draw(st.integers(0, len(raw)), label="length")])
+        flips = st.tuples(st.integers(0, max(len(damaged) - 1, 0)), st.integers(1, 255))
+        for pos, mask in data.draw(st.lists(flips, max_size=4), label="flips"):
+            if damaged:
+                damaged[pos] ^= mask
+        path.write_bytes(bytes(damaged))
+        _loads_or_names_the_file(loader, path)
 
 
 def test_phase_model_save_load_evaluate_bit_identical(tmp_path, rng):

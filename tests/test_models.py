@@ -115,6 +115,55 @@ def test_two_branch_accumulation_is_twice_single_branch(rng):
         assert np.array_equal(summed[name], 2.0 * single[name])
 
 
+# The exactness contract: a row of a batched product equals the row computed
+# alone, and a weight gradient does not depend on where its rows lie.
+
+def _placed(arr, rng, offset, gap):
+    """A copy of the 2-D `arr` starting `offset` elements into a fresh buffer,
+    with `gap` unused elements after each row."""
+    rows, cols = arr.shape
+    buf = rng.normal(size=offset + rows * (cols + gap)).astype(arr.dtype)
+    view = buf[offset:].reshape(rows, cols + gap)[:, :cols]
+    view[...] = arr
+    return view
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_matvec_vecmat_rows_equal_single_row_calls_bitwise(rng, dtype):
+    shapes = [tuple(rng.integers(1, 300, size=2)) for _ in range(60)]
+    for out_dim, in_dim in shapes + [(1, 4096), (4096, 24), (512, 2048)]:
+        rows = int(rng.integers(1, 10))
+        w = _placed(rng.normal(size=(out_dim, in_dim)).astype(dtype), rng,
+                    int(rng.integers(0, 8)), 0)
+        x = _placed(rng.normal(size=(rows, in_dim)).astype(dtype), rng,
+                    int(rng.integers(0, 8)), int(rng.integers(0, 20)))
+        d = _placed(rng.normal(size=(rows, out_dim)).astype(dtype), rng,
+                    int(rng.integers(0, 8)), int(rng.integers(0, 20)))
+        forward, backward = np.matvec(w, x), np.vecmat(d, w)
+        w_alone = w.copy()
+        for r in range(rows):
+            assert _same_bits(forward[r], np.matvec(w_alone, x[r].copy()))
+            assert _same_bits(backward[r], np.vecmat(d[r].copy(), w_alone))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_models_take_strided_inputs_as_their_contiguous_copies(rng, dtype):
+    # gemv on a vector with a non-unit stride can give other bits, so the
+    # entry points make their inputs contiguous first.
+    enc = EncoderModel.create(40, [64], 1, dtype).init_uniform_fan(rng)
+    model = PhaseModel.create(enc, 64, 7).init_head_uniform_fan(rng)
+    frames = rng.normal(size=(33, 120)).astype(dtype)[:, ::3]
+    assert _same_bits(enc.forward(frames), enc.forward(frames.copy()))
+    assert _same_bits(enc.forward(frames[4]), enc.forward(frames[4].copy()))
+    logits, _, cache = model.forward_chunk_cached(frames, model.zero_state())
+    want_logits, _, _ = model.forward_chunk_cached(frames.copy(), model.zero_state())
+    assert _same_bits(logits, want_logits)
+    upstream = rng.normal(size=(33, 21)).astype(dtype)[:, ::3]
+    grads = model.backward_chunk(cache, upstream)
+    for name, want in model.backward_chunk(cache, upstream.copy()).items():
+        assert _same_bits(grads[name], want), name
+
+
 @pytest.mark.parametrize("dtype_a,dtype_b", [
     (np.float32, np.float32), (np.float64, np.float64),
     (np.float32, np.float64), (np.float64, np.float32)],
@@ -124,11 +173,37 @@ def test_two_branch_accumulation_is_twice_single_branch(rng):
     (1, 1), (1, 6), (6, 1), (16, 16), (7, 40), (40, 7), (256, 32), (32, 64)])
 def test_row_outer_sum_equals_einsum_bitwise(rng, dtype_a, dtype_b, rows,
                                              out_width, in_width):
+    # The gemm sums in another order than einsum's loop, so the two agree
+    # bit for bit only without a sum (one row), and to rounding otherwise.
+    # Bitwise, the result is the same for the same rows at any offset.
     a = (50.0 * rng.normal(size=(rows, out_width))).astype(dtype_a)
     b = rng.normal(size=(rows, in_width)).astype(dtype_b)
     got = _row_outer_sum(a, b)
     assert got.flags.c_contiguous
-    assert _same_bits(got, np.einsum("to,ti->oi", a, b))
+    want = np.einsum("to,ti->oi", a, b)
+    if rows == 1:
+        assert _same_bits(got, want)
+    eps = np.finfo(got.dtype).eps
+    assert (np.abs(got - want) <= 2 * rows * eps * (np.abs(a).T @ np.abs(b))).all()
+    first = int(rng.integers(0, rows))
+    shifted = _row_outer_sum(_placed(a, rng, int(rng.integers(1, 8)), 0)[first:],
+                             _placed(b, rng, int(rng.integers(1, 8)), 0)[first:])
+    assert _same_bits(shifted, _row_outer_sum(a[first:].copy(), b[first:].copy()))
+
+
+def test_models_reject_fortran_ordered_weights(rng):
+    with pytest.raises(ValueError, match="C-contiguous"):
+        EncoderModel([np.asfortranarray(np.ones((3, 4), np.float32))],
+                     [np.zeros(3, np.float32)])
+    enc = EncoderModel.create(4, [], 3)
+    head = PhaseModel.create(enc, 5, 2)
+    params = [head.lstm_w_input, head.lstm_w_hidden, head.lstm_bias,
+              head.clf_weight, head.clf_bias]
+    for index in (0, 1, 3):
+        swapped = list(params)
+        swapped[index] = np.asfortranarray(params[index])
+        with pytest.raises(ValueError, match="C-contiguous"):
+            PhaseModel(enc, *swapped)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -311,7 +386,7 @@ def _reference_forward_chunk(model, frames, state_in):
     emb, enc_cache = model.encoder.forward_cached(frames)
     n = frames.shape[0]
     hs = model.hidden_size
-    zx = np.einsum("bi,oi->bo", emb, model.lstm_w_input) + model.lstm_bias
+    zx = np.matvec(model.lstm_w_input, emb) + model.lstm_bias
     h, c = state_in.h.copy(), state_in.c.copy()
     h_prev = np.empty((n, hs), dtype=model.dtype)
     c_prev = np.empty((n, hs), dtype=model.dtype)
@@ -322,7 +397,7 @@ def _reference_forward_chunk(model, frames, state_in):
     for t in range(n):
         h_prev[t] = h
         c_prev[t] = c
-        z = zx[t] + np.einsum("oi,i->o", model.lstm_w_hidden, h)
+        z = zx[t] + np.matvec(model.lstm_w_hidden, h)
         gi = _masked_sigmoid(z[:hs])
         gf = _masked_sigmoid(z[hs:2 * hs])
         gg = np.tanh(z[2 * hs:3 * hs])
@@ -335,7 +410,7 @@ def _reference_forward_chunk(model, frames, state_in):
         cs[t] = c
         tanh_cs[t] = tc
         hs_out[t] = h
-    logits = np.einsum("bi,oi->bo", hs_out, model.clf_weight) + model.clf_bias
+    logits = np.matvec(model.clf_weight, hs_out) + model.clf_bias
     cache = (enc_cache, emb, h_prev, c_prev, gates, cs, tanh_cs, hs_out)
     return logits, LstmState(h.copy(), c.copy()), cache
 
@@ -344,10 +419,10 @@ def _reference_backward_chunk(model, cache, grad_logits):
     enc_cache, emb, h_prev, c_prev, gates, cs, tanh_cs, hs_out = cache
     n, hs = hs_out.shape
     grads = {
-        "classifier.weight": np.einsum("tk,th->kh", grad_logits, hs_out),
+        "classifier.weight": grad_logits.T @ hs_out,
         "classifier.bias": grad_logits.sum(axis=0),
     }
-    dh_seq = np.einsum("tk,kh->th", grad_logits, model.clf_weight)
+    dh_seq = np.vecmat(grad_logits, model.clf_weight)
     dzs = np.empty((n, 4 * hs), dtype=dh_seq.dtype)
     dh_next = np.zeros(hs, dtype=dh_seq.dtype)
     dc_next = np.zeros(hs, dtype=dh_seq.dtype)
@@ -365,11 +440,11 @@ def _reference_backward_chunk(model, cache, grad_logits):
         dzs[t, hs:2 * hs] = df * gf * (1.0 - gf)
         dzs[t, 2 * hs:3 * hs] = dg * (1.0 - gg ** 2)
         dzs[t, 3 * hs:] = do * go * (1.0 - go)
-        dh_next = np.einsum("oi,o->i", model.lstm_w_hidden, dzs[t])
-    grads["lstm.w_input"] = np.einsum("to,ti->oi", dzs, emb)
-    grads["lstm.w_hidden"] = np.einsum("to,ti->oi", dzs, h_prev)
+        dh_next = np.vecmat(dzs[t], model.lstm_w_hidden)
+    grads["lstm.w_input"] = dzs.T @ emb
+    grads["lstm.w_hidden"] = dzs.T @ h_prev
     grads["lstm.bias"] = dzs.sum(axis=0)
-    grad_emb = np.einsum("to,oi->ti", dzs, model.lstm_w_input)
+    grad_emb = np.vecmat(dzs, model.lstm_w_input)
     grads.update(model.encoder.backward(enc_cache, grad_emb))
     return grads
 

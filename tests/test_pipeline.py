@@ -7,14 +7,20 @@ trains, bit for bit, the model of the `compare` arm with its seed.
 The regression guard hashes the outputs of a short `run_arm` pair and of
 the criterion-8 CLI chain and compares them with the digests in
 `pinned_digests.json`. A change that moves a bit must update those digests
-and say why. einsum's inner kernels are compiled per architecture, so the
-digests are keyed to the numpy version and the machine; elsewhere the guard
-skips.
+and say why. The products run on BLAS kernels that OpenBLAS picks per CPU
+at run time, so the digests are keyed to the numpy version, the machine,
+the BLAS build and the kernel core it reports; elsewhere the guard skips.
+Rows do not depend on the BLAS thread count, which a subprocess run at one
+and at two threads checks.
 """
 
+import ctypes
 import hashlib
 import json
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -174,8 +180,29 @@ def cli_chain_digest(work: Path) -> str:
     return digest.hexdigest()
 
 
+def _blas_core() -> str | None:
+    """The kernel core OpenBLAS chose for this CPU, or None if unreadable."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except OSError:
+        return None
+    for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                   "openblas_get_corename64_", "openblas_get_corename"):
+        getter = getattr(lib, symbol, None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_char_p
+            core = getter()
+            return core.decode() if core else None
+    return None
+
+
 def _pinned(name: str) -> str:
-    key = f"numpy {np.__version__} {platform.machine()}"
+    core = _blas_core()
+    if core is None:
+        pytest.skip("cannot read the BLAS kernel core; bits may differ by core")
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    key = (f"numpy {np.__version__} {platform.machine()} "
+           f"{blas.get('name')} {blas.get('version')} {core}")
     pinned = json.loads(PINNED.read_text(encoding="utf-8")).get(key)
     if pinned is None:
         pytest.skip(f"no digests pinned for {key!r} in {PINNED.name}; "
@@ -191,3 +218,18 @@ def test_run_arm_outputs_match_pinned_digest():
 def test_cli_chain_outputs_match_pinned_digest(tmp_path):
     expected = _pinned("cli_chain")
     assert cli_chain_digest(tmp_path) == expected
+
+
+def test_run_arm_digest_is_the_same_at_one_and_two_blas_threads():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from test_pipeline import run_arm_digest; print(run_arm_digest())")
+    src = str(Path(experiments.__file__).parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(paths))
+        done = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)],
+                              env=env, capture_output=True, text=True, check=True)
+        digests.append(done.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
