@@ -37,6 +37,7 @@ MAGIC = b"TCSL"
 FORMAT_VERSION = 1
 SPLIT_NAMES = ("A", "B", "C", "D")
 LABELS_HEADER = "frame_index,phase_id"
+PHASE_ID_MAX = int(np.iinfo(np.int32).max)  # labels load as int32
 
 
 @dataclass
@@ -266,6 +267,9 @@ def load_labels(path, expected_frames: int | None = None) -> np.ndarray | None:
                                   f"out of order, expected {row}")
         if phase < 0:
             raise DataFormatError(f"{path}: line {row + 2}: negative phase id")
+        if phase > PHASE_ID_MAX:
+            raise DataFormatError(f"{path}: line {row + 2}: phase id above "
+                                  f"{PHASE_ID_MAX}")
         out[row] = phase
     if expected_frames is not None and out.shape[0] != expected_frames:
         raise DataFormatError(f"{path}: {out.shape[0]} label rows for "

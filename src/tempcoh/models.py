@@ -8,9 +8,15 @@ on the rows around it, nor on its memory offset, nor on the BLAS thread
 count. It does depend on the kernel, which follows the weight's memory
 order and the vector's stride, so the constructors require C-contiguous
 weights and the entry points make their inputs contiguous. Weight
-gradients are sums over rows: `_row_outer_sum` is one gemm, which gives
-the same bits for the same rows at any offset, so per-block reductions
-added in order equal one backward call per block, added up.
+gradients are sums over rows: `_row_outer_sum` is one gemm per block of
+rows, which gives the same bits for the same rows at any offset. So the
+encoder backward over a stack of equal blocks (the tuple positions of a
+pretraining batch) takes one batched matmul and adds the block results in
+order along the leading axis, bitwise equal to one backward call per block,
+added up.
+
+Adam updates every parameter of a step as one flat array: per element the
+same operations, in the same order, as a per-parameter update.
 
 The per-frame LSTM loops write into preallocated buffers; each element goes
 through the same operations in the same order as a plain expression would.
@@ -27,6 +33,7 @@ exchanged between backward passes, the optimizer, and checkpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +46,9 @@ def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
 
 
 def _row_outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum over t of outer(a[t], b[t]) for a (T, O) and b (T, I), one gemm."""
-    return a.T @ b
+    """sum over t of outer(a[..., t, :], b[..., t, :]) for a (..., T, O) and
+    b (..., T, I): one gemm per leading index."""
+    return a.mT @ b
 
 
 def _uniform_fan_in(rng, shape: tuple[int, ...], fan_in: int, dtype) -> np.ndarray:
@@ -156,30 +164,32 @@ class EncoderModel:
         return a, cache
 
     def backward(self, cache, grad_embedding: np.ndarray,
-                 blocks=(slice(None),)) -> dict[str, np.ndarray]:
+                 positions: int = 1) -> dict[str, np.ndarray]:
         """Parameter gradients (trainable layers only) for one cached forward.
 
-        `blocks` are row slices that together cover the batch. Each weight
-        and bias gradient is reduced over every block's rows separately and
-        the block results are added in order, which is bitwise equal to
-        adding up one backward call per block; the rowwise steps run once
-        over all rows."""
+        The batch is `positions` equal consecutive blocks of rows. Each
+        weight and bias gradient is reduced over every block's rows
+        separately and the block results are added in order, which is
+        bitwise equal to adding up one backward call per block; the rowwise
+        steps run once over all rows."""
         if len(cache) != self.num_layers:
             raise ValueError("cache does not match this encoder")
+        rows = grad_embedding.shape[0]
+        if positions < 1 or rows % positions:
+            raise ValueError(f"{rows} rows do not split into {positions} "
+                             f"equal blocks")
         grads: dict[str, np.ndarray] = {}
         da = grad_embedding
         for i in reversed(range(self.num_layers)):
             a_in, z = cache[i]
             dz = da * (z > 0)
             if self.trainable[i]:
-                first, *rest = blocks
-                weight = _row_outer_sum(dz[first], a_in[first])
-                bias = dz[first].sum(axis=0)
-                for block in rest:
-                    weight += _row_outer_sum(dz[block], a_in[block])
-                    bias += dz[block].sum(axis=0)
-                grads[f"encoder.{i}.weight"] = weight
-                grads[f"encoder.{i}.bias"] = bias
+                dz_blocks = dz.reshape(positions, rows // positions, -1)
+                a_blocks = a_in.reshape(positions, rows // positions, -1)
+                grads[f"encoder.{i}.weight"] = np.add.reduce(
+                    _row_outer_sum(dz_blocks, a_blocks), axis=0)
+                grads[f"encoder.{i}.bias"] = np.add.reduce(
+                    dz_blocks.sum(axis=1), axis=0)
             if i > 0:
                 da = np.vecmat(dz, self.weights[i])
         return grads
@@ -492,9 +502,22 @@ def softmax_cross_entropy_batch(logits, labels):
     return losses, grads
 
 
+class _FlatLayout(NamedTuple):
+    """The parameters one Adam step updates, laid out flat in `names` order."""
+
+    names: tuple[str, ...]
+    dtype: np.dtype
+    m: np.ndarray
+    v: np.ndarray
+    step: np.ndarray
+    step_views: list[np.ndarray]  # per-parameter reshaped slices of `step`
+
+
 @dataclass
 class AdamState:
-    """Bias-corrected Adam with per-parameter moment accumulators."""
+    """Bias-corrected Adam with per-parameter moment accumulators.
+
+    `m[name]`/`v[name]` are views into the flat buffers of `_layout`."""
 
     lr: float = 1e-4
     beta1: float = 0.9
@@ -503,13 +526,41 @@ class AdamState:
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    _layout: _FlatLayout | None = field(default=None, init=False, repr=False,
+                                        compare=False)
+
+
+def _flat_layout(state: AdamState, names: tuple[str, ...], params,
+                 dtype) -> _FlatLayout:
+    """The state's flat layout for `names`, rebuilt when the names or the
+    dtype change; existing moments carry over and `state.m`/`state.v` then
+    hold views of the new buffers."""
+    layout = state._layout
+    if layout is not None and layout.names == names and layout.dtype == dtype:
+        return layout
+    bounds = np.cumsum([0, *(params[name].size for name in names)])
+    m, v, step = np.zeros((3, bounds[-1]), dtype=dtype)
+    step_views = []
+    for name, lo, hi in zip(names, bounds, bounds[1:]):
+        shape = params[name].shape
+        for buffer, moments in ((m, state.m), (v, state.v)):
+            view = buffer[lo:hi].reshape(shape)
+            if name in moments:
+                view[...] = moments[name]
+            moments[name] = view
+        step_views.append(step[lo:hi].reshape(shape))
+    state._layout = _FlatLayout(names, dtype, m, v, step, step_views)
+    return state._layout
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState) -> None:
     """Apply one Adam update in place to the parameters named in `grads`.
 
-    Parameters without a gradient entry (e.g. frozen layers) are untouched."""
+    Parameters without a gradient entry (e.g. frozen layers) are untouched.
+    The gradients, cast to the parameters' dtype, are laid out flat in
+    sorted-name order, so the moments and the step are one ufunc pass each,
+    per element the same operations as a per-parameter update."""
     for name in grads:
         if name not in params:
             raise ValueError(f"gradient for unknown parameter {name!r}")
@@ -518,21 +569,21 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                              f"parameter {name!r} shape {params[name].shape}")
     if not grads:
         return
+    names = tuple(sorted(grads))
+    dtype = params[names[0]].dtype
+    if any(params[name].dtype != dtype for name in names):
+        raise ValueError("parameters updated in one Adam step must share a dtype")
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    for name in sorted(grads):
-        p = params[name]
-        g = grads[name].astype(p.dtype, copy=False)
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p)
-        v = state.v.get(name)
-        if v is None:
-            v = state.v[name] = np.zeros_like(p)
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    layout = _flat_layout(state, names, params, dtype)
+    g = np.concatenate([grads[name].reshape(-1) for name in names], dtype=dtype)
+    m, v = layout.m, layout.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * g * g
+    np.divide(state.lr * (m / c1), np.sqrt(v / c2) + state.eps, layout.step)
+    for name, step in zip(names, layout.step_views):
+        params[name] -= step

@@ -115,8 +115,7 @@ def pretrain(encoder: EncoderModel, videos: list[FrameSequence],
             # treats rows independently, so each block equals a forward of
             # that position alone.
             emb, cache = encoder.forward_cached(features[batch.T.ravel()])
-            blocks = [slice(pos * n, (pos + 1) * n) for pos in range(arity)]
-            embedded = [emb[b].astype(np.float64) for b in blocks]
+            embedded = emb.astype(np.float64).reshape(arity, n, -1)
             losses, grads = batch_loss_and_gradients(kind, embedded, cfg.loss)
             if not np.isfinite(losses).all():
                 bad = start + int(np.flatnonzero(~np.isfinite(losses))[0])
@@ -127,9 +126,9 @@ def pretrain(encoder: EncoderModel, videos: list[FrameSequence],
                     f"frames {tuple(schedule.indices[bad].tolist())}")
             loss_sum += float(losses.sum())
             # One backward over the whole stack; summing the parameter
-            # gradients block by block keeps the per-position order.
-            upstream = (np.concatenate(grads) / n).astype(encoder.dtype)
-            total = encoder.backward(cache, upstream, blocks)
+            # gradients position by position keeps the per-position order.
+            upstream = (grads.reshape(arity * n, -1) / n).astype(encoder.dtype)
+            total = encoder.backward(cache, upstream, arity)
             adam_step(encoder.parameters(), total, adam)
             if batch_observer is not None:
                 batch_observer(epoch, n)

@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tempcoh.data_io as dio
@@ -225,6 +225,35 @@ def test_malformed_labels_rejected(tmp_path, content, problem):
     path.write_text(content)
     with pytest.raises(DataFormatError, match=problem):
         load_labels(path)
+
+
+@pytest.mark.parametrize("phase", [2**31, 2**63], ids=["2**31", "2**63"])
+def test_label_phase_id_beyond_int32_names_file_and_line(tmp_path, phase):
+    path = tmp_path / "l.csv"
+    path.write_text(f"frame_index,phase_id\n0,1\n1,{phase}\n")
+    with pytest.raises(DataFormatError, match="line 3: phase id above") as err:
+        load_labels(path)
+    assert str(path) in str(err.value)
+
+
+def test_label_phase_id_at_int32_max_loads(tmp_path):
+    path = tmp_path / "l.csv"
+    path.write_text(f"frame_index,phase_id\n0,{2**31 - 1}\n")
+    assert load_labels(path).tolist() == [2**31 - 1]
+
+
+def test_dataset_with_huge_phase_id_names_the_labels_file(tmp_path, rng):
+    dataset = generate_dataset(SynthConfig(min_duration=5, max_duration=9,
+                                           feature_dim=4), 4, rng)
+    root = tmp_path / "data"
+    save_dataset(root, dataset)
+    path = root / f"{dataset.videos[0].video_id}.feat.labels.csv"
+    lines = path.read_text().splitlines()
+    lines[1] = "0,99999999999"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match="line 2: phase id above") as err:
+        load_dataset(root)
+    assert str(path) in str(err.value)
 
 
 def test_label_row_count_checked(tmp_path):
@@ -664,3 +693,97 @@ def test_phase_model_save_load_evaluate_bit_identical(tmp_path, rng):
     assert before.report == after.report
     for vid in before.predictions:
         assert np.array_equal(before.predictions[vid], after.predictions[vid])
+
+
+# Fuzzing the text readers: whatever the bytes, `load_labels` and
+# `load_splits` return their result or raise a TempcohError naming the file.
+
+LINE_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x85", "\u2028", "\x0b", "\n\n"])
+HUGE = st.sampled_from([2**31, 2**32, 2**63 - 1, 2**63, 2**64]).map(str)
+NUMBERS = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.integers(-2**70, 2**70).map(str),
+    st.just(str(2**31 - 1)),
+    HUGE,
+    st.text("0123456789\u0660\u0661\u0669\u06f3\u0967\uff11\uff19_+- ",
+            min_size=1, max_size=12),
+    st.just("9" * 5000))
+# Weighted toward well-formed rows, so that the values reach the parser.
+SEPARATORS = st.sampled_from([",", ",", ",", ", ", " ,", ",,", ";", ""])
+
+
+def _joined(draw, header, rows):
+    text = draw(LINE_BREAKS).join([header, *rows])
+    return text.encode(draw(st.sampled_from(["utf-8"] * 4 + ["utf-16", "latin-1"])),
+                       errors="replace")
+
+
+@st.composite
+def label_files(draw):
+    header = draw(st.sampled_from(["frame_index,phase_id"] * 3
+                                  + ["frame_index,phase_id ", "phase,frame", ""]))
+    rows = []
+    for row in range(draw(st.integers(0, 5))):
+        index = draw(st.sampled_from([str(row)] * 3 + [f" {row}"]) | NUMBERS)
+        rows.append(index + draw(SEPARATORS)
+                    + draw(HUGE | NUMBERS | st.text(max_size=4)))
+    return _joined(draw, header, rows)
+
+
+@st.composite
+def split_files(draw):
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        video = draw(st.sampled_from(["v1", "v2", " v1 ", ""]) | st.text(max_size=6))
+        split = draw(st.sampled_from(["A", "B", "C", "D", " D", "E", "a", ""])
+                     | st.text(max_size=3))
+        rows.append(video + draw(SEPARATORS) + split)
+    header = rows.pop(0) if rows else ""
+    return _joined(draw, header, rows)
+
+
+def _damaged(draw, raw: bytes) -> bytes:
+    """raw, or raw with a few bytes changed (often leaving bad UTF-8)."""
+    damaged = bytearray(raw)
+    flips = st.tuples(st.integers(0, max(len(damaged) - 1, 0)), st.integers(1, 255))
+    for pos, mask in draw(st.lists(flips, max_size=2) | st.just([]), label="flips"):
+        if damaged:
+            damaged[pos] ^= mask
+    return bytes(damaged)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("text-fuzz")
+
+
+def _read_or_name_the_file(reader, path):
+    try:
+        return reader(path)
+    except TempcohError as exc:
+        assert str(path) in str(exc)
+        return None
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_fuzz_labels_file(fuzz_dir, data):
+    raw = data.draw(st.one_of(label_files(), label_files(), st.binary(max_size=80)),
+                    label="file")
+    path = fuzz_dir / "labels.csv"
+    path.write_bytes(_damaged(data.draw, raw))
+    labels = _read_or_name_the_file(load_labels, path)
+    if labels is not None:
+        assert labels.dtype == np.int32 and (labels >= 0).all()
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_fuzz_splits_file(fuzz_dir, data):
+    raw = data.draw(st.one_of(split_files(), split_files(), st.binary(max_size=80)),
+                    label="file")
+    path = fuzz_dir / "splits.txt"
+    path.write_bytes(_damaged(data.draw, raw))
+    splits = _read_or_name_the_file(load_splits, path)
+    if splits is not None:
+        assert splits and set(splits.values()) <= {"A", "B", "C", "D"}

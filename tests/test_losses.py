@@ -316,3 +316,165 @@ def test_gradients_tight_at_well_conditioned_points(kind, rng):
         for _ in range(20)
     )
     assert worst < 1e-6
+
+
+# ------------------------------------------ stacked evaluator vs per-branch
+
+# The per-branch loss functions the stacked pair-difference evaluator
+# replaced, kept as the bitwise reference.
+
+def _reference_dist(a, b):
+    return np.linalg.norm(a - b, axis=-1)
+
+
+def _reference_unit(diff, dist):
+    safe = np.where(dist > 0.0, dist, 1.0)
+    return np.where((dist > 0.0)[..., None], diff / safe[..., None], 0.0)
+
+
+def _reference_contrastive(anchor, near, distant, margin, want_grads):
+    d_near = _reference_dist(anchor, near)
+    d_far = _reference_dist(anchor, distant)
+    hinge = margin - d_far
+    loss = d_near + np.maximum(0.0, hinge)
+    if not want_grads:
+        return loss, None
+    u_near = _reference_unit(anchor - near, d_near)
+    u_far = _reference_unit(anchor - distant, d_far)
+    active = (hinge > 0.0)[..., None]
+    g_anchor = u_near - np.where(active, u_far, 0.0)
+    g_near = -u_near
+    g_far = np.where(active, u_far, 0.0)
+    return loss, [g_anchor, g_near, g_far]
+
+
+def _reference_ranking(anchor, near, distant, margin, want_grads):
+    d_near = _reference_dist(anchor, near)
+    d_far = _reference_dist(anchor, distant)
+    hinge = d_near - d_far + margin
+    loss = np.maximum(0.0, hinge)
+    if not want_grads:
+        return loss, None
+    active = (hinge > 0.0)[..., None]
+    u_near = np.where(active, _reference_unit(anchor - near, d_near), 0.0)
+    u_far = np.where(active, _reference_unit(anchor - distant, d_far), 0.0)
+    return loss, [u_near - u_far, -u_near, u_far]
+
+
+def _reference_second_order(anchor, near, near2, distant, margin, want_grads):
+    diff_a = anchor - near
+    diff_b = near - near2
+    diff_g = near - distant
+    loss, grads = _reference_contrastive(diff_a, diff_b, diff_g, margin, want_grads)
+    if not want_grads:
+        return loss, None
+    g_a, g_b, g_g = grads
+    return loss, [g_a, -g_a + g_b + g_g, -g_b, -g_g]
+
+
+def _reference_evaluate(kind, branches, cfg, want_grads):
+    branches = [np.asarray(b, dtype=np.float64) for b in branches]
+    if kind == "contrastive":
+        return _reference_contrastive(*branches, cfg.margin_contrastive, want_grads)
+    if kind == "ranking":
+        return _reference_ranking(*branches, cfg.margin_ranking, want_grads)
+    if kind == "contrastive2":
+        return _reference_second_order(*branches, cfg.margin_contrastive, want_grads)
+    anchor, near, near2, distant = branches
+    l1, g1 = _reference_contrastive(anchor, near, distant, cfg.margin_contrastive,
+                                    want_grads)
+    l2, g2 = _reference_second_order(anchor, near, near2, distant,
+                                     cfg.margin_contrastive, want_grads)
+    w = cfg.second_order_weight
+    loss = l1 + w * l2
+    if not want_grads:
+        return loss, None
+    return loss, [g1[0] + w * g2[0], g1[1] + w * g2[1], w * g2[2],
+                  g1[2] + w * g2[3]]
+
+
+# Tuples whose hinge argument is exactly 0 at the default margins of 2:
+# D(a, d) = 2 (contrastive), D(a, n) - D(a, d) + 2 = 0 (ranking), and for
+# the 4-tuples both D(a, d) and D(a - n, (n - n2) ... ) terms at 2.
+_HINGE_AT_ZERO = {
+    "contrastive": [0.0, 0.5, 2.0],
+    "ranking": [0.0, 1.0, 3.0],
+    "contrastive2": [0.0, 0.0, 0.5, 2.0],
+    "combined": [0.0, 0.0, 0.5, 2.0],
+}
+
+
+def _oracle_branches(kind, rows, d, dtype, rng, special=("coincident", "hinge",
+                                                         "non-finite")):
+    """Random branches of shape (rows, d), or (d,) when rows is None. Their
+    first rows are the `special` ones, in order: all branches at zero
+    distance, a hinge of exactly 0, a NaN and an infinity."""
+    arity = LOSS_ARITY[kind]
+    x = rng.normal(size=(arity, rows or 1, d))
+    for row, name in enumerate(special[:rows or 1]):
+        if name == "coincident":
+            x[:, row] = x[0, row]
+        elif name == "hinge":
+            x[:, row] = 0.0
+            x[:, row, 0] = _HINGE_AT_ZERO[kind]
+        elif name == "non-finite":
+            x[1, row, 0] = np.nan
+            x[-1, row, -1] = np.inf
+    x = x.astype(dtype)
+    return [b[0] for b in x] if rows is None else list(x)
+
+
+# (config, d, special rows); 0.5 scales exactly, 0.3 shows a reordered
+# weighted sum. One-row inputs take the special rows one at a time.
+_ORACLE_CASES = [
+    (LossConfig(), 1, ("coincident",)),
+    (LossConfig(), 5, ("hinge",)),
+    (LossConfig(), 32, ()),
+    (LossConfig(second_order_weight=0.3), 5, ("hinge", "coincident", "non-finite")),
+    (LossConfig(second_order_weight=0.3), 3, ()),
+]
+
+
+@pytest.mark.parametrize("want_grads", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [None, 1, 17, 64])
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_stacked_evaluator_equals_per_branch_reference_bitwise(kind, rows, dtype,
+                                                               want_grads):
+    rng = np.random.default_rng(rows or 0)
+    for cfg, d, special in _ORACLE_CASES:
+        branches = _oracle_branches(kind, rows, d, dtype, rng, special)
+        with np.errstate(invalid="ignore"):
+            losses, grads = batch_loss_and_gradients(kind, branches, cfg, want_grads)
+            ref_losses, ref_grads = _reference_evaluate(kind, branches, cfg,
+                                                        want_grads)
+            stacked = batch_loss_and_gradients(kind, np.stack(branches), cfg,
+                                               want_grads)
+        assert np.shape(losses) == np.shape(ref_losses)
+        assert np.asarray(losses).tobytes() == np.asarray(ref_losses).tobytes()
+        assert stacked[0].tobytes() == np.asarray(losses).tobytes()
+        if not want_grads:
+            assert grads is None and stacked[1] is None
+            continue
+        assert grads.shape == (LOSS_ARITY[kind], *np.shape(branches[0]))
+        for pos, ref in enumerate(ref_grads):
+            assert grads[pos].tobytes() == ref.tobytes(), (d, special, pos)
+        assert stacked[1].tobytes() == grads.tobytes()
+
+
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_oracle_rows_hit_zero_distance_and_zero_hinge(kind):
+    """The special rows of the oracle test reach both subgradient cases."""
+    branches = np.stack(_oracle_branches(kind, 17, 5, np.float64,
+                                         np.random.default_rng(0)))
+    assert np.isnan(branches[1, 2, 0]) and np.isinf(branches[-1, 2, -1])
+    if kind in ("contrastive2", "combined"):
+        a, n, n2, g = branches[:, :2]
+        pairs = [(a - n) - (n - n2), (a - n) - (n - g)]
+    else:
+        a, n, g = branches[:, :2]
+        pairs = [a - n, a - g]
+    near, far = (np.linalg.norm(p, axis=-1) for p in pairs)
+    assert near[0] == far[0] == 0.0
+    hinge = near[1] - far[1] + 2.0 if kind == "ranking" else 2.0 - far[1]
+    assert hinge == 0.0

@@ -218,8 +218,8 @@ def test_encoder_backward_blocks_equal_in_order_sum_of_block_calls(rng, dtype,
     x = rng.normal(size=(arity * n, 16)).astype(dtype)
     upstream = rng.normal(size=(arity * n, 32)).astype(dtype)
     _, cache = enc.forward_cached(x)
+    got = enc.backward(cache, upstream, arity)
     blocks = [slice(pos * n, (pos + 1) * n) for pos in range(arity)]
-    got = enc.backward(cache, upstream, blocks)
     want: dict[str, np.ndarray] = {}
     for b in blocks:
         block_cache = [(a_in[b], z[b]) for a_in, z in cache]
@@ -232,6 +232,58 @@ def test_encoder_backward_blocks_equal_in_order_sum_of_block_calls(rng, dtype,
     assert len(got) == 2 * (2 if frozen is None else 1)
     for name in want:
         assert _same_bits(got[name], want[name]), name
+
+
+def _reference_encoder_backward(enc, cache, grad_embedding, blocks):
+    """The block-slice backward `positions` replaced: one gemm and one row
+    sum per block, added in block order."""
+    grads = {}
+    da = grad_embedding
+    for i in reversed(range(enc.num_layers)):
+        a_in, z = cache[i]
+        dz = da * (z > 0)
+        if enc.trainable[i]:
+            first, *rest = blocks
+            weight = dz[first].T @ a_in[first]
+            bias = dz[first].sum(axis=0)
+            for block in rest:
+                weight += dz[block].T @ a_in[block]
+                bias += dz[block].sum(axis=0)
+            grads[f"encoder.{i}.weight"] = weight
+            grads[f"encoder.{i}.bias"] = bias
+        if i > 0:
+            da = np.vecmat(dz, enc.weights[i])
+    return grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("positions", [1, 3, 4])
+@pytest.mark.parametrize("sizes", [(16, 64, 32), (1, 1), (7, 40, 1), (256, 32),
+                                   (32, 256, 7)], ids=str)
+def test_encoder_backward_positions_equal_block_reference_bitwise(sizes, positions,
+                                                                  dtype):
+    rng = np.random.default_rng(len(sizes) * 10 + positions)
+    enc = EncoderModel.create(sizes[0], list(sizes[1:-1]), sizes[-1],
+                              dtype=dtype).init_uniform_fan(rng)
+    for n in (1, 2, 17, 100):
+        rows = positions * n
+        _, cache = enc.forward_cached(rng.normal(size=(rows, sizes[0])).astype(dtype))
+        upstream = rng.normal(size=(rows, sizes[-1])).astype(dtype)
+        got = enc.backward(cache, upstream, positions)
+        blocks = [slice(pos * n, (pos + 1) * n) for pos in range(positions)]
+        want = _reference_encoder_backward(enc, cache, upstream, blocks)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert _same_bits(got[name], want[name]), (n, name)
+
+
+def test_encoder_backward_rejects_unequal_positions(rng):
+    enc = EncoderModel.create(3, [], 2).init_uniform_fan(rng)
+    _, cache = enc.forward_cached(rng.normal(size=(7, 3)).astype(np.float32))
+    with pytest.raises(ValueError, match="7 rows"):
+        enc.backward(cache, np.ones((7, 2), np.float32), 3)
+    with pytest.raises(ValueError, match="0 equal blocks"):
+        enc.backward(cache, np.ones((7, 2), np.float32), 0)
 
 
 # ---------------------------------------------------------------- freezing
@@ -675,3 +727,67 @@ def test_copies_are_independent(rng):
     assert np.array_equal(model.lstm_bias, before_bias)
     assert np.array_equal(model.encoder.weights[0], before_w0)
     assert not np.array_equal(model.lstm_bias, clone.lstm_bias)
+
+
+def _reference_adam_step(params, grads, state):
+    """The per-parameter Adam loop the flat update replaced."""
+    if not grads:
+        return
+    state.step_count += 1
+    t = state.step_count
+    c1 = 1.0 - state.beta1 ** t
+    c2 = 1.0 - state.beta2 ** t
+    for name in sorted(grads):
+        p = params[name]
+        g = grads[name].astype(p.dtype, copy=False)
+        m = state.m.get(name)
+        if m is None:
+            m = state.m[name] = np.zeros_like(p)
+        v = state.v.get(name)
+        if v is None:
+            v = state.v[name] = np.zeros_like(p)
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+
+
+@pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flat_adam_equals_per_parameter_reference_bitwise(dtype, grad_dtype):
+    rng = np.random.default_rng(5)
+    shapes = {"encoder.0.weight": (8, 6), "encoder.0.bias": (8,),
+              "encoder.1.weight": (5, 8), "encoder.1.bias": (5,),
+              "lstm.w_hidden": (12, 3)}
+    params = {name: rng.normal(size=shape).astype(dtype)
+              for name, shape in shapes.items()}
+    ref_params = {name: p.copy() for name, p in params.items()}
+    state, ref_state = AdamState(lr=3e-2), AdamState(lr=3e-2)
+    # The name set changes (frozen layers, a new parameter) and changes back.
+    frozen = {"encoder.0.weight", "encoder.0.bias"}
+    for step in range(20):
+        names = sorted(shapes)
+        if 5 <= step < 12:
+            names = [name for name in names if name not in frozen]
+        if step < 3:
+            names = [name for name in names if name != "lstm.w_hidden"]
+        grads = {name: (rng.normal(size=shapes[name]) * 10.0 ** (step % 4 - 2))
+                 .astype(grad_dtype) for name in reversed(names)}
+        if step == 7:
+            grads["encoder.1.bias"][:] = 0.0
+        adam_step(params, grads, state)
+        _reference_adam_step(ref_params, grads, ref_state)
+        assert state.step_count == ref_state.step_count
+        assert state.m.keys() == ref_state.m.keys()
+        for name in shapes:
+            assert _same_bits(params[name], ref_params[name]), (step, name)
+        for name in ref_state.m:
+            assert _same_bits(state.m[name], ref_state.m[name]), (step, name)
+            assert _same_bits(state.v[name], ref_state.v[name]), (step, name)
+
+
+def test_adam_rejects_parameters_of_mixed_dtypes():
+    params = {"a": np.zeros(2, np.float32), "b": np.zeros(2, np.float64)}
+    with pytest.raises(ValueError, match="dtype"):
+        adam_step(params, {"a": np.ones(2), "b": np.ones(2)}, AdamState())

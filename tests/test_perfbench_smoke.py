@@ -4,7 +4,10 @@
 `tempcoh.experiments.make_pretrain_config`, ...), so renaming one breaks
 every benchmark run. One short `cli-chain` run per mode checks that each
 binding it patches still exists and that the outputs pass its own checks.
-It asserts no timings.
+The traced run also checks that the training layers are still called
+through the bindings the benchmark wraps: a refactor that bypasses one
+would read 0 calls there while every output stays right. It asserts no
+timings.
 """
 
 import json
@@ -15,6 +18,12 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACED_LAYERS = (
+    "losses.batch_loss_and_gradients", "models.adam_step",
+    "sampling.build_epoch_schedule", "models.encoder.forward_cached",
+    "models.encoder.backward", "models.lstm.forward_chunk_cached",
+    "models.lstm.backward_chunk",
+)
 
 
 @pytest.mark.parametrize("trace", ["0", "1"])
@@ -27,3 +36,7 @@ def test_cli_chain_runs_clean(trace):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+    if trace == "1":
+        metrics = result["metrics"]
+        for layer in TRACED_LAYERS:
+            assert metrics[f"{layer}.calls"]["value"] > 0, layer
