@@ -70,6 +70,14 @@ def _mkparent(path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
 
 
+def _check_input_width(path, encoder, dataset) -> None:
+    """Reject a checkpoint whose encoder does not take the dataset's features."""
+    if encoder.input_dim != dataset.feature_dim:
+        raise CheckpointError(f"{path}: encoder expects {encoder.input_dim} "
+                              f"input features but the dataset has "
+                              f"{dataset.feature_dim}")
+
+
 # ---------------------------------------------------------------- runners
 # Each runner executes one command from (resolved config, run parameters,
 # paths) alone, so a replayed manifest takes exactly the same code path. A
@@ -114,10 +122,7 @@ def _run_finetune(resolved, run, paths) -> list[Path]:
     init_path = paths.get("init")
     if init_path:
         encoder, _ = load_encoder(init_path)
-        if encoder.input_dim != dataset.feature_dim:
-            raise CheckpointError(
-                f"{init_path}: encoder expects {encoder.input_dim} input "
-                f"features but the dataset has {dataset.feature_dim}")
+        _check_input_width(init_path, encoder, dataset)
     else:
         encoder, _ = pretrain_stage(dataset, resolved, run["seed"], BASELINE)
     model, result = finetune_stage(dataset, resolved, encoder, labeled_sets,
@@ -182,10 +187,7 @@ def _eval_report_text(result, num_phases: int) -> str:
 
 def _load_model_for_eval(path, dataset):
     model, _ = load_phase_model(path)
-    if model.encoder.input_dim != dataset.feature_dim:
-        raise CheckpointError(f"{path}: model expects {model.encoder.input_dim} "
-                              f"input features but the dataset has "
-                              f"{dataset.feature_dim}")
+    _check_input_width(path, model.encoder, dataset)
     if model.num_phases != dataset.num_phases:
         raise CheckpointError(f"{path}: model has {model.num_phases} phases "
                               f"but the dataset has {dataset.num_phases}")
@@ -309,10 +311,7 @@ def _parse_queries(spec: str, dataset, query_split: str, seed: int):
 def _run_retrieve(resolved, run, paths) -> list[Path]:
     dataset = load_dataset(paths["data"])
     encoder = _load_encoder_any(paths["model"])
-    if encoder.input_dim != dataset.feature_dim:
-        raise CheckpointError(f"{paths['model']}: encoder expects "
-                              f"{encoder.input_dim} input features but the "
-                              f"dataset has {dataset.feature_dim}")
+    _check_input_width(paths["model"], encoder, dataset)
     corpus = dataset.split(run["split"])
     if not corpus:
         raise DataFormatError(f"split {run['split']} is empty")
@@ -460,7 +459,7 @@ def cmd_replay(args) -> int:
     manifest_path = Path(args.manifest).resolve()
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an over-long integer
         raise DataFormatError(f"{manifest_path}: invalid JSON: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
         raise DataFormatError(f"{manifest_path}: not a run manifest")

@@ -25,6 +25,7 @@ import json
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path, PurePath
 
@@ -242,8 +243,20 @@ def save_labels(path, labels: np.ndarray) -> None:
     _atomic_write(path, write)
 
 
+def _clip(text: str, limit: int = 80) -> str:
+    """`text` cut to about `limit` characters, for quoting in a message."""
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
+def _is_decimal(text: str) -> bool:
+    """Whether `text` is a number as `save_labels` writes it: ASCII `0` or
+    a non-zero digit followed by digits."""
+    return text.isascii() and text.isdigit() and (text == "0" or text[0] != "0")
+
+
 def load_labels(path, expected_frames: int | None = None) -> np.ndarray | None:
-    """Read a label sidecar; a file with no data rows means labels absent."""
+    """Read a label sidecar; a file with no data rows means labels absent.
+    Each field must be written as `save_labels` writes it."""
     lines = _read_text(path).splitlines()
     if not lines:
         return None
@@ -252,25 +265,25 @@ def load_labels(path, expected_frames: int | None = None) -> np.ndarray | None:
     if len(lines) == 1:
         return None
     out = np.empty(len(lines) - 1, dtype=np.int32)
+
+    def bad(row: int, message: str) -> DataFormatError:
+        return DataFormatError(f"{path}: line {row + 2}: {message}")
+
     for row, line in enumerate(lines[1:]):
-        parts = line.strip().split(",")
+        parts = line.split(",")
         if len(parts) != 2:
-            raise DataFormatError(f"{path}: line {row + 2}: expected "
-                                  f"'frame_index,phase_id', got {line!r}")
-        try:
-            idx, phase = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: line {row + 2}: non-integer "
-                                  f"field in {line!r}") from exc
-        if idx != row:
-            raise DataFormatError(f"{path}: line {row + 2}: frame_index {idx} "
-                                  f"out of order, expected {row}")
-        if phase < 0:
-            raise DataFormatError(f"{path}: line {row + 2}: negative phase id")
-        if phase > PHASE_ID_MAX:
-            raise DataFormatError(f"{path}: line {row + 2}: phase id above "
-                                  f"{PHASE_ID_MAX}")
-        out[row] = phase
+            raise bad(row, f"expected 'frame_index,phase_id', got {_clip(line)!r}")
+        idx, phase = parts
+        if not _is_decimal(idx) or not _is_decimal(phase):
+            if _is_decimal(idx) and phase[:1] == "-" and _is_decimal(phase[1:]) \
+                    and phase != "-0":
+                raise bad(row, "negative phase id")
+            raise bad(row, f"non-integer field in {_clip(line)!r}")
+        if idx != str(row):
+            raise bad(row, f"frame_index {_clip(idx)} out of order, expected {row}")
+        if len(phase) > len(str(PHASE_ID_MAX)) or int(phase) > PHASE_ID_MAX:
+            raise bad(row, f"phase id above {PHASE_ID_MAX}")
+        out[row] = int(phase)
     if expected_frames is not None and out.shape[0] != expected_frames:
         raise DataFormatError(f"{path}: {out.shape[0]} label rows for "
                               f"{expected_frames} frames")
@@ -364,12 +377,12 @@ def save_dataset(directory, dataset: Dataset) -> Path:
     return path
 
 
-def _manifest_number(manifest: dict, key: str, kind, manifest_path) -> int | float:
-    try:
-        return kind(manifest[key])
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"{manifest_path}: {key} must be a number, got "
-                              f"{manifest[key]!r}") from exc
+def _json_int(value, what: str, minimum: int, path, error=DataFormatError) -> int:
+    """`value` if it is a JSON integer (not a bool) of at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise error(f"{path}: {what} must be an integer >= {minimum}, "
+                    f"got {_clip(repr(value))}")
+    return value
 
 
 def _member_path(directory: Path, name, what: str, manifest_path) -> Path:
@@ -402,7 +415,7 @@ def load_dataset(directory) -> Dataset:
         raise DataFormatError(f"{manifest_path}: not found")
     try:
         manifest = json.loads(_read_text(manifest_path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also numbers beyond int's digit limit
         raise DataFormatError(f"{manifest_path}: invalid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DataFormatError(f"{manifest_path}: not a dataset manifest")
@@ -416,9 +429,14 @@ def load_dataset(directory) -> Dataset:
     if manifest["version"] != FORMAT_VERSION:
         raise DataFormatError(f"{manifest_path}: unsupported version "
                               f"{manifest['version']}")
-    num_phases = _manifest_number(manifest, "num_phases", int, manifest_path)
-    fps = _manifest_number(manifest, "fps", float, manifest_path)
-    feature_dim = _manifest_number(manifest, "feature_dim", int, manifest_path)
+    num_phases = _json_int(manifest["num_phases"], "num_phases", 2, manifest_path)
+    feature_dim = _json_int(manifest["feature_dim"], "feature_dim", 1, manifest_path)
+    fps = manifest["fps"]
+    if isinstance(fps, bool) or not isinstance(fps, (int, float)) \
+            or not 0 < fps <= sys.float_info.max:
+        raise DataFormatError(f"{manifest_path}: fps must be a finite positive "
+                              f"number, got {_clip(repr(fps))}")
+    fps = float(fps)
     if not isinstance(manifest["videos"], list):
         raise DataFormatError(f"{manifest_path}: videos must be a list")
     videos = []
@@ -514,7 +532,7 @@ def load_checkpoint(path):
         metadata = json.loads(meta_raw)
     except DataFormatError as exc:
         raise CheckpointError(str(exc)) from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise CheckpointError(f"{path}: metadata is not valid JSON: {exc}") from exc
     return kind, params, metadata
 
@@ -532,13 +550,6 @@ def _check_params(params: dict[str, np.ndarray], expected: dict[str, tuple],
                                   f"{params[name].shape}, expected {shape}")
 
 
-def _meta_size(value, what: str, minimum: int, path) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise CheckpointError(f"{path}: metadata {what} must be an integer "
-                              f">= {minimum}, got {value!r}")
-    return value
-
-
 def _meta_layer_sizes(metadata, key: str, path) -> list[int]:
     """The encoder's layer sizes from checkpoint metadata, validated."""
     if not isinstance(metadata, dict):
@@ -546,7 +557,8 @@ def _meta_layer_sizes(metadata, key: str, path) -> list[int]:
     sizes = metadata.get(key)
     if not isinstance(sizes, list) or len(sizes) < 2:
         raise CheckpointError(f"{path}: metadata lacks a valid {key} list")
-    return [_meta_size(s, f"{key}[{i}]", 1, path) for i, s in enumerate(sizes)]
+    return [_json_int(s, f"metadata {key}[{i}]", 1, path, CheckpointError)
+            for i, s in enumerate(sizes)]
 
 
 def _encoder_shapes(sizes: list[int]) -> dict[str, tuple]:
@@ -557,24 +569,14 @@ def _encoder_shapes(sizes: list[int]) -> dict[str, tuple]:
     return shapes
 
 
-def _build_encoder(params: dict[str, np.ndarray], num_layers: int,
-                   trainable) -> EncoderModel:
-    """An encoder holding the checkpoint's arrays; a `trainable` that is not
-    a list of one flag per layer leaves every layer trainable."""
-    if isinstance(trainable, list) and len(trainable) == num_layers:
-        trainable = [bool(t) for t in trainable]
-    else:
-        trainable = None
+def _build_encoder(params: dict[str, np.ndarray], num_layers: int) -> EncoderModel:
+    """An encoder holding the checkpoint's arrays."""
     return EncoderModel([params[f"encoder.{i}.weight"] for i in range(num_layers)],
-                        [params[f"encoder.{i}.bias"] for i in range(num_layers)],
-                        trainable)
+                        [params[f"encoder.{i}.bias"] for i in range(num_layers)])
 
 
 def save_encoder(path, encoder: EncoderModel, extra_metadata: dict | None = None) -> None:
-    metadata = {
-        "layer_sizes": encoder.layer_sizes,
-        "trainable": list(encoder.trainable),
-    }
+    metadata = {"layer_sizes": encoder.layer_sizes}
     if extra_metadata:
         metadata.update(extra_metadata)
     save_checkpoint(path, "encoder", encoder.parameters(), metadata)
@@ -586,13 +588,12 @@ def load_encoder(path) -> tuple[EncoderModel, dict]:
         raise CheckpointError(f"{path}: checkpoint kind {kind!r}, expected 'encoder'")
     sizes = _meta_layer_sizes(metadata, "layer_sizes", path)
     _check_params(params, _encoder_shapes(sizes), path)
-    return _build_encoder(params, len(sizes) - 1, metadata.get("trainable")), metadata
+    return _build_encoder(params, len(sizes) - 1), metadata
 
 
 def save_phase_model(path, model: PhaseModel, extra_metadata: dict | None = None) -> None:
     metadata = {
         "encoder_layer_sizes": model.encoder.layer_sizes,
-        "encoder_trainable": list(model.encoder.trainable),
         "hidden_size": model.hidden_size,
         "num_phases": model.num_phases,
     }
@@ -607,14 +608,16 @@ def load_phase_model(path) -> tuple[PhaseModel, dict]:
         raise CheckpointError(f"{path}: checkpoint kind {kind!r}, "
                               f"expected 'phase_model'")
     sizes = _meta_layer_sizes(metadata, "encoder_layer_sizes", path)
-    h = _meta_size(metadata.get("hidden_size"), "hidden_size", 1, path)
-    k = _meta_size(metadata.get("num_phases"), "num_phases", 2, path)
+    h = _json_int(metadata.get("hidden_size"), "metadata hidden_size", 1, path,
+                  CheckpointError)
+    k = _json_int(metadata.get("num_phases"), "metadata num_phases", 2, path,
+                  CheckpointError)
     shapes = _encoder_shapes(sizes)
     shapes.update({"lstm.w_input": (4 * h, sizes[-1]), "lstm.w_hidden": (4 * h, h),
                    "lstm.bias": (4 * h,), "classifier.weight": (k, h),
                    "classifier.bias": (k,)})
     _check_params(params, shapes, path)
-    encoder = _build_encoder(params, len(sizes) - 1, metadata.get("encoder_trainable"))
+    encoder = _build_encoder(params, len(sizes) - 1)
     model = PhaseModel(encoder, params["lstm.w_input"], params["lstm.w_hidden"],
                        params["lstm.bias"], params["classifier.weight"],
                        params["classifier.bias"])

@@ -59,16 +59,13 @@ def _uniform_fan_in(rng, shape: tuple[int, ...], fan_in: int, dtype) -> np.ndarr
 class EncoderModel:
     """Stack of affine-then-rectifier layers mapping input features to embeddings."""
 
-    def __init__(self, weights, biases, trainable=None):
+    def __init__(self, weights, biases):
         if len(weights) != len(biases) or not weights:
             raise ValueError("weights and biases must be non-empty and aligned")
         self.weights = list(weights)
         self.biases = list(biases)
         if not all(w.flags.c_contiguous for w in self.weights):
             raise ValueError("encoder weights must be C-contiguous")
-        self.trainable = list(trainable) if trainable is not None else [True] * len(weights)
-        if len(self.trainable) != len(self.weights):
-            raise ValueError("trainable mask length must match layer count")
 
     @classmethod
     def create(cls, input_dim, hidden_sizes, embedding_dim, dtype=DEFAULT_DTYPE):
@@ -100,6 +97,12 @@ class EncoderModel:
     def layer_sizes(self) -> list[int]:
         return [self.input_dim] + [w.shape[0] for w in self.weights]
 
+    @property
+    def trainable(self) -> list[bool]:
+        """Every layer trains. Kept only because the benchmark's MAC count
+        (perfbench/layers.py:_encoder_backward_done) reads it."""
+        return [True] * self.num_layers
+
     def init_uniform_fan(self, rng) -> "EncoderModel":
         """Draw every parameter uniformly from (-1/sqrt(fan_in), 1/sqrt(fan_in))."""
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -108,34 +111,12 @@ class EncoderModel:
             self.biases[i] = _uniform_fan_in(rng, b.shape, fan_in, b.dtype)
         return self
 
-    def set_trainable(self, selector) -> "EncoderModel":
-        """Mark layers trainable; selector is a predicate over layer index
-        or an iterable of the layer indices that stay trainable."""
-        n = self.num_layers
-        if callable(selector):
-            self.trainable = [bool(selector(i)) for i in range(n)]
-        else:
-            wanted = set(selector)
-            unknown = [i for i in wanted if not 0 <= i < n]
-            if unknown:
-                raise ValueError(f"unknown encoder layer(s) {sorted(unknown)}; "
-                                 f"model has {n} layers")
-            self.trainable = [i in wanted for i in range(n)]
-        return self
-
     def parameters(self) -> dict[str, np.ndarray]:
         out = {}
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             out[f"encoder.{i}.weight"] = w
             out[f"encoder.{i}.bias"] = b
         return out
-
-    def trainable_parameters(self) -> dict[str, np.ndarray]:
-        return {
-            name: arr
-            for name, arr in self.parameters().items()
-            if self.trainable[int(name.split(".")[1])]
-        }
 
     def _check_input(self, x: np.ndarray) -> None:
         if x.shape[-1] != self.input_dim:
@@ -165,7 +146,7 @@ class EncoderModel:
 
     def backward(self, cache, grad_embedding: np.ndarray,
                  positions: int = 1) -> dict[str, np.ndarray]:
-        """Parameter gradients (trainable layers only) for one cached forward.
+        """Gradients of every parameter for one cached forward.
 
         The batch is `positions` equal consecutive blocks of rows. Each
         weight and bias gradient is reduced over every block's rows
@@ -183,23 +164,19 @@ class EncoderModel:
         for i in reversed(range(self.num_layers)):
             a_in, z = cache[i]
             dz = da * (z > 0)
-            if self.trainable[i]:
-                dz_blocks = dz.reshape(positions, rows // positions, -1)
-                a_blocks = a_in.reshape(positions, rows // positions, -1)
-                grads[f"encoder.{i}.weight"] = np.add.reduce(
-                    _row_outer_sum(dz_blocks, a_blocks), axis=0)
-                grads[f"encoder.{i}.bias"] = np.add.reduce(
-                    dz_blocks.sum(axis=1), axis=0)
+            dz_blocks = dz.reshape(positions, rows // positions, -1)
+            a_blocks = a_in.reshape(positions, rows // positions, -1)
+            grads[f"encoder.{i}.weight"] = np.add.reduce(
+                _row_outer_sum(dz_blocks, a_blocks), axis=0)
+            grads[f"encoder.{i}.bias"] = np.add.reduce(
+                dz_blocks.sum(axis=1), axis=0)
             if i > 0:
                 da = np.vecmat(dz, self.weights[i])
         return grads
 
     def copy(self) -> "EncoderModel":
-        return EncoderModel(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            list(self.trainable),
-        )
+        return EncoderModel([w.copy() for w in self.weights],
+                            [b.copy() for b in self.biases])
 
 
 @dataclass
@@ -298,13 +275,6 @@ class PhaseModel:
         out["lstm.bias"] = self.lstm_bias
         out["classifier.weight"] = self.clf_weight
         out["classifier.bias"] = self.clf_bias
-        return out
-
-    def trainable_parameters(self) -> dict[str, np.ndarray]:
-        out = dict(self.encoder.trainable_parameters())
-        for name in ("lstm.w_input", "lstm.w_hidden", "lstm.bias",
-                     "classifier.weight", "classifier.bias"):
-            out[name] = self.parameters()[name]
         return out
 
     def _recurrence(self, zx: np.ndarray, h: np.ndarray, c: np.ndarray):
@@ -557,7 +527,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState) -> None:
     """Apply one Adam update in place to the parameters named in `grads`.
 
-    Parameters without a gradient entry (e.g. frozen layers) are untouched.
+    Parameters without a gradient entry are untouched.
     The gradients, cast to the parameters' dtype, are laid out flat in
     sorted-name order, so the moments and the step are one ufunc pass each,
     per element the same operations as a per-parameter update."""

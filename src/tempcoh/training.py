@@ -199,7 +199,6 @@ def finetune(model: PhaseModel, videos: list[FrameSequence],
     rng = np.random.default_rng(rng)
     adam = AdamState(lr=cfg.lr)
     params = model.parameters()
-    trainable = model.trainable_parameters()
     pending: dict[str, np.ndarray] = {}
     pending_count = 0
 
@@ -233,7 +232,6 @@ def finetune(model: PhaseModel, videos: list[FrameSequence],
                         f"{seq.video_id!r}, frames [{start}, {end})")
                 dlogits /= end - start
                 grads = model.backward_chunk(cache, dlogits.astype(model.dtype))
-                grads = {name: g for name, g in grads.items() if name in trainable}
                 for name, g in grads.items():
                     if name in pending:
                         pending[name] += g
@@ -268,12 +266,10 @@ class EvalResult:
     predictions: dict[str, np.ndarray]
 
 
-def evaluate(model: PhaseModel, videos: list[FrameSequence],
-             num_phases: int | None = None) -> EvalResult:
+def evaluate(model: PhaseModel, videos: list[FrameSequence]) -> EvalResult:
     """Score the model on labeled videos without mutating anything."""
     if not videos:
         raise ValueError("need at least one video to evaluate on")
-    k = model.num_phases if num_phases is None else num_phases
     per_video: dict[str, VideoMetrics] = {}
     predictions: dict[str, np.ndarray] = {}
     for seq in videos:
@@ -281,6 +277,6 @@ def evaluate(model: PhaseModel, videos: list[FrameSequence],
             raise ValueError(f"video {seq.video_id!r} has no labels")
         pred = predict_sequence(model, seq)
         predictions[seq.video_id] = pred
-        per_video[seq.video_id] = video_metrics(seq.labels, pred, k)
+        per_video[seq.video_id] = video_metrics(seq.labels, pred, model.num_phases)
     report = aggregate([per_video[v.video_id] for v in videos])
     return EvalResult(report, per_video, predictions)

@@ -21,10 +21,11 @@ from tempcoh.config import (
     resolve_config,
     resolve_delta_seconds,
 )
-from tempcoh.data_io import load_dataset, load_encoder, load_phase_model
+from tempcoh.data_io import (load_dataset, load_encoder, load_phase_model,
+                             save_encoder, save_phase_model)
 from tempcoh.errors import UsageError
 from tempcoh.losses import LossConfig
-from tempcoh.models import EncoderModel
+from tempcoh.models import EncoderModel, PhaseModel
 from tempcoh.sampling import SamplerConfig
 from tempcoh.synthetic import SynthConfig
 from tempcoh.training import FinetuneConfig, PretrainConfig
@@ -497,6 +498,31 @@ def test_retrieve_query_errors(work, tmp_path, capsys):
     capsys.readouterr()
 
 
+# ------------------------------------------- checkpoint of another width
+
+@pytest.mark.parametrize("command", ["finetune", "eval", "retrieve"])
+def test_checkpoint_of_another_width_exits_2_naming_it(work, tmp_path, capsys,
+                                                        command):
+    # The dataset has 6 features per frame; this encoder takes 5.
+    encoder = EncoderModel.create(5, [4], 3)
+    ckpt = tmp_path / "narrow.ckpt"
+    if command == "eval":
+        save_phase_model(ckpt, PhaseModel.create(encoder, 2, 4))
+    else:
+        save_encoder(ckpt, encoder)
+    argv = {
+        "finetune": ["--labeled-sets", "A", "--init", str(ckpt)],
+        "eval": ["--model", str(ckpt)],
+        "retrieve": ["--model", str(ckpt), "--queries", "video_000:0"],
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, "--data", str(work / "data"), *argv,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{ckpt}: encoder expects 5 input features but the dataset has 6" in err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ replay
 
 def test_replay_reproduces_eval_byte_identically(work, tmp_path):
@@ -544,6 +570,14 @@ def test_replay_rejects_foreign_files(tmp_path, capsys):
     not_utf8.write_bytes(b"\xff{}")
     assert main(["replay", str(not_utf8)]) == 2
     assert str(not_utf8) in capsys.readouterr().err
+
+
+def test_replay_names_the_manifest_holding_an_over_long_integer(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text('{"format": "tempcoh-run", "seed": ' + "9" * 5000 + "}")
+    assert main(["replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: invalid JSON" in err
 
 
 def replay_malformed(work, tmp_path, capsys, edit) -> str:

@@ -219,12 +219,36 @@ def test_empty_and_header_only_label_files_mean_absent(tmp_path):
     ("frame_index,phase_id\nzero,1\n", "non-integer"),
     ("frame_index,phase_id\n1,0\n", "out of order"),
     ("frame_index,phase_id\n0,-2\n", "negative"),
+    # Only what `save_labels` writes: ASCII digits, no sign, no leading zero,
+    # no underscore, no padding.
+    ("frame_index,phase_id\n0,1_0\n", "non-integer"),
+    ("frame_index,phase_id\n\u0660,\u0663\n", "non-integer"),
+    ("frame_index,phase_id\n 0 , +2 \n", "non-integer"),
+    ("frame_index,phase_id\n0,+2\n", "non-integer"),
+    ("frame_index,phase_id\n0,1 \n", "non-integer"),
+    ("frame_index,phase_id\n-0,1\n", "non-integer"),
+    ("frame_index,phase_id\n00,1\n", "non-integer"),
+    ("frame_index,phase_id\n0,007\n", "non-integer"),
+    ("frame_index,phase_id\n0,-0\n", "non-integer"),
+    # Over-long fields are reported without quoting the whole line.
+    pytest.param("frame_index,phase_id\n0," + "9" * 5000 + "\n",
+                 "phase id above 2147483647", id="huge-phase"),
+    pytest.param("frame_index,phase_id\n0,-" + "9" * 5000 + "\n", "negative",
+                 id="huge-negative"),
+    pytest.param("frame_index,phase_id\n" + "9" * 5000 + ",1\n", "out of order",
+                 id="huge-index"),
+    pytest.param("frame_index,phase_id\n0,x" + "9" * 5000 + "\n", "non-integer",
+                 id="huge-word"),
+    pytest.param("frame_index,phase_id\n0,1," + "9" * 5000 + "\n", "expected",
+                 id="huge-extra-field"),
 ])
 def test_malformed_labels_rejected(tmp_path, content, problem):
     path = tmp_path / "l.csv"
-    path.write_text(content)
-    with pytest.raises(DataFormatError, match=problem):
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(DataFormatError, match=problem) as err:
         load_labels(path)
+    assert str(path) in str(err.value)
+    assert len(str(err.value)) < len(str(path)) + 200
 
 
 @pytest.mark.parametrize("phase", [2**31, 2**63], ids=["2**31", "2**63"])
@@ -380,6 +404,57 @@ def test_dataset_manifest_errors_name_the_manifest(tmp_path, rng, edit, problem)
     assert str(manifest_path) in str(err.value)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("fps", float("nan")), ("fps", float("inf")), ("fps", 0), ("fps", -1.0),
+    ("fps", "5"), ("fps", True), ("fps", None),
+    pytest.param("fps", 10**400, id="fps-10**400"),
+    ("num_phases", 7.9), ("num_phases", 7.0), ("num_phases", "4"),
+    ("num_phases", True), ("num_phases", 1), ("num_phases", None),
+    ("feature_dim", 4.0), ("feature_dim", "4"), ("feature_dim", True),
+    ("feature_dim", 0)])
+def test_dataset_manifest_numbers_must_have_their_json_type(tmp_path, rng, key,
+                                                            value):
+    dataset = generate_dataset(SynthConfig(min_duration=5, max_duration=9,
+                                           feature_dim=4), 4, rng)
+    root = tmp_path / "data"
+    save_dataset(root, dataset)
+    manifest_path = root / "dataset.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest[key] = value
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(DataFormatError, match=f"{key} must be") as err:
+        load_dataset(root)
+    assert str(manifest_path) in str(err.value)
+    assert len(str(err.value)) < len(str(manifest_path)) + 200
+
+
+def test_dataset_manifest_integer_fps_loads_as_float(tmp_path, rng):
+    dataset = generate_dataset(SynthConfig(min_duration=5, max_duration=9,
+                                           feature_dim=4, fps=5.0), 4, rng)
+    root = tmp_path / "data"
+    save_dataset(root, dataset)
+    manifest_path = root / "dataset.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["fps"] = 5
+    manifest_path.write_text(json.dumps(manifest))
+    fps = load_dataset(root).fps
+    assert fps == 5.0 and isinstance(fps, float)
+
+
+def test_dataset_manifest_over_long_integer_names_the_manifest(tmp_path, rng):
+    dataset = generate_dataset(SynthConfig(min_duration=5, max_duration=9,
+                                           feature_dim=4), 4, rng)
+    root = tmp_path / "data"
+    save_dataset(root, dataset)
+    manifest_path = root / "dataset.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["num_phases"] = "HUGE"
+    manifest_path.write_text(json.dumps(manifest).replace('"HUGE"', "9" * 5000))
+    with pytest.raises(DataFormatError, match="invalid JSON") as err:
+        load_dataset(root)
+    assert str(manifest_path) in str(err.value)
+
+
 @pytest.mark.parametrize("name", ["dataset.json", "splits.txt", "labels"])
 def test_dataset_text_file_not_utf8_is_named(tmp_path, rng, name):
     dataset = generate_dataset(SynthConfig(min_duration=5, max_duration=9,
@@ -490,15 +565,39 @@ def test_checkpoint_malformed_rejected(tmp_path, rng):
 
 def test_encoder_checkpoint_round_trip(tmp_path, rng):
     enc = EncoderModel.create(6, [5], 4).init_uniform_fan(rng)
-    enc.set_trainable([1])
     path = tmp_path / "enc.ckpt"
     save_encoder(path, enc, {"note": "hello"})
     loaded, meta = load_encoder(path)
     assert meta["note"] == "hello"
     assert meta["layer_sizes"] == [6, 5, 4]
-    assert loaded.trainable == [False, True]
+    assert "trainable" not in meta
     for name, arr in enc.parameters().items():
         assert np.array_equal(loaded.parameters()[name], arr)
+
+
+@pytest.mark.parametrize("kind", ["encoder", "phase_model"])
+def test_checkpoint_with_old_freezing_mask_loads_and_trains_every_layer(
+        tmp_path, rng, kind):
+    # Older checkpoints carried a per-layer trainable mask in their metadata;
+    # loaders ignore it like any other extra key.
+    enc = EncoderModel.create(6, [5], 4).init_uniform_fan(rng)
+    path = tmp_path / "old.ckpt"
+    if kind == "encoder":
+        save_checkpoint(path, kind, enc.parameters(),
+                        {"layer_sizes": [6, 5, 4], "trainable": [False, True]})
+        loaded = load_encoder(path)[0]
+    else:
+        model = PhaseModel.create(enc, 3, 4).init_head_uniform_fan(rng)
+        save_checkpoint(path, kind, model.parameters(),
+                        {"encoder_layer_sizes": [6, 5, 4],
+                         "encoder_trainable": [False, True],
+                         "hidden_size": 3, "num_phases": 4})
+        loaded = load_phase_model(path)[0].encoder
+    for name, arr in enc.parameters().items():
+        assert np.array_equal(loaded.parameters()[name], arr)
+    _, cache = loaded.forward_cached(rng.normal(size=(3, 6)).astype(np.float32))
+    grads = loaded.backward(cache, np.ones((3, 4), np.float32))
+    assert grads.keys() == loaded.parameters().keys()
 
 
 def test_encoder_loader_rejects_other_kinds(tmp_path, rng):
@@ -677,6 +776,23 @@ def test_fuzz_checkpoint_truncated_or_byte_flipped(saved_checkpoints, data):
         _loads_or_names_the_file(loader, path)
 
 
+@pytest.mark.parametrize("loader", [load_encoder, load_phase_model],
+                         ids=["encoder", "phase_model"])
+def test_checkpoint_metadata_over_long_integer_names_the_file(tmp_path, rng, loader):
+    path = tmp_path / "ck.ckpt"
+    _edited_checkpoint(path, rng, loader,
+                       lambda metadata: {**metadata, "note": "HUGE"})
+    kind, params, metadata = load_checkpoint(path)
+    raw = path.read_bytes()
+    text = json.dumps(metadata, sort_keys=True).encode()
+    assert raw.endswith(text)
+    huge = text.replace(b'"HUGE"', b"9" * 5000)
+    path.write_bytes(raw[:-len(text) - 4] + struct.pack("<I", len(huge)) + huge)
+    with pytest.raises(CheckpointError, match="not valid JSON") as err:
+        loader(path)
+    assert str(path) in str(err.value)
+
+
 def test_phase_model_save_load_evaluate_bit_identical(tmp_path, rng):
     enc = EncoderModel.create(4, [6], 3).init_uniform_fan(rng)
     model = PhaseModel.create(enc, 5, 3)
@@ -787,3 +903,48 @@ def test_fuzz_splits_file(fuzz_dir, data):
     splits = _read_or_name_the_file(load_splits, path)
     if splits is not None:
         assert splits and set(splits.values()) <= {"A", "B", "C", "D"}
+
+
+# Fuzzing the feature-file reader: crafted headers (ids that are not UTF-8,
+# counts up to 2**32 - 1, non-positive or non-finite fps) over payloads that
+# may not match them, truncated or byte-flipped, and raw bytes. Whatever the
+# bytes, `load_features` returns a valid sequence or raises a TempcohError
+# naming the file, and never allocates what a header merely claims.
+
+COUNTS = st.sampled_from([1, 2, 3] * 2 + [0, 2**31, 2**32 - 1])
+FPS = st.sampled_from([5.0] * 3 + [0.0, -1.0, float("nan"), float("inf"),
+                                   float("-inf")]) | st.floats(width=32)
+
+
+@st.composite
+def feature_files(draw):
+    video_id = draw(st.text(max_size=4).map(str.encode) | st.binary(max_size=4))
+    id_length = draw(st.sampled_from([len(video_id)] * 3 + [0, 2**31, 2**32 - 1]))
+    frames, dim = draw(COUNTS), draw(COUNTS)
+    if frames * dim <= 9 and draw(st.integers(0, 3)):
+        values = draw(st.lists(st.floats(width=32), min_size=frames * dim,
+                               max_size=frames * dim))
+        payload = np.array(values, dtype="<f4").tobytes() + draw(
+            st.sampled_from([b""] * 3 + [b"\0"]))
+    else:
+        payload = draw(st.binary(max_size=40))
+    raw = (b"TCSL" + struct.pack("<H", draw(st.sampled_from([1] * 4 + [2])))
+           + struct.pack("<I", id_length) + video_id
+           + struct.pack("<IIf", frames, dim, draw(FPS)) + payload)
+    if draw(st.integers(0, 3)) == 0:
+        raw = raw[:draw(st.integers(0, len(raw)), label="length")]
+    return raw
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_fuzz_feature_file(fuzz_dir, data):
+    raw = data.draw(st.one_of(feature_files(), feature_files(),
+                              st.binary(max_size=80)), label="file")
+    path = fuzz_dir / "video.feat"
+    path.write_bytes(_damaged(data.draw, raw))
+    seq = _read_or_name_the_file(load_features, path)
+    if seq is not None:
+        assert seq.features.dtype == np.float32 and seq.features.size
+        assert np.isfinite(seq.features).all()
+        assert np.isfinite(seq.fps) and seq.fps > 0

@@ -207,13 +207,10 @@ def test_models_reject_fortran_ordered_weights(rng):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("frozen", [None, 0, 1], ids=["none", "layer0", "layer1"])
 @pytest.mark.parametrize("arity", [3, 4])
 def test_encoder_backward_blocks_equal_in_order_sum_of_block_calls(rng, dtype,
-                                                                  frozen, arity):
+                                                                  arity):
     enc = EncoderModel.create(16, [64], 32, dtype=dtype).init_uniform_fan(rng)
-    if frozen is not None:
-        enc.set_trainable(lambda i: i != frozen)
     n = 17
     x = rng.normal(size=(arity * n, 16)).astype(dtype)
     upstream = rng.normal(size=(arity * n, 32)).astype(dtype)
@@ -229,7 +226,7 @@ def test_encoder_backward_blocks_equal_in_order_sum_of_block_calls(rng, dtype,
             else:
                 want[name] = g
     assert got.keys() == want.keys()
-    assert len(got) == 2 * (2 if frozen is None else 1)
+    assert len(got) == 4
     for name in want:
         assert _same_bits(got[name], want[name]), name
 
@@ -242,15 +239,14 @@ def _reference_encoder_backward(enc, cache, grad_embedding, blocks):
     for i in reversed(range(enc.num_layers)):
         a_in, z = cache[i]
         dz = da * (z > 0)
-        if enc.trainable[i]:
-            first, *rest = blocks
-            weight = dz[first].T @ a_in[first]
-            bias = dz[first].sum(axis=0)
-            for block in rest:
-                weight += dz[block].T @ a_in[block]
-                bias += dz[block].sum(axis=0)
-            grads[f"encoder.{i}.weight"] = weight
-            grads[f"encoder.{i}.bias"] = bias
+        first, *rest = blocks
+        weight = dz[first].T @ a_in[first]
+        bias = dz[first].sum(axis=0)
+        for block in rest:
+            weight += dz[block].T @ a_in[block]
+            bias += dz[block].sum(axis=0)
+        grads[f"encoder.{i}.weight"] = weight
+        grads[f"encoder.{i}.bias"] = bias
         if i > 0:
             da = np.vecmat(dz, enc.weights[i])
     return grads
@@ -284,58 +280,6 @@ def test_encoder_backward_rejects_unequal_positions(rng):
         enc.backward(cache, np.ones((7, 2), np.float32), 3)
     with pytest.raises(ValueError, match="0 equal blocks"):
         enc.backward(cache, np.ones((7, 2), np.float32), 0)
-
-
-# ---------------------------------------------------------------- freezing
-
-def test_frozen_layers_get_no_gradients_and_never_move(rng):
-    enc = EncoderModel.create(4, [5], 3).init_uniform_fan(rng)
-    enc.set_trainable([1])
-    frozen_w = enc.weights[0].copy()
-    frozen_b = enc.biases[0].copy()
-    adam = AdamState(lr=1e-2)
-    for _ in range(10):
-        x = rng.normal(size=(4, 4)).astype(np.float32)
-        _, cache = enc.forward_cached(x)
-        grads = enc.backward(cache, rng.normal(size=(4, 3)).astype(np.float32))
-        assert set(grads) == {"encoder.1.weight", "encoder.1.bias"}
-        adam_step(enc.parameters(), grads, adam)
-    assert np.array_equal(enc.weights[0], frozen_w)
-    assert np.array_equal(enc.biases[0], frozen_b)
-    assert not np.array_equal(enc.weights[1], np.zeros_like(enc.weights[1]))
-
-
-def test_freeze_all_makes_training_a_noop(rng):
-    enc = EncoderModel.create(3, [], 2).init_uniform_fan(rng)
-    enc.set_trainable([])
-    before = {k: v.copy() for k, v in enc.parameters().items()}
-    x = rng.normal(size=(2, 3)).astype(np.float32)
-    _, cache = enc.forward_cached(x)
-    grads = enc.backward(cache, np.ones((2, 2), dtype=np.float32))
-    assert grads == {}
-    adam_step(enc.parameters(), grads, AdamState(lr=1.0))
-    for name, arr in enc.parameters().items():
-        assert np.array_equal(arr, before[name])
-
-
-def test_set_trainable_unknown_layer_rejected():
-    enc = EncoderModel.create(3, [4], 2)
-    with pytest.raises(ValueError):
-        enc.set_trainable([2])
-
-
-def test_unfreeze_all_equals_default_mask():
-    enc = EncoderModel.create(3, [4], 2)
-    default = list(enc.trainable)
-    enc.set_trainable([0])
-    enc.set_trainable(lambda i: True)
-    assert enc.trainable == default == [True, True]
-
-
-def test_trainable_parameters_filters_by_mask():
-    enc = EncoderModel.create(3, [4], 2)
-    enc.set_trainable([0])
-    assert set(enc.trainable_parameters()) == {"encoder.0.weight", "encoder.0.bias"}
 
 
 # -------------------------------------------------------------------- LSTM

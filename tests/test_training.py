@@ -147,18 +147,6 @@ def test_pretrain_same_seed_bitwise_identical(rng):
     assert_params_equal(encoders[0], snapshot(encoders[1]))
 
 
-def test_pretrain_respects_frozen_layers(rng):
-    videos = unlabeled_videos(rng)
-    enc = EncoderModel.create(6, [8], 4).init_uniform_fan(rng)
-    enc.set_trainable([1])
-    frozen_w = enc.weights[0].copy()
-    frozen_b = enc.biases[0].copy()
-    pretrain(enc, videos, PretrainConfig(epochs=2, sampler=SMALL_SAMPLER), rng=0)
-    assert np.array_equal(enc.weights[0], frozen_w)
-    assert np.array_equal(enc.biases[0], frozen_b)
-    assert not np.array_equal(enc.weights[1], np.zeros_like(enc.weights[1]))
-
-
 def test_pretrain_raises_on_non_finite_features(rng):
     videos = unlabeled_videos(rng)
     videos[0].features[3, 2] = np.nan
