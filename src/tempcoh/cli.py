@@ -23,7 +23,7 @@ from . import __version__
 from .config import (PRESETS, check_resolved_config, is_int, resolve_config,
                      resolve_delta_seconds)
 from .data_io import (atomic_write_text, load_checkpoint, load_dataset,
-                      load_encoder, load_phase_model, save_dataset,
+                      load_encoder, load_phase_model, read_json, save_dataset,
                       save_encoder, save_phase_model)
 from .errors import CheckpointError, DataFormatError, TempcohError, UsageError
 from .experiments import (BASELINE, finetune_stage, pretrain_stage,
@@ -457,10 +457,7 @@ cmd_synth = cmd_pretrain = cmd_finetune = cmd_eval = cmd_compare = \
 
 def cmd_replay(args) -> int:
     manifest_path = Path(args.manifest).resolve()
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # bad UTF-8 or JSON, or an over-long integer
-        raise DataFormatError(f"{manifest_path}: invalid JSON: {exc}") from exc
+    manifest = read_json(manifest_path)
     if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
         raise DataFormatError(f"{manifest_path}: not a run manifest")
     command = manifest.get("command")

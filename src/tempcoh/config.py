@@ -9,8 +9,8 @@ overrides. Precedence, highest first: command-line flag (including
 The stage dataclasses own the keys and defaults of their sections: each
 `int` or `float` field is a key, converted with its own type. Only the
 model shape and `sampler.delta_seconds` are written here. The latter
-defaults to the pretraining method's own value (15 s for contrastive2, 30 s
-otherwise) and therefore resolves to None until a method is known.
+defaults to the pretraining method's own value (`training.PRETRAIN_METHODS`)
+and therefore resolves to None until a method is known.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import DataFormatError, UsageError
 from .losses import LossConfig
 from .sampling import SamplerConfig
 from .synthetic import SynthConfig
-from .training import FinetuneConfig, PretrainConfig
+from .training import PRETRAIN_METHODS, FinetuneConfig, PretrainConfig
 
 
 def _to_optional_float(s: str):
@@ -78,14 +78,6 @@ PRESETS = {
         ("finetune", "lr"): 1e-4,
     },
 }
-
-# Per-method default temporal offset of the "near" frame, in seconds.
-METHOD_DELTA_DEFAULTS = {
-    "contrastive": 30.0,
-    "ranking": 30.0,
-    "contrastive2": 15.0,
-}
-
 
 def _check_key(section: str, key: str, where: str, error=UsageError) -> None:
     if section not in SCHEMA:
@@ -197,6 +189,6 @@ def resolve_delta_seconds(resolved: dict, method: str) -> float:
     value = resolved["sampler"]["delta_seconds"]
     if value is not None:
         return float(value)
-    if method not in METHOD_DELTA_DEFAULTS:
+    if method not in PRETRAIN_METHODS:
         raise UsageError(f"unknown pretraining method {method!r}")
-    return METHOD_DELTA_DEFAULTS[method]
+    return PRETRAIN_METHODS[method][2]

@@ -178,6 +178,21 @@ def _read_text(path) -> str:
         raise DataFormatError(f"{path}: not valid UTF-8: {exc}") from exc
 
 
+def parse_json(text: str, path, what: str = "invalid JSON"):
+    """`text`, read from `path`, parsed as JSON. Malformed JSON, an integer
+    beyond Python's digit limit and nesting too deep for the parser raise a
+    DataFormatError naming `path`."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DataFormatError(f"{path}: {what}: {exc}") from exc
+
+
+def read_json(path):
+    """The JSON document in the UTF-8 file `path`; see `parse_json`."""
+    return parse_json(_read_text(path), path)
+
+
 def _pack_string(s: str) -> bytes:
     raw = s.encode("utf-8")
     return struct.pack("<I", len(raw)) + raw
@@ -306,15 +321,6 @@ def write_video(path, seq: FrameSequence) -> None:
         sidecar.unlink(missing_ok=True)
 
 
-def read_video(path) -> FrameSequence:
-    """Read one video; labels attach when a non-empty sidecar exists."""
-    seq = load_features(path)
-    sidecar = labels_path_for(path)
-    if sidecar.exists():
-        seq.labels = load_labels(sidecar, seq.num_frames)
-    return seq
-
-
 def save_splits(path, splits: dict[str, str]) -> None:
     def write(f):
         lines = [f"{vid},{name}" for vid, name in splits.items()]
@@ -344,9 +350,28 @@ def load_splits(path) -> dict[str, str]:
     return out
 
 
+def _check_video_id(video_id: str) -> None:
+    """Refuse an id that cannot name a file in the dataset directory or
+    round-trip through `splits.txt`."""
+    if video_id.splitlines() != [video_id]:
+        problem = "is empty or holds a line break"
+    elif video_id != video_id.strip():
+        problem = "has whitespace around it"
+    elif "," in video_id:
+        problem = "holds ','"
+    elif {"/", os.sep, os.altsep, "\0"} & set(video_id):
+        problem = "holds a path separator or NUL"
+    else:
+        return
+    raise DataFormatError(f"refusing to write dataset: video id {video_id!r} "
+                          f"{problem}")
+
+
 def save_dataset(directory, dataset: Dataset) -> Path:
     """Write features, labels, splits and the JSON manifest; returns the
-    manifest path."""
+    manifest path. Every video id is checked before anything is written."""
+    for seq in dataset.videos:
+        _check_video_id(seq.video_id)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -386,7 +411,7 @@ def _json_int(value, what: str, minimum: int, path, error=DataFormatError) -> in
 
 
 def _member_path(directory: Path, name, what: str, manifest_path) -> Path:
-    """`directory / name` for a relative path that stays inside `directory`."""
+    """`directory / name` for a relative path to a file inside `directory`."""
     if not isinstance(name, str) or not name:
         raise DataFormatError(f"{manifest_path}: {what} must be a non-empty "
                               f"path string, got {name!r}")
@@ -394,7 +419,11 @@ def _member_path(directory: Path, name, what: str, manifest_path) -> Path:
     if rel.is_absolute() or ".." in rel.parts:
         raise DataFormatError(f"{manifest_path}: {what} {name!r} points "
                               f"outside the dataset directory")
-    return directory / rel
+    path = directory / rel
+    if not path.is_file():
+        raise DataFormatError(f"{manifest_path}: {what} {name!r} is not a "
+                              f"file in the dataset directory")
+    return path
 
 
 def _check_video_entry(entry, index: int, manifest_path) -> None:
@@ -413,10 +442,7 @@ def load_dataset(directory) -> Dataset:
     manifest_path = directory / "dataset.json"
     if not manifest_path.exists():
         raise DataFormatError(f"{manifest_path}: not found")
-    try:
-        manifest = json.loads(_read_text(manifest_path))
-    except ValueError as exc:  # also numbers beyond int's digit limit
-        raise DataFormatError(f"{manifest_path}: invalid JSON: {exc}") from exc
+    manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
         raise DataFormatError(f"{manifest_path}: not a dataset manifest")
     for key in ("format", "version", "fps", "num_phases", "feature_dim",
@@ -529,11 +555,9 @@ def load_checkpoint(path):
             params[name] = arr
         meta_raw = r.string("metadata")
         r.expect_end()
-        metadata = json.loads(meta_raw)
+        metadata = parse_json(meta_raw, path, "metadata is not valid JSON")
     except DataFormatError as exc:
         raise CheckpointError(str(exc)) from exc
-    except (ValueError, RecursionError) as exc:
-        raise CheckpointError(f"{path}: metadata is not valid JSON: {exc}") from exc
     return kind, params, metadata
 
 

@@ -64,19 +64,6 @@ def _as_vector(x, name: str) -> np.ndarray:
     return v
 
 
-def _check_dims(*vectors: np.ndarray) -> None:
-    dims = {v.shape[-1] for v in vectors}
-    if len(dims) != 1:
-        raise ValueError(f"embedding dimensions differ: {sorted(dims)}")
-
-
-def l2_distance(a, b) -> float:
-    """Euclidean distance between two embedding vectors."""
-    va, vb = _as_vector(a, "a"), _as_vector(b, "b")
-    _check_dims(va, vb)
-    return float(np.linalg.norm(va - vb))
-
-
 def _unit(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:
     """diff / dist rowwise, zero rows where dist is not positive."""
     off = ~(dist > 0.0)

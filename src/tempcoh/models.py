@@ -16,7 +16,9 @@ order along the leading axis, bitwise equal to one backward call per block,
 added up.
 
 Adam updates every parameter of a step as one flat array: per element the
-same operations, in the same order, as a per-parameter update.
+same operations, in the same order, as a per-parameter update. The layout
+is fixed at the first step; a later step with other parameter names, sizes
+or dtype is an error.
 
 The per-frame LSTM loops write into preallocated buffers; each element goes
 through the same operations in the same order as a plain expression would.
@@ -32,8 +34,7 @@ exchanged between backward passes, the optimizer, and checkpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -190,9 +191,6 @@ class LstmState:
     def zeros(cls, hidden_size: int, dtype=DEFAULT_DTYPE) -> "LstmState":
         return cls(np.zeros(hidden_size, dtype=dtype), np.zeros(hidden_size, dtype=dtype))
 
-    def copy(self) -> "LstmState":
-        return LstmState(self.h.copy(), self.c.copy())
-
 
 class PhaseModel:
     """Encoder followed by a single LSTM layer and an affine phase classifier.
@@ -322,22 +320,6 @@ class PhaseModel:
             h, c = h_t, c_t
         return gates, cs, tanh_cs, hs_out
 
-    def lstm_step(self, embedding, state: LstmState):
-        """One recurrent step on an already-embedded frame.
-
-        Returns (logits, new state)."""
-        emb = np.ascontiguousarray(embedding, dtype=self.dtype)
-        if emb.shape != (self.encoder.embedding_dim,):
-            raise ValueError(f"embedding shape {emb.shape} does not match "
-                             f"encoder output {self.encoder.embedding_dim}")
-        zx = _affine(emb, self.lstm_w_input, self.lstm_bias)
-        _, cs, _, hs_out = self._recurrence(
-            zx[None], np.ascontiguousarray(state.h, dtype=self.dtype),
-            np.asarray(state.c, dtype=self.dtype))
-        h, c = hs_out[0], cs[0]
-        logits = _affine(h, self.clf_weight, self.clf_bias)
-        return logits, LstmState(h, c)
-
     def forward_chunk(self, frames, state_in: LstmState):
         """Left-to-right pass over consecutive frames of one video.
 
@@ -426,34 +408,6 @@ class PhaseModel:
         grads.update(self.encoder.backward(enc_cache, grad_emb))
         return grads
 
-    def copy(self) -> "PhaseModel":
-        return PhaseModel(
-            self.encoder.copy(),
-            self.lstm_w_input.copy(),
-            self.lstm_w_hidden.copy(),
-            self.lstm_bias.copy(),
-            self.clf_weight.copy(),
-            self.clf_bias.copy(),
-        )
-
-
-def softmax_cross_entropy(logits, label: int):
-    """Numerically stable cross entropy of one frame.
-
-    Returns (loss, gradient w.r.t. logits); the gradient is softmax minus
-    the one-hot target. Computed in float64."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1:
-        raise ValueError("logits must be a vector")
-    if not 0 <= label < z.shape[0]:
-        raise ValueError(f"label {label} out of range for {z.shape[0]} phases")
-    shifted = z - z.max()
-    log_norm = np.log(np.exp(shifted).sum())
-    loss = float(log_norm - shifted[label])
-    grad = np.exp(shifted - log_norm)
-    grad[label] -= 1.0
-    return loss, grad
-
 
 def softmax_cross_entropy_batch(logits, labels):
     """Rowwise cross entropy; returns ((T,) losses, (T, K) gradients)."""
@@ -472,55 +426,23 @@ def softmax_cross_entropy_batch(logits, labels):
     return losses, grads
 
 
-class _FlatLayout(NamedTuple):
-    """The parameters one Adam step updates, laid out flat in `names` order."""
-
-    names: tuple[str, ...]
-    dtype: np.dtype
-    m: np.ndarray
-    v: np.ndarray
-    step: np.ndarray
-    step_views: list[np.ndarray]  # per-parameter reshaped slices of `step`
 
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam with per-parameter moment accumulators.
-
-    `m[name]`/`v[name]` are views into the flat buffers of `_layout`."""
+    """Bias-corrected Adam. The first step fixes the parameters the state
+    updates: `names` in sorted order, their sizes and their dtype. `m` and
+    `v` are the flat moment arrays over those parameters, laid out in
+    `names` order."""
 
     lr: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    _layout: _FlatLayout | None = field(default=None, init=False, repr=False,
-                                        compare=False)
-
-
-def _flat_layout(state: AdamState, names: tuple[str, ...], params,
-                 dtype) -> _FlatLayout:
-    """The state's flat layout for `names`, rebuilt when the names or the
-    dtype change; existing moments carry over and `state.m`/`state.v` then
-    hold views of the new buffers."""
-    layout = state._layout
-    if layout is not None and layout.names == names and layout.dtype == dtype:
-        return layout
-    bounds = np.cumsum([0, *(params[name].size for name in names)])
-    m, v, step = np.zeros((3, bounds[-1]), dtype=dtype)
-    step_views = []
-    for name, lo, hi in zip(names, bounds, bounds[1:]):
-        shape = params[name].shape
-        for buffer, moments in ((m, state.m), (v, state.v)):
-            view = buffer[lo:hi].reshape(shape)
-            if name in moments:
-                view[...] = moments[name]
-            moments[name] = view
-        step_views.append(step[lo:hi].reshape(shape))
-    state._layout = _FlatLayout(names, dtype, m, v, step, step_views)
-    return state._layout
+    names: tuple[str, ...] = ()
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -530,7 +452,9 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     Parameters without a gradient entry are untouched.
     The gradients, cast to the parameters' dtype, are laid out flat in
     sorted-name order, so the moments and the step are one ufunc pass each,
-    per element the same operations as a per-parameter update."""
+    per element the same operations as a per-parameter update. A step whose
+    names, sizes or dtype differ from the state's first step raises
+    ValueError and changes nothing."""
     for name in grads:
         if name not in params:
             raise ValueError(f"gradient for unknown parameter {name!r}")
@@ -543,17 +467,25 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     dtype = params[names[0]].dtype
     if any(params[name].dtype != dtype for name in names):
         raise ValueError("parameters updated in one Adam step must share a dtype")
+    g = np.concatenate([grads[name].reshape(-1) for name in names], dtype=dtype)
+    if state.m is None:
+        state.names = names
+        state.m, state.v = np.zeros((2, g.size), dtype=dtype)
+    elif names != state.names or dtype != state.m.dtype or g.size != state.m.size:
+        raise ValueError("an Adam state updates the parameter names, sizes "
+                         "and dtype of its first step")
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    layout = _flat_layout(state, names, params, dtype)
-    g = np.concatenate([grads[name].reshape(-1) for name in names], dtype=dtype)
-    m, v = layout.m, layout.v
+    m, v = state.m, state.v
     m *= state.beta1
     m += (1.0 - state.beta1) * g
     v *= state.beta2
     v += (1.0 - state.beta2) * g * g
-    np.divide(state.lr * (m / c1), np.sqrt(v / c2) + state.eps, layout.step)
-    for name, step in zip(names, layout.step_views):
-        params[name] -= step
+    step = state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    start = 0
+    for name in names:
+        p = params[name]
+        p -= step[start:start + p.size].reshape(p.shape)
+        start += p.size

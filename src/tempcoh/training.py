@@ -24,13 +24,14 @@ from .models import (AdamState, EncoderModel, PhaseModel, adam_step,
 from .sampling import SamplerConfig, build_epoch_schedule
 
 
-# Pretraining method -> (loss kind, tuple order). The second-order method
-# trains on the combined objective (first-order contrastive plus weighted
-# second-order term) over 4-frame tuples.
+# Pretraining method -> (loss kind, tuple order, default temporal offset of
+# the "near" frame in seconds). The second-order method trains on the
+# combined objective (first-order contrastive plus weighted second-order
+# term) over 4-frame tuples.
 PRETRAIN_METHODS = {
-    "contrastive": ("contrastive", "first"),
-    "ranking": ("ranking", "first"),
-    "contrastive2": ("combined", "second"),
+    "contrastive": ("contrastive", "first", 30.0),
+    "ranking": ("ranking", "first", 30.0),
+    "contrastive2": ("combined", "second", 15.0),
 }
 
 
@@ -78,13 +79,12 @@ class PretrainResult:
 
 
 def pretrain(encoder: EncoderModel, videos: list[FrameSequence],
-             cfg: PretrainConfig, rng, batch_observer=None) -> PretrainResult:
+             cfg: PretrainConfig, rng) -> PretrainResult:
     """Train the encoder in place on temporal-coherence tuples.
 
     Labels on the videos, if any, are never read. `rng` is a
-    numpy Generator or an integer seed. `batch_observer`, when given, is
-    called as observer(epoch, batch_tuple_count) after each optimizer step.
-    Returns the per-epoch mean tuple loss history.
+    numpy Generator or an integer seed. Returns the per-epoch mean tuple
+    loss history.
     """
     if not videos:
         raise ValueError("need at least one video to pretrain on")
@@ -130,8 +130,6 @@ def pretrain(encoder: EncoderModel, videos: list[FrameSequence],
             upstream = (grads.reshape(arity * n, -1) / n).astype(encoder.dtype)
             total = encoder.backward(cache, upstream, arity)
             adam_step(encoder.parameters(), total, adam)
-            if batch_observer is not None:
-                batch_observer(epoch, n)
         history.append(loss_sum / len(schedule))
     return PretrainResult(cfg.method, history, tuples_per_epoch)
 
@@ -170,7 +168,7 @@ class FinetuneResult:
 
 
 def finetune(model: PhaseModel, videos: list[FrameSequence],
-             cfg: FinetuneConfig, rng, chunk_observer=None) -> FinetuneResult:
+             cfg: FinetuneConfig, rng) -> FinetuneResult:
     """Train the phase model in place on labeled videos.
 
     Videos are visited in a fresh random order each epoch (`rng` is a numpy
@@ -180,9 +178,6 @@ def finetune(model: PhaseModel, videos: list[FrameSequence],
     chunks per Adam step; the accumulation counter runs across video and
     epoch boundaries, except that a partial accumulation is flushed at the
     end of each epoch.
-
-    `chunk_observer`, when given, is called as
-    observer(epoch, video_id, start_frame, end_frame) per chunk.
     """
     if not videos:
         raise ValueError("need at least one video to fine-tune on")
@@ -242,8 +237,6 @@ def finetune(model: PhaseModel, videos: list[FrameSequence],
                     flush()
                 correct += int((np.argmax(logits, axis=1) == labels).sum())
                 total += end - start
-                if chunk_observer is not None:
-                    chunk_observer(epoch, seq.video_id, start, end)
         flush()
         accuracy = correct / total
         history.append(accuracy)

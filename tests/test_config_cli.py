@@ -7,6 +7,7 @@ command writes a manifest that `replay` must reproduce byte for byte.
 import dataclasses
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -15,14 +16,13 @@ import pytest
 from tempcoh.cli import main
 from tempcoh.config import (
     DEFAULTS,
-    METHOD_DELTA_DEFAULTS,
     parse_config_file,
     parse_set_flag,
     resolve_config,
     resolve_delta_seconds,
 )
-from tempcoh.data_io import (load_dataset, load_encoder, load_phase_model,
-                             save_encoder, save_phase_model)
+from tempcoh.data_io import (load_checkpoint, load_dataset, load_encoder,
+                             load_phase_model, save_encoder, save_phase_model)
 from tempcoh.errors import UsageError
 from tempcoh.losses import LossConfig
 from tempcoh.models import EncoderModel, PhaseModel
@@ -116,10 +116,8 @@ def test_delta_default_depends_on_method():
     assert resolve_delta_seconds(resolved, "contrastive") == 30.0
     assert resolve_delta_seconds(resolved, "ranking") == 30.0
     assert resolve_delta_seconds(resolved, "contrastive2") == 15.0
-    assert set(METHOD_DELTA_DEFAULTS) == {"contrastive", "ranking",
-                                          "contrastive2"}
     explicit = resolve_config(set_flags=["sampler.delta_seconds=7.5"])
-    for method in METHOD_DELTA_DEFAULTS:
+    for method in ("contrastive", "ranking", "contrastive2"):
         assert resolve_delta_seconds(explicit, method) == 7.5
     with pytest.raises(UsageError, match="unknown pretraining method"):
         resolve_delta_seconds(resolved, "triplet")
@@ -578,6 +576,44 @@ def test_replay_names_the_manifest_holding_an_over_long_integer(tmp_path, capsys
     assert main(["replay", str(path)]) == 2
     err = capsys.readouterr().err
     assert f"{path}: invalid JSON" in err
+
+
+DEEP_JSON = "[" * 200_000
+
+
+def _deeply_nested_metadata(source, path):
+    """A copy of checkpoint `source` whose metadata is DEEP_JSON."""
+    _, _, metadata = load_checkpoint(source)
+    raw = source.read_bytes()
+    text = json.dumps(metadata, sort_keys=True).encode()
+    assert raw.endswith(text)
+    path.write_bytes(raw[:-len(text) - 4] + struct.pack("<I", len(DEEP_JSON))
+                     + DEEP_JSON.encode())
+
+
+@pytest.mark.parametrize("reader", ["dataset", "checkpoint", "run-manifest"])
+def test_deeply_nested_json_exits_2_naming_the_file(work, tmp_path, capsys,
+                                                   reader):
+    out = tmp_path / "out"
+    if reader == "dataset":
+        path = tmp_path / "data" / "dataset.json"
+        path.parent.mkdir()
+        path.write_text(DEEP_JSON)
+        argv = ["pretrain", "--data", str(path.parent), "--method",
+                "contrastive", "--out", str(out)]
+    elif reader == "checkpoint":
+        path = tmp_path / "deep.ckpt"
+        _deeply_nested_metadata(work / "enc.ckpt", path)
+        argv = ["finetune", "--data", str(work / "data"), "--labeled-sets", "A",
+                "--init", str(path), "--out", str(out)]
+    else:
+        path = tmp_path / "deep.manifest.json"
+        path.write_text(DEEP_JSON)
+        argv = ["replay", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and "JSON" in err
+    assert not out.exists()
 
 
 def replay_malformed(work, tmp_path, capsys, edit) -> str:

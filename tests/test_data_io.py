@@ -5,6 +5,7 @@ the library's reader/writer, so the binary format itself is pinned and not
 just the round-trip.
 """
 
+import copy
 import json
 import struct
 
@@ -25,7 +26,6 @@ from tempcoh.data_io import (
     load_labels,
     load_phase_model,
     load_splits,
-    read_video,
     save_checkpoint,
     save_dataset,
     save_encoder,
@@ -292,18 +292,20 @@ def test_write_video_round_trip_with_labels(tmp_path, rng):
     path = tmp_path / "v.feat"
     write_video(path, seq)
     assert labels_path_for(path).name == "v.feat.labels.csv"
-    loaded = read_video(path)
+    loaded = load_features(path)
     assert loaded.features.tobytes() == seq.features.tobytes()
-    assert np.array_equal(loaded.labels, seq.labels)
+    labels = load_labels(labels_path_for(path), loaded.num_frames)
+    assert np.array_equal(labels, seq.labels)
 
 
 def test_write_video_removes_stale_sidecar(tmp_path, rng):
     path = tmp_path / "v.feat"
     write_video(path, make_seq(rng, labeled=True))
     assert labels_path_for(path).exists()
-    write_video(path, make_seq(rng, labeled=False))
+    unlabeled = make_seq(rng, labeled=False)
+    write_video(path, unlabeled)
     assert not labels_path_for(path).exists()
-    assert read_video(path).labels is None
+    assert load_features(path).features.tobytes() == unlabeled.features.tobytes()
 
 
 # ------------------------------------------------------------------ splits
@@ -495,6 +497,38 @@ def test_dataset_type_validation():
         data.split("Q")
     with pytest.raises(KeyError):
         data.by_id("missing")
+
+
+def _dataset_with_id(rng, video_id):
+    ids = ["v0", video_id, "v2", "v3"]
+    return Dataset([make_seq(rng, vid, frames=6) for vid in ids],
+                   dict(zip(ids, "ABCD")), 4, 5.0)
+
+
+@pytest.mark.parametrize("video_id", [
+    "", " v1", "v1 ", "\tv1", "v1\u3000", "a,b", "a\nb", "v1\n", "a\rb",
+    "a\x0bb", "a\x1cb", "a\x85b", "a\u2028b", "sub/x", "../escaped", "a\0b",
+    "{tmp}/escaped",
+], ids=["empty", "leading-space", "trailing-space", "leading-tab",
+        "trailing-ideographic-space", "comma", "newline", "trailing-newline",
+        "carriage-return", "vertical-tab", "file-separator", "next-line",
+        "line-separator", "slash", "parent", "nul", "absolute"])
+def test_save_dataset_refuses_ids_that_cannot_round_trip(tmp_path, rng, video_id):
+    video_id = video_id.replace("{tmp}", str(tmp_path))
+    with pytest.raises(DataFormatError, match="video id") as err:
+        save_dataset(tmp_path / "data", _dataset_with_id(rng, video_id))
+    assert repr(video_id) in str(err.value)
+    # Checked before anything is written, the dataset directory included.
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("video_id", ["v 1", "vid\u00e9o", "..", "a;b", "#1"])
+def test_save_dataset_unusual_ids_round_trip(tmp_path, rng, video_id):
+    dataset = _dataset_with_id(rng, video_id)
+    save_dataset(tmp_path / "data", dataset)
+    loaded = load_dataset(tmp_path / "data")
+    assert [v.video_id for v in loaded.videos] == ["v0", video_id, "v2", "v3"]
+    assert loaded.splits == dataset.splits
 
 
 # --------------------------------------------------------------- checkpoints
@@ -948,3 +982,79 @@ def test_fuzz_feature_file(fuzz_dir, data):
         assert seq.features.dtype == np.float32 and seq.features.size
         assert np.isfinite(seq.features).all()
         assert np.isfinite(seq.fps) and seq.fps > 0
+
+
+# Fuzzing the dataset manifest: byte-flipped or truncated copies of a valid
+# `dataset.json`, keys dropped or given values of other types, values nested
+# deeply, and member paths that leave the directory or name no file. Whatever
+# the manifest, `load_dataset` returns a dataset or raises a TempcohError
+# naming a path in the dataset directory. Run manifests are not fuzzed this
+# way: replaying one writes wherever its paths point.
+
+MANIFEST_KEYS = ["format", "version", "fps", "num_phases", "feature_dim",
+                 "splits_file", "videos"]
+VIDEO_KEYS = ["video_id", "num_frames", "features", "labels"]
+MEMBER_PATHS = st.sampled_from([
+    "../x.feat", "..", ".", "", "sub", "sub/x.feat", "./splits.txt",
+    "x/../splits.txt", "a\0b", "dataset.json", "splits.txt", "/etc/hostname",
+    "/dev/null"])
+
+
+@pytest.fixture(scope="module")
+def fuzz_dataset(tmp_path_factory):
+    """(directory, manifest) of a small saved dataset."""
+    root = tmp_path_factory.mktemp("dataset-fuzz") / "data"
+    dataset = generate_dataset(SynthConfig(min_duration=5, max_duration=9,
+                                           feature_dim=4), 4,
+                               np.random.default_rng(0))
+    manifest_path = save_dataset(root, dataset)
+    (root / "sub").mkdir()
+    return root, json.loads(manifest_path.read_text())
+
+
+def _edited_manifest(draw, root, valid) -> str:
+    manifest = copy.deepcopy(valid)
+    for _ in range(draw(st.integers(1, 3), label="edits")):
+        target = manifest
+        keys = MANIFEST_KEYS
+        if isinstance(manifest.get("videos"), list) and manifest["videos"] \
+                and draw(st.booleans()):
+            index = draw(st.integers(0, len(manifest["videos"]) - 1))
+            target, keys = manifest["videos"][index], VIDEO_KEYS
+        if not isinstance(target, dict):
+            continue
+        key = draw(st.sampled_from(keys), label="key")
+        edit = draw(st.sampled_from(["drop", "value", "path", "absolute", "nest"]))
+        if edit == "drop":
+            target.pop(key, None)
+        elif edit == "value":
+            target[key] = draw(JSON_VALUES, label="value")
+        elif edit == "path":
+            target[key] = draw(MEMBER_PATHS, label="path")
+        elif edit == "absolute":
+            target[key] = str(root / draw(st.sampled_from(
+                ["splits.txt", valid["videos"][0]["features"]])))
+        else:
+            target[key] = "NEST"
+    depth = draw(st.sampled_from([1, 2, 64, 200_000]), label="depth")
+    return json.dumps(manifest).replace('"NEST"', "[" * depth + "1" + "]" * depth)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_fuzz_dataset_manifest(fuzz_dataset, data):
+    root, valid = fuzz_dataset
+    if data.draw(st.booleans(), label="edit keys"):
+        raw = _edited_manifest(data.draw, root, valid).encode()
+    else:
+        raw = json.dumps(valid, indent=2).encode()
+        raw = raw[:data.draw(st.integers(0, len(raw)) | st.just(len(raw)),
+                             label="length")]
+    (root / "dataset.json").write_bytes(_damaged(data.draw, raw))
+    try:
+        dataset = load_dataset(root)
+    except TempcohError as exc:
+        assert str(root) in str(exc)
+    else:
+        assert len(dataset.videos) >= 1 and set(dataset.splits) == {
+            v.video_id for v in dataset.videos}

@@ -1,6 +1,5 @@
 """Loss values against hand-derived oracles, plus gradient and property checks."""
 
-import math
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from tempcoh.losses import (
     batch_loss_and_gradients,
     combined_loss,
     contrastive_loss,
-    l2_distance,
     loss_gradients,
     ranking_loss,
     second_order_contrastive_loss,
@@ -29,34 +27,6 @@ SCALAR_LOSS = {
     "contrastive2": second_order_contrastive_loss,
     "combined": combined_loss,
 }
-
-
-# ---------------------------------------------------------------- distance
-
-def test_l2_pythagorean_triple():
-    assert l2_distance((0.0, 0.0), (3.0, 4.0)) == pytest.approx(5.0, abs=TOL)
-
-
-def test_l2_identity_is_zero():
-    v = (1.25, -3.5, 0.0)
-    assert l2_distance(v, v) == 0.0
-
-
-def test_l2_matches_scalar_loop_oracle(rng):
-    a = rng.normal(size=8)
-    b = rng.normal(size=8)
-    oracle = math.sqrt(sum((float(a[i]) - float(b[i])) ** 2 for i in range(8)))
-    assert l2_distance(a, b) == pytest.approx(oracle, abs=1e-12)
-
-
-def test_l2_symmetry(rng):
-    a, b = rng.normal(size=5), rng.normal(size=5)
-    assert l2_distance(a, b) == l2_distance(b, a)
-
-
-def test_l2_dimension_mismatch():
-    with pytest.raises(ValueError):
-        l2_distance((1.0, 2.0), (1.0, 2.0, 3.0))
 
 
 # ---------------------------------------------------------------- hand values

@@ -1,4 +1,4 @@
-"""Model forward/backward correctness, initialization, freezing, Adam."""
+"""Model forward/backward correctness, initialization, Adam."""
 
 import math
 
@@ -13,7 +13,6 @@ from tempcoh.models import (
     PhaseModel,
     _row_outer_sum,
     adam_step,
-    softmax_cross_entropy,
     softmax_cross_entropy_batch,
 )
 
@@ -286,8 +285,9 @@ def test_encoder_backward_rejects_unequal_positions(rng):
 
 def test_lstm_zero_weights_zero_state():
     model = PhaseModel.create(EncoderModel.create(3, [], 2), 4, 3)
-    logits, state = model.lstm_step(np.array([0.7, -0.2]), model.zero_state())
-    assert np.array_equal(logits, np.zeros(3))
+    logits, state = model.forward_chunk(np.array([[0.7, -0.2, 0.4]]),
+                                        model.zero_state())
+    assert np.array_equal(logits, np.zeros((1, 3)))
     assert np.array_equal(state.h, np.zeros(4))
     assert np.array_equal(state.c, np.zeros(4))
 
@@ -297,7 +297,8 @@ def test_lstm_zero_weights_carried_cell():
     # is 0, so c' = c/2 and h' = tanh(c/2)/2.
     model = PhaseModel.create(EncoderModel.create(3, [], 2), 4, 3,)
     v = np.array([1.0, -2.0, 0.5, 3.0], dtype=np.float32)
-    _, state = model.lstm_step(np.zeros(2), LstmState(np.zeros(4, np.float32), v))
+    _, state = model.forward_chunk(np.zeros((1, 3)),
+                                   LstmState(np.zeros(4, np.float32), v))
     assert np.allclose(state.c, 0.5 * v, atol=1e-7)
     assert np.allclose(state.h, 0.5 * np.tanh(0.5 * v), atol=1e-7)
 
@@ -336,17 +337,6 @@ def test_chunked_forward_equals_whole_sequence(rng):
         assert np.max(np.abs(stitched - whole)) <= 1e-5
         assert np.max(np.abs(state.h - state_whole.h)) <= 1e-5
         assert np.max(np.abs(state.c - state_whole.c)) <= 1e-5
-
-
-def test_chunk_of_one_equals_lstm_step(rng):
-    model = f64_phase_model(rng)
-    x = rng.normal(size=(1, 3))
-    state0 = LstmState(rng.normal(size=3), rng.normal(size=3))
-    chunk_logits, chunk_state = model.forward_chunk(x, state0.copy())
-    step_logits, step_state = model.lstm_step(model.encoder.forward(x[0]), state0)
-    assert np.array_equal(chunk_logits[0], step_logits)
-    assert np.array_equal(chunk_state.h, step_state.h)
-    assert np.array_equal(chunk_state.c, step_state.c)
 
 
 def test_carried_state_affects_second_chunk(rng):
@@ -508,14 +498,21 @@ def test_phase_model_create_validation():
 
 # ----------------------------------------------------------- cross entropy
 
+def _one_row(logits, label):
+    """Cross entropy of one frame through the batched function."""
+    losses, grads = softmax_cross_entropy_batch(np.asarray(logits)[None],
+                                                np.array([label]))
+    return float(losses[0]), grads[0]
+
+
 def test_cross_entropy_uniform_logits():
-    loss, grad = softmax_cross_entropy(np.zeros(7), 3)
+    loss, grad = _one_row(np.zeros(7), 3)
     assert loss == pytest.approx(math.log(7.0), abs=1e-12)
     assert grad[3] == pytest.approx(1.0 / 7.0 - 1.0, abs=1e-12)
 
 
 def test_cross_entropy_confident_correct():
-    loss, grad = softmax_cross_entropy(np.array([10.0, -10.0]), 0)
+    loss, grad = _one_row(np.array([10.0, -10.0]), 0)
     assert loss == pytest.approx(math.log1p(math.exp(-20.0)), rel=1e-6)
     assert loss == pytest.approx(2.061e-9, rel=1e-3)
     # gradient = softmax - one_hot: tiny negative on the target coordinate,
@@ -527,9 +524,9 @@ def test_cross_entropy_confident_correct():
 
 def test_cross_entropy_label_out_of_range():
     with pytest.raises(ValueError):
-        softmax_cross_entropy(np.zeros(3), 3)
+        _one_row(np.zeros(3), 3)
     with pytest.raises(ValueError):
-        softmax_cross_entropy(np.zeros(3), -1)
+        _one_row(np.zeros(3), -1)
 
 
 def test_cross_entropy_gradient_matches_finite_differences(rng):
@@ -537,9 +534,20 @@ def test_cross_entropy_gradient_matches_finite_differences(rng):
     for _ in range(10):
         logits = rng.normal(size=5) * 3
         label = int(rng.integers(5))
-        _, grad = softmax_cross_entropy(logits, label)
-        numeric = central_diff(lambda z: softmax_cross_entropy(z, label)[0], logits)
+        _, grad = _one_row(logits, label)
+        numeric = central_diff(lambda z: _one_row(z, label)[0], logits)
         assert rel_error(grad, numeric) < 1e-6
+
+
+def _reference_softmax_cross_entropy(logits, label: int):
+    """The single-frame cross entropy the batched function replaced."""
+    z = np.asarray(logits, dtype=np.float64)
+    shifted = z - z.max()
+    log_norm = np.log(np.exp(shifted).sum())
+    loss = float(log_norm - shifted[label])
+    grad = np.exp(shifted - log_norm)
+    grad[label] -= 1.0
+    return loss, grad
 
 
 def test_cross_entropy_batch_equals_singles_exactly(rng):
@@ -547,7 +555,7 @@ def test_cross_entropy_batch_equals_singles_exactly(rng):
     labels = rng.integers(0, 4, size=9)
     losses, grads = softmax_cross_entropy_batch(logits, labels)
     for row in range(9):
-        loss, grad = softmax_cross_entropy(logits[row], int(labels[row]))
+        loss, grad = _reference_softmax_cross_entropy(logits[row], int(labels[row]))
         assert losses[row] == loss
         assert np.array_equal(grads[row], grad)
 
@@ -594,9 +602,10 @@ def test_adam_keeps_existing_moments():
     params = {"w": np.zeros(3)}
     state = AdamState(lr=1e-2)
     adam_step(params, {"w": np.full(3, 0.5)}, state)
-    m, v = state.m["w"], state.v["w"]
+    m, v = state.m, state.v
+    assert state.names == ("w",) and m.shape == v.shape == (3,)
     adam_step(params, {"w": np.full(3, 0.5)}, state)
-    assert state.m["w"] is m and state.v["w"] is v
+    assert state.m is m and state.v is v
     assert np.allclose(m, 0.9 * 0.05 + 0.1 * 0.5, rtol=0, atol=1e-15)
     assert np.allclose(v, 0.999 * 0.00025 + 0.001 * 0.25, rtol=0, atol=1e-15)
 
@@ -662,39 +671,35 @@ def test_phase_model_head_init_uses_combined_lstm_fan_in(rng):
 
 
 def test_copies_are_independent(rng):
-    model = f64_phase_model(rng)
-    before_bias = model.lstm_bias.copy()
-    before_w0 = model.encoder.weights[0].copy()
-    clone = model.copy()
-    clone.lstm_bias += 1.0
-    clone.encoder.weights[0] += 1.0
-    assert np.array_equal(model.lstm_bias, before_bias)
-    assert np.array_equal(model.encoder.weights[0], before_w0)
-    assert not np.array_equal(model.lstm_bias, clone.lstm_bias)
+    enc = f64_encoder(rng)
+    before_w0, before_b1 = enc.weights[0].copy(), enc.biases[1].copy()
+    clone = enc.copy()
+    clone.weights[0] += 1.0
+    clone.biases[1] += 1.0
+    assert np.array_equal(enc.weights[0], before_w0)
+    assert np.array_equal(enc.biases[1], before_b1)
+    assert not np.array_equal(enc.weights[0], clone.weights[0])
 
 
-def _reference_adam_step(params, grads, state):
-    """The per-parameter Adam loop the flat update replaced."""
+def _reference_adam_step(params, grads, hyper: AdamState, state: dict):
+    """The per-parameter Adam loop the flat update replaced. `state` holds
+    the step count and per-name moments; `hyper` only the constants."""
     if not grads:
         return
-    state.step_count += 1
-    t = state.step_count
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    state["step"] += 1
+    t = state["step"]
+    c1 = 1.0 - hyper.beta1 ** t
+    c2 = 1.0 - hyper.beta2 ** t
     for name in sorted(grads):
         p = params[name]
         g = grads[name].astype(p.dtype, copy=False)
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p)
-        v = state.v.get(name)
-        if v is None:
-            v = state.v[name] = np.zeros_like(p)
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m = state["m"].setdefault(name, np.zeros_like(p))
+        v = state["v"].setdefault(name, np.zeros_like(p))
+        m *= hyper.beta1
+        m += (1.0 - hyper.beta1) * g
+        v *= hyper.beta2
+        v += (1.0 - hyper.beta2) * g * g
+        p -= hyper.lr * (m / c1) / (np.sqrt(v / c2) + hyper.eps)
 
 
 @pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
@@ -707,28 +712,52 @@ def test_flat_adam_equals_per_parameter_reference_bitwise(dtype, grad_dtype):
     params = {name: rng.normal(size=shape).astype(dtype)
               for name, shape in shapes.items()}
     ref_params = {name: p.copy() for name, p in params.items()}
-    state, ref_state = AdamState(lr=3e-2), AdamState(lr=3e-2)
-    # The name set changes (frozen layers, a new parameter) and changes back.
-    frozen = {"encoder.0.weight", "encoder.0.bias"}
+    state = AdamState(lr=3e-2)
+    ref_state = {"step": 0, "m": {}, "v": {}}
     for step in range(20):
-        names = sorted(shapes)
-        if 5 <= step < 12:
-            names = [name for name in names if name not in frozen]
-        if step < 3:
-            names = [name for name in names if name != "lstm.w_hidden"]
         grads = {name: (rng.normal(size=shapes[name]) * 10.0 ** (step % 4 - 2))
-                 .astype(grad_dtype) for name in reversed(names)}
+                 .astype(grad_dtype) for name in reversed(sorted(shapes))}
         if step == 7:
             grads["encoder.1.bias"][:] = 0.0
         adam_step(params, grads, state)
-        _reference_adam_step(ref_params, grads, ref_state)
-        assert state.step_count == ref_state.step_count
-        assert state.m.keys() == ref_state.m.keys()
+        _reference_adam_step(ref_params, grads, state, ref_state)
+        assert state.step_count == ref_state["step"]
+        assert state.names == tuple(sorted(shapes))
         for name in shapes:
             assert _same_bits(params[name], ref_params[name]), (step, name)
-        for name in ref_state.m:
-            assert _same_bits(state.m[name], ref_state.m[name]), (step, name)
-            assert _same_bits(state.v[name], ref_state.v[name]), (step, name)
+        for flat, moments in ((state.m, ref_state["m"]), (state.v, ref_state["v"])):
+            assert _same_bits(flat, np.concatenate(
+                [moments[name].reshape(-1) for name in state.names])), step
+
+
+@pytest.mark.parametrize("later", ["fewer-names", "more-names", "other-name",
+                                   "other-dtype", "other-size"])
+def test_adam_step_unlike_the_first_raises_and_changes_nothing(later):
+    params = {"a": np.ones((2, 3)), "b": np.ones(4)}
+    state = AdamState(lr=1e-2)
+    adam_step(params, {"a": np.full((2, 3), 0.5), "b": np.full(4, -0.5)}, state)
+    grads = {"a": np.full((2, 3), 0.25), "b": np.full(4, 0.25)}
+    if later == "fewer-names":
+        del grads["b"]
+    elif later == "more-names":
+        params["c"] = np.ones(1)
+        grads["c"] = np.ones(1)
+    elif later == "other-name":
+        params["c"] = params.pop("b")
+        grads["c"] = grads.pop("b")
+    elif later == "other-dtype":
+        params = {name: p.astype(np.float32) for name, p in params.items()}
+    else:
+        params["b"] = np.ones(5)
+        grads["b"] = np.full(5, 0.25)
+    before = {name: p.copy() for name, p in params.items()}
+    m, v = state.m.copy(), state.v.copy()
+    with pytest.raises(ValueError, match="first step"):
+        adam_step(params, grads, state)
+    for name, p in params.items():
+        assert _same_bits(p, before[name]), name
+    assert state.step_count == 1 and state.names == ("a", "b")
+    assert _same_bits(state.m, m) and _same_bits(state.v, v)
 
 
 def test_adam_rejects_parameters_of_mixed_dtypes():

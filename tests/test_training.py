@@ -224,24 +224,12 @@ def test_pretrain_equals_per_position_forward_bitwise(monkeypatch, method,
     result = pretrain(enc, videos, cfg, rng=11)
     assert len(schedules) == 2
     assert schedules[0].indices.shape[1] == LOSS_ARITY[cfg.loss_kind]
+    # 120 tuples per epoch, so batch sizes 17 and 64 end on a partial batch.
+    assert len(schedules[0]) == len(schedules[1]) == 120
     expected = _reference_pretrain(ref, videos, cfg, schedules)
     assert result.epoch_losses == expected
     for name, arr in ref.parameters().items():
         assert enc.parameters()[name].tobytes() == arr.tobytes(), name
-
-
-def test_pretrain_batch_observer_sees_all_tuples(rng):
-    sampler = SamplerConfig(delta_seconds=5.0, gamma_seconds=20.0, fps=1.0,
-                            tuples_per_video=250)
-    videos = unlabeled_videos(rng)  # 2 videos -> 500 tuples per epoch
-    enc = EncoderModel.create(6, [], 4).init_uniform_fan(rng)
-    seen = []
-    pretrain(enc, videos,
-             PretrainConfig(epochs=2, batch_size=64, sampler=sampler),
-             rng=0, batch_observer=lambda e, n: seen.append((e, n)))
-    per_epoch = [64] * 7 + [52]
-    assert [n for e, n in seen] == per_epoch * 2
-    assert [e for e, n in seen] == [0] * 8 + [1] * 8
 
 
 def test_pretrain_input_validation(rng):
@@ -313,17 +301,28 @@ def test_accumulation_count_changes_the_updates(rng):
                for name in finals[0])
 
 
-def test_chunk_observer_walks_each_video_in_order(rng):
+def test_finetune_walks_each_video_in_order(monkeypatch, rng):
     videos = labeled_videos(rng, n=2, frames_per_phase=30)  # 90 frames each
     model = make_model(rng)
     calls = []
+    forward = PhaseModel.forward_chunk_cached
+
+    def recording(self, frames, state_in, keep_cache=True):
+        # Each chunk is a row slice of one video's features.
+        for seq in videos:
+            if np.shares_memory(frames, seq.features):
+                start = ((frames.ctypes.data - seq.features.ctypes.data)
+                         // seq.features.strides[0])
+                calls.append((seq.video_id, start, start + len(frames)))
+        return forward(self, frames, state_in, keep_cache)
+
+    monkeypatch.setattr(PhaseModel, "forward_chunk_cached", recording)
     finetune(model, videos,
              FinetuneConfig(max_epochs=1, stop_train_accuracy=1.0,
                             batch_frames=40),
-             rng=3, chunk_observer=lambda *a: calls.append(a))
+             rng=3)
     by_video = {}
-    for epoch, vid, start, end in calls:
-        assert epoch == 0
+    for vid, start, end in calls:
         assert 0 < end - start <= 40
         by_video.setdefault(vid, []).append((start, end))
     assert set(by_video) == {"l0", "l1"}
