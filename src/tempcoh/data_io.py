@@ -350,6 +350,12 @@ def load_splits(path) -> dict[str, str]:
     return out
 
 
+# The longest name written for a video is the temp name of its labels file,
+# `<id>.feat.labels.csv` plus `_atomic_write`'s 21-byte suffix, and a file
+# name holds at most 255 bytes.
+_MAX_VIDEO_ID_BYTES = 255 - len(".feat.labels.csv") - len(".0123456789abcdef.tmp")
+
+
 def _check_video_id(video_id: str) -> None:
     """Refuse an id that cannot name a file in the dataset directory or
     round-trip through `splits.txt`."""
@@ -361,6 +367,10 @@ def _check_video_id(video_id: str) -> None:
         problem = "holds ','"
     elif {"/", os.sep, os.altsep, "\0"} & set(video_id):
         problem = "holds a path separator or NUL"
+    elif any("\ud800" <= ch <= "\udfff" for ch in video_id):
+        problem = "holds a surrogate, which UTF-8 cannot encode"
+    elif len(video_id.encode("utf-8")) > _MAX_VIDEO_ID_BYTES:
+        problem = f"is longer than {_MAX_VIDEO_ID_BYTES} UTF-8 bytes"
     else:
         return
     raise DataFormatError(f"refusing to write dataset: video id {video_id!r} "

@@ -1,30 +1,26 @@
 """Trainable models: frame encoder, encoder+LSTM phase model, Adam.
 
-Everything is plain numpy with hand-written backward passes. A row of a
-batched product must equal the same row computed alone, so forward
-products and input gradients go through `np.matvec`/`np.vecmat` (numpy >=
-2.2), which make one BLAS gemv call per row: a row's result depends neither
-on the rows around it, nor on its memory offset, nor on the BLAS thread
-count. It does depend on the kernel, which follows the weight's memory
-order and the vector's stride, so the constructors require C-contiguous
-weights and the entry points make their inputs contiguous. Weight
-gradients are sums over rows: `_row_outer_sum` is one gemm per block of
-rows, which gives the same bits for the same rows at any offset. So the
-encoder backward over a stack of equal blocks (the tuple positions of a
-pretraining batch) takes one batched matmul and adds the block results in
-order along the leading axis, bitwise equal to one backward call per block,
-added up.
+Everything is plain numpy with hand-written backward passes. Products over
+a stack of rows are one BLAS call each: the encoder's forward and input
+gradients, the LSTM's input products and the classifier are one gemm per
+batch or chunk, and weight gradients one gemm over all rows (`dz.T @ a`).
+A row of such a product is not bitwise independent of the rows around it,
+so a row embedded alone can differ in its last bits from the same row
+inside a batch. The bits are fixed by the shapes: the same inputs give the
+same outputs at any BLAS thread count. The kernel also follows the memory
+order of the operands, so the constructors require C-contiguous weights
+and the entry points make their inputs contiguous.
+
+The per-frame LSTM loops write into preallocated buffers. Their ufuncs
+take `out` positionally (no keyword parsing) and constants as prebuilt
+arrays of the model dtype (no float conversion per call). A forward step
+is 10 numpy calls and a backward step 6; see `_recurrence` and
+`_recurrence_backward`.
 
 Adam updates every parameter of a step as one flat array: per element the
 same operations, in the same order, as a per-parameter update. The layout
 is fixed at the first step; a later step with other parameter names, sizes
 or dtype is an error.
-
-The per-frame LSTM loops write into preallocated buffers; each element goes
-through the same operations in the same order as a plain expression would.
-Their ufuncs take `out` positionally (no keyword parsing) and constants as
-prebuilt arrays of the model dtype (no float conversion per call), except
-`np.minimum`/`np.maximum`, whose positional `out` numpy 2 deprecates.
 
 Parameters are stored as float32 by default (matching the checkpoint
 format); gradient-check tests build float64 models instead. A parameter is
@@ -42,14 +38,13 @@ DEFAULT_DTYPE = np.float32
 
 
 def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """x @ weight.T + bias for one row or a stack, one gemv per row."""
-    return np.matvec(weight, x) + bias
+    """x @ weight.T + bias for one row (one gemv) or a stack (one gemm)."""
+    return x @ weight.T + bias
 
 
 def _row_outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum over t of outer(a[..., t, :], b[..., t, :]) for a (..., T, O) and
-    b (..., T, I): one gemm per leading index."""
-    return a.mT @ b
+    """sum over t of outer(a[t], b[t]) for a (T, O) and b (T, I): one gemm."""
+    return a.T @ b
 
 
 def _uniform_fan_in(rng, shape: tuple[int, ...], fan_in: int, dtype) -> np.ndarray:
@@ -145,34 +140,20 @@ class EncoderModel:
             a = np.maximum(z, 0)
         return a, cache
 
-    def backward(self, cache, grad_embedding: np.ndarray,
-                 positions: int = 1) -> dict[str, np.ndarray]:
-        """Gradients of every parameter for one cached forward.
-
-        The batch is `positions` equal consecutive blocks of rows. Each
-        weight and bias gradient is reduced over every block's rows
-        separately and the block results are added in order, which is
-        bitwise equal to adding up one backward call per block; the rowwise
-        steps run once over all rows."""
+    def backward(self, cache, grad_embedding: np.ndarray) -> dict[str, np.ndarray]:
+        """Gradients of every parameter for one cached forward, each summed
+        over all rows of the batch."""
         if len(cache) != self.num_layers:
             raise ValueError("cache does not match this encoder")
-        rows = grad_embedding.shape[0]
-        if positions < 1 or rows % positions:
-            raise ValueError(f"{rows} rows do not split into {positions} "
-                             f"equal blocks")
         grads: dict[str, np.ndarray] = {}
         da = grad_embedding
         for i in reversed(range(self.num_layers)):
             a_in, z = cache[i]
             dz = da * (z > 0)
-            dz_blocks = dz.reshape(positions, rows // positions, -1)
-            a_blocks = a_in.reshape(positions, rows // positions, -1)
-            grads[f"encoder.{i}.weight"] = np.add.reduce(
-                _row_outer_sum(dz_blocks, a_blocks), axis=0)
-            grads[f"encoder.{i}.bias"] = np.add.reduce(
-                dz_blocks.sum(axis=1), axis=0)
+            grads[f"encoder.{i}.weight"] = _row_outer_sum(dz, a_in)
+            grads[f"encoder.{i}.bias"] = dz.sum(axis=0)
             if i > 0:
-                da = np.vecmat(dz, self.weights[i])
+                da = dz @ self.weights[i]
         return grads
 
     def copy(self) -> "EncoderModel":
@@ -280,14 +261,20 @@ class PhaseModel:
         from the carried state (h, c), which is read and never written.
 
         Returns (gates, cs, tanh_cs, hs_out), each row the values at one
-        step. The sigmoid over all four gates is exp(min(z, 0)) / (1 +
-        exp(-|z|)): per element the same operations as the stable two-branch
-        form 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, without
-        masks."""
+        step. A sigmoid gate is tanh(z/2)/2 + 1/2. Halving is exact (a
+        power-of-two scale), so it is folded into copies of zx and of the
+        recurrent weight rows of the input, forget and output gates; one
+        tanh over all 4H pre-activations, one multiply by `scale` and one
+        add of `shift` then give all four gates, the candidate with scale 1
+        and shift 0."""
         n = zx.shape[0]
         hs = self.hidden_size
         dt = self.dtype
-        w_hidden = self.lstm_w_hidden
+        scale = np.full(4 * hs, 0.5, dtype=dt)
+        scale[2 * hs:3 * hs] = 1.0
+        shift = 1.0 - scale
+        zx = zx * scale
+        w_hidden = self.lstm_w_hidden * scale[:, None]
         gates = np.empty((n, 4 * hs), dtype=dt)
         cs = np.empty((n, hs), dtype=dt)
         tanh_cs = np.empty((n, hs), dtype=dt)
@@ -295,23 +282,14 @@ class PhaseModel:
         gi, gf = gates[:, :hs], gates[:, hs:2 * hs]
         gg, go = gates[:, 2 * hs:3 * hs], gates[:, 3 * hs:]
         z = np.empty(4 * hs, dtype=dt)
-        z_cand = z[2 * hs:3 * hs]
-        num_den = np.empty((2, 4 * hs), dtype=dt)
-        num, den = num_den
         ig = np.empty(hs, dtype=dt)
-        zero = np.zeros(4 * hs, dtype=dt)
-        one = np.ones(4 * hs, dtype=dt)
-        minus_one = -one
         for zx_t, g_t, gi_t, gf_t, gg_t, go_t, c_t, tc_t, h_t in zip(
                 zx, gates, gi, gf, gg, go, cs, tanh_cs, hs_out):
-            np.matvec(w_hidden, h, z)
+            np.dot(w_hidden, h, z)
             np.add(zx_t, z, z)
-            np.minimum(z, zero, out=num)
-            np.copysign(z, minus_one, den)
-            np.exp(num_den, num_den)
-            np.add(one, den, den)
-            np.divide(num, den, g_t)
-            np.tanh(z_cand, gg_t)
+            np.tanh(z, g_t)
+            np.multiply(g_t, scale, g_t)
+            np.add(g_t, shift, g_t)
             np.multiply(gf_t, c, c_t)
             np.multiply(gi_t, gg_t, ig)
             np.add(c_t, ig, c_t)
@@ -354,38 +332,34 @@ class PhaseModel:
         dt = dh_seq.dtype
         gi, gf = gates[:, :hs], gates[:, hs:2 * hs]
         gg, go = gates[:, 2 * hs:3 * hs], gates[:, 3 * hs:]
-        # The gate pre-activation gradients are ((a * x1) * x2) * x3 with
-        # a = (dc, dc, dc, dh) per gate, e.g. ((dc * gg) * gi) * (1 - gi) for
-        # the input gate. x1..x3 are known before the loop. The candidate's
-        # x3 is 1, which leaves (dc * gi) * (1 - gg**2) exact.
+        # The gate pre-activation gradients are a * ((x1 * x2) * x3) with
+        # a = (dc, dc, dc, dh) per gate, e.g. dc * ((gg * gi) * (1 - gi)) for
+        # the input gate. The product y of x1..x3 is known before the loop.
+        # The candidate's x3 is 1, which leaves gi * (1 - gg**2) exact.
         cand = slice(2 * hs, 3 * hs)
         x1 = np.concatenate([gg, c_prev, gi, tanh_cs], axis=1)
         x2 = gates.copy()
         x2[:, cand] = 1.0 - gg ** 2
         x3 = 1.0 - gates
         x3[:, cand] = 1.0
-        one_minus_tanh_sq = 1.0 - tanh_cs ** 2
+        y = x1 * x2 * x3
+        go_dtanh = go * (1.0 - tanh_cs ** 2)
         dzs = np.empty((n, 4 * hs), dtype=dt)
         a = np.empty(4 * hs, dtype=dt)
         dc, dh = a[:hs], a[3 * hs:]
-        dc_copies = a[hs:3 * hs].reshape(2, hs)
+        dc_slots = a[:3 * hs].reshape(3, hs)  # dc, broadcast to three gates
         dh_go = np.empty(hs, dtype=dt)
         dh_next = np.zeros(hs, dtype=dt)
         dc_next = np.zeros(hs, dtype=dt)
         w_hidden = self.lstm_w_hidden
-        for dh_t, go_t, tsq_t, gf_t, x1_t, x2_t, x3_t, dz in zip(
-                dh_seq[::-1], go[::-1], one_minus_tanh_sq[::-1], gf[::-1],
-                x1[::-1], x2[::-1], x3[::-1], dzs[::-1]):
+        for dh_t, gd_t, gf_t, y_t, dz in zip(
+                dh_seq[::-1], go_dtanh[::-1], gf[::-1], y[::-1], dzs[::-1]):
             np.add(dh_t, dh_next, dh)
-            np.multiply(dh, go_t, dh_go)
-            np.multiply(dh_go, tsq_t, dh_go)
-            np.add(dc_next, dh_go, dc)
-            np.copyto(dc_copies, dc)
+            np.multiply(dh, gd_t, dh_go)
+            np.add(dc_next, dh_go, dc_slots)
             np.multiply(dc, gf_t, dc_next)
-            np.multiply(a, x1_t, dz)
-            np.multiply(dz, x2_t, dz)
-            np.multiply(dz, x3_t, dz)
-            np.vecmat(dz, w_hidden, dh_next)
+            np.multiply(a, y_t, dz)
+            np.dot(dz, w_hidden, dh_next)
         return dzs
 
     def backward_chunk(self, cache, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
@@ -399,12 +373,12 @@ class PhaseModel:
             "classifier.weight": _row_outer_sum(grad_logits, hs_out),
             "classifier.bias": grad_logits.sum(axis=0),
         }
-        dh_seq = np.vecmat(grad_logits, self.clf_weight)
+        dh_seq = grad_logits @ self.clf_weight
         dzs = self._recurrence_backward(dh_seq, gates, c_prev, tanh_cs)
         grads["lstm.w_input"] = _row_outer_sum(dzs, emb)
         grads["lstm.w_hidden"] = _row_outer_sum(dzs, h_prev)
         grads["lstm.bias"] = dzs.sum(axis=0)
-        grad_emb = np.vecmat(dzs, self.lstm_w_input)
+        grad_emb = dzs @ self.lstm_w_input
         grads.update(self.encoder.backward(enc_cache, grad_emb))
         return grads
 

@@ -4,6 +4,11 @@ For one query frame, every corpus video contributes its single closest frame
 (exhaustive scan, ties broken toward the lowest frame index), and the
 per-video results are sorted ascending by distance. Distances are unsquared
 L2 computed in float64.
+
+Frames are embedded a whole video at a time, and a query frame is its row
+of its video's embedding. The encoder's batched products are not bitwise
+row-independent, so this is what makes a query frame and the same frame in
+the corpus the same vector, at distance exactly 0.
 """
 
 from __future__ import annotations
@@ -62,14 +67,18 @@ def embed_corpus(encoder: EncoderModel,
 def retrieval_report(encoder: EncoderModel,
                      queries: list[tuple[FrameSequence, int]],
                      corpus: list[FrameSequence]) -> list[RetrievalResult]:
-    """Answer every query against a once-embedded corpus."""
+    """Answer every query against a once-embedded corpus. A query video is
+    embedded once, or not at all if it is a corpus video."""
     corpus_embeddings = embed_corpus(encoder, corpus)
+    embedded = {id(seq): emb for seq, emb in zip(corpus, corpus_embeddings)}
     results = []
     for seq, frame in queries:
         if not 0 <= frame < seq.num_frames:
             raise ValueError(f"query frame {frame} out of range for video "
                              f"{seq.video_id!r} with {seq.num_frames} frames")
-        q = encoder.forward(seq.features[frame]).astype(np.float64)
+        if id(seq) not in embedded:
+            embedded[id(seq)] = encoder.forward(seq.features).astype(np.float64)
+        q = embedded[id(seq)][frame]
         matches = []
         for video, emb in zip(corpus, corpus_embeddings):
             idx, dist = nearest_frame(q, emb)

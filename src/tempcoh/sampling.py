@@ -126,20 +126,11 @@ def _draw(last, cfg: SamplerConfig, rng, second_order: bool) -> np.ndarray:
     return np.stack((t, t + d, t + g), axis=-1)
 
 
-def _sample(num_frames: int, cfg: SamplerConfig, rng, second_order: bool) -> SampledTuple:
-    _check_length(num_frames, cfg.gamma_frames)
-    row = _draw(num_frames - 1, cfg, rng, second_order)
-    return SampledTuple("second" if second_order else "first", tuple(row.tolist()))
-
-
 def sample_first_order(num_frames: int, cfg: SamplerConfig, rng) -> SampledTuple:
     """Draw one (t, t+D, t+G) tuple."""
-    return _sample(num_frames, cfg, rng, second_order=False)
-
-
-def sample_second_order(num_frames: int, cfg: SamplerConfig, rng) -> SampledTuple:
-    """Draw one (t, t+D, t+2D, t+G) tuple."""
-    return _sample(num_frames, cfg, rng, second_order=True)
+    _check_length(num_frames, cfg.gamma_frames)
+    row = _draw(num_frames - 1, cfg, rng, second_order=False)
+    return SampledTuple("first", tuple(row.tolist()))
 
 
 def build_epoch_schedule(

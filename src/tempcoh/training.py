@@ -111,9 +111,7 @@ def pretrain(encoder: EncoderModel, videos: list[FrameSequence],
             batch = rows[start:start + cfg.batch_size]
             n = len(batch)
             # One forward over the tuples' frames stacked position-major:
-            # rows [pos*n, (pos+1)*n) hold tuple position pos. The encoder
-            # treats rows independently, so each block equals a forward of
-            # that position alone.
+            # rows [pos*n, (pos+1)*n) hold tuple position pos.
             emb, cache = encoder.forward_cached(features[batch.T.ravel()])
             embedded = emb.astype(np.float64).reshape(arity, n, -1)
             losses, grads = batch_loss_and_gradients(kind, embedded, cfg.loss)
@@ -125,10 +123,10 @@ def pretrain(encoder: EncoderModel, videos: list[FrameSequence],
                     f"{videos[schedule.video[bad]].video_id!r}, "
                     f"frames {tuple(schedule.indices[bad].tolist())}")
             loss_sum += float(losses.sum())
-            # One backward over the whole stack; summing the parameter
-            # gradients position by position keeps the per-position order.
+            # One backward over the whole stack sums the parameter gradients
+            # of every tuple position.
             upstream = (grads.reshape(arity * n, -1) / n).astype(encoder.dtype)
-            total = encoder.backward(cache, upstream, arity)
+            total = encoder.backward(cache, upstream)
             adam_step(encoder.parameters(), total, adam)
         history.append(loss_sum / len(schedule))
     return PretrainResult(cfg.method, history, tuples_per_epoch)

@@ -508,11 +508,12 @@ def _dataset_with_id(rng, video_id):
 @pytest.mark.parametrize("video_id", [
     "", " v1", "v1 ", "\tv1", "v1\u3000", "a,b", "a\nb", "v1\n", "a\rb",
     "a\x0bb", "a\x1cb", "a\x85b", "a\u2028b", "sub/x", "../escaped", "a\0b",
-    "{tmp}/escaped",
+    "{tmp}/escaped", "a\ud800b", "x" * 300, "x" * 219, "\u00e9" * 110,
 ], ids=["empty", "leading-space", "trailing-space", "leading-tab",
         "trailing-ideographic-space", "comma", "newline", "trailing-newline",
         "carriage-return", "vertical-tab", "file-separator", "next-line",
-        "line-separator", "slash", "parent", "nul", "absolute"])
+        "line-separator", "slash", "parent", "nul", "absolute",
+        "lone-surrogate", "300-bytes", "219-bytes", "220-utf8-bytes"])
 def test_save_dataset_refuses_ids_that_cannot_round_trip(tmp_path, rng, video_id):
     video_id = video_id.replace("{tmp}", str(tmp_path))
     with pytest.raises(DataFormatError, match="video id") as err:
@@ -522,7 +523,8 @@ def test_save_dataset_refuses_ids_that_cannot_round_trip(tmp_path, rng, video_id
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("video_id", ["v 1", "vid\u00e9o", "..", "a;b", "#1"])
+@pytest.mark.parametrize("video_id", ["v 1", "vid\u00e9o", "..", "a;b", "#1",
+                                      "x" * 218, "\u00e9" * 109])
 def test_save_dataset_unusual_ids_round_trip(tmp_path, rng, video_id):
     dataset = _dataset_with_id(rng, video_id)
     save_dataset(tmp_path / "data", dataset)

@@ -10,7 +10,7 @@ the criterion-8 CLI chain and compares them with the digests in
 and say why. The products run on BLAS kernels that OpenBLAS picks per CPU
 at run time, so the digests are keyed to the numpy version, the machine,
 the BLAS build and the kernel core it reports; elsewhere the guard skips.
-Rows do not depend on the BLAS thread count, which a subprocess run at one
+Outputs do not depend on the BLAS thread count, which a subprocess run at one
 and at two threads checks.
 """
 

@@ -91,6 +91,23 @@ def test_self_retrieval_is_top_match_with_zero_distance(rng):
     assert top.distance == 0.0
 
 
+def test_every_query_frame_comes_back_from_its_video_at_exactly_zero(rng):
+    # A query frame is its row of its whole video's embedding, so it equals
+    # the corpus embedding of that frame bit for bit, also when the query
+    # video is a copy from outside the corpus rather than a corpus video.
+    encoder = EncoderModel.create(16, [64], 32).init_uniform_fan(rng)
+    corpus = [make_video(rng, f"c{i}", frames=40, dim=16) for i in range(3)]
+    outside = FrameSequence("q", corpus[2].features.copy(), 1.0)
+    queries = [(seq, f) for seq in (*corpus, outside)
+               for f in range(seq.num_frames)]
+    results = retrieval_report(encoder, queries, corpus)
+    assert len(results) == 160
+    for res in results:
+        own = "c2" if res.query_video == "q" else res.query_video
+        match = next(m for m in res.matches if m.video_id == own)
+        assert (match.frame_index, match.distance) == (res.query_frame, 0.0)
+
+
 def test_exact_ties_keep_corpus_order(rng):
     encoder = EncoderModel.create(4, [], 3).init_uniform_fan(rng)
     base = make_video(rng, "a")

@@ -11,7 +11,6 @@ from tempcoh.sampling import (
     _draw,
     build_epoch_schedule,
     sample_first_order,
-    sample_second_order,
 )
 
 
@@ -75,15 +74,11 @@ def test_second_order_invariants_over_many_draws(rng):
 
 
 def test_second_order_zero_offset_tuple_is_legal(rng):
-    cfg = frame_cfg(1, 5)
-    seen_zero = False
-    for _ in range(200):
-        tup = sample_second_order(50, cfg, rng)
-        t, near, near2, _ = tup.indices
-        if near == t:
-            assert near2 == t
-            seen_zero = True
-    assert seen_zero
+    t, near, near2, _ = draw_tuples(50, frame_cfg(1, 5, tuples=200), rng,
+                                    order="second").T
+    zero = near == t
+    assert zero.any()
+    assert (near2[zero] == t[zero]).all()
 
 
 # ------------------------------------------------------------ distributions
@@ -145,10 +140,10 @@ def test_no_valid_distant_frame_raised_exactly_at_threshold(rng):
         with pytest.raises(NoValidDistantFrame):
             sample_first_order(t_total, cfg, rng)
         with pytest.raises(NoValidDistantFrame):
-            sample_second_order(t_total, cfg, rng)
+            draw_tuples(t_total, cfg, rng, order="second")
     for t_total in (601, 1000):  # T - 1 >= 600: must succeed
         sample_first_order(t_total, cfg, rng)
-        sample_second_order(t_total, cfg, rng)
+        draw_tuples(t_total, cfg, rng, order="second")
 
 
 @pytest.mark.parametrize("second_order", [False, True], ids=["first", "second"])

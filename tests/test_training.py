@@ -160,9 +160,9 @@ def test_pretrain_raises_on_non_finite_features(rng):
 
 
 def _reference_pretrain(encoder, videos, cfg, schedules):
-    """Pretraining over given epoch schedules as one row copy per tuple and
-    one encoder forward per tuple position: the loop `pretrain` replaced
-    with a single gather and a single forward per batch."""
+    """Pretraining over given epoch schedules, written out plainly: one row
+    copy per tuple frame into a position-major stack, then every layer's
+    forward and backward products over the whole stack."""
     kind = cfg.loss_kind
     arity = LOSS_ARITY[kind]
     adam = AdamState(lr=cfg.lr)
@@ -174,25 +174,25 @@ def _reference_pretrain(encoder, videos, cfg, schedules):
             batch = list(zip(schedule.video[start:stop],
                              schedule.indices[start:stop]))
             n = len(batch)
-            frames = np.empty((n, arity, encoder.input_dim), dtype=np.float32)
+            a = np.empty((arity * n, encoder.input_dim), dtype=encoder.dtype)
             for row, (vid, indices) in enumerate(batch):
-                frames[row] = videos[vid].features[list(indices)]
-            embedded = []
-            caches = []
-            for pos in range(arity):
-                emb, cache = encoder.forward_cached(frames[:, pos, :])
-                embedded.append(emb.astype(np.float64))
-                caches.append(cache)
+                for pos, index in enumerate(indices):
+                    a[pos * n + row] = videos[vid].features[index]
+            inputs, pre = [], []
+            for w, b in zip(encoder.weights, encoder.biases):
+                inputs.append(a)
+                pre.append(a @ w.T + b)
+                a = np.maximum(pre[-1], 0)
+            embedded = a.astype(np.float64).reshape(arity, n, -1)
             losses, grads = batch_loss_and_gradients(kind, embedded, cfg.loss)
             loss_sum += float(losses.sum())
+            da = (grads.reshape(arity * n, -1) / n).astype(encoder.dtype)
             total = {}
-            for pos in range(arity):
-                upstream = (grads[pos] / n).astype(encoder.dtype)
-                for name, g in encoder.backward(caches[pos], upstream).items():
-                    if name in total:
-                        total[name] += g
-                    else:
-                        total[name] = g
+            for i in reversed(range(encoder.num_layers)):
+                dz = da * (pre[i] > 0)
+                total[f"encoder.{i}.weight"] = dz.T @ inputs[i]
+                total[f"encoder.{i}.bias"] = dz.sum(axis=0)
+                da = dz @ encoder.weights[i]
             adam_step(encoder.parameters(), total, adam)
         history.append(loss_sum / len(schedule))
     return history
@@ -201,8 +201,8 @@ def _reference_pretrain(encoder, videos, cfg, schedules):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("batch_size", [1, 17, 64])
 @pytest.mark.parametrize("method", sorted(PRETRAIN_METHODS))
-def test_pretrain_equals_per_position_forward_bitwise(monkeypatch, method,
-                                                      batch_size, dtype):
+def test_pretrain_equals_reference_loop_bitwise(monkeypatch, method,
+                                               batch_size, dtype):
     rng = np.random.default_rng(batch_size)
     videos = [FrameSequence(f"u{i}", rng.normal(size=(60 + 7 * i, 6))
                             .astype(np.float32), 1.0) for i in range(3)]
