@@ -22,13 +22,13 @@ import numpy as np
 from . import __version__
 from .config import (PRESETS, check_resolved_config, is_int, resolve_config,
                      resolve_delta_seconds)
-from .data_io import (atomic_write_text, load_checkpoint, load_dataset,
-                      load_encoder, load_phase_model, read_json, save_dataset,
-                      save_encoder, save_phase_model)
+from .data_io import (SPLIT_NAMES, atomic_write_text, load_checkpoint,
+                      load_dataset, load_encoder, load_phase_model, read_json,
+                      save_dataset, save_encoder, save_phase_model)
 from .errors import CheckpointError, DataFormatError, TempcohError, UsageError
-from .experiments import (BASELINE, finetune_stage, pretrain_stage,
-                          run_comparison)
-from .metrics import MetricSummary
+from .experiments import (BASELINE, LABEL_BUDGETS, finetune_stage,
+                          pretrain_stage, run_comparison)
+from .metrics import HEADLINE, MetricSummary
 from .retrieval import phase_agreement, retrieval_report
 from .synthetic import SynthConfig, generate_dataset
 # The runners train through `experiments`; `pretrain` and `finetune` stay
@@ -37,8 +37,6 @@ from .synthetic import SynthConfig, generate_dataset
 from .training import PRETRAIN_METHODS, evaluate, finetune, pretrain  # noqa: F401
 
 MANIFEST_FORMAT = "tempcoh-run"
-LABELED_SET_CHOICES = ("A", "AB", "ABC")
-SPLIT_CHOICES = ("A", "B", "C", "D")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,13 +85,7 @@ def _check_input_width(path, encoder, dataset) -> None:
 def _run_synth(resolved, run, paths) -> list[Path]:
     cfg = SynthConfig(**resolved["synth"])
     dataset = generate_dataset(cfg, run["videos"], run["seed"])
-    out = Path(paths["out"])
-    save_dataset(out, dataset)
-    outputs = [out / "dataset.json", out / "splits.txt"]
-    for video in dataset.videos:
-        outputs.append(out / f"{video.video_id}.feat")
-        outputs.append(out / f"{video.video_id}.feat.labels.csv")
-    return outputs
+    return save_dataset(Path(paths["out"]), dataset)
 
 
 def _run_pretrain(resolved, run, paths) -> list[Path]:
@@ -145,41 +137,34 @@ def _run_finetune(resolved, run, paths) -> list[Path]:
     return [out, log_csv]
 
 
+def _report_rows(report, num_phases: int) -> list[tuple[str, object]]:
+    """(name, value) of the headline metrics, then of each phase's F1 as
+    P1, P2, ...; `report` is a VideoMetrics or an AggregateReport."""
+    return ([(m, getattr(report, m)) for m in HEADLINE]
+            + [(f"P{k + 1}", report.per_phase_f1[k]) for k in range(num_phases)])
+
+
 def _eval_report_csv(videos, result, num_phases: int) -> str:
-    phase_cols = [f"P{k + 1}" for k in range(num_phases)]
-    lines = ["video_id,accuracy,macro_recall,macro_precision,f1," + ",".join(phase_cols)]
+    summaries = _report_rows(result.report, num_phases)
+    lines = [",".join(["video_id", *(name for name, _ in summaries)])]
 
     def fmt(value) -> str:
         return "" if value is None else _fnum(value)
 
     for seq in videos:
-        m = result.per_video[seq.video_id]
-        cells = [seq.video_id, _fnum(m.accuracy), _fnum(m.macro_recall),
-                 _fnum(m.macro_precision), _fnum(m.f1)]
-        cells += [fmt(m.per_phase_f1.get(k)) for k in range(num_phases)]
-        lines.append(",".join(cells))
-    report = result.report
-    headline = [report.accuracy, report.macro_recall, report.macro_precision,
-                report.f1]
-    phases = [report.per_phase_f1.get(k, MetricSummary(None, None, 0))
-              for k in range(num_phases)]
-    for row_name, field in (("mean", "mean"), ("std", "std"), ("count", "count")):
-        cells = [row_name]
-        for s in headline + phases:
-            value = getattr(s, field)
-            cells.append(str(value) if field == "count" else fmt(value))
-        lines.append(",".join(cells))
+        scores = _report_rows(result.per_video[seq.video_id], num_phases)
+        lines.append(",".join([seq.video_id, *(fmt(v) for _, v in scores)]))
+    for field in ("mean", "std"):
+        lines.append(",".join([field, *(fmt(getattr(s, field))
+                                        for _, s in summaries)]))
+    lines.append(",".join(["count", *(str(s.count) for _, s in summaries)]))
     return "\n".join(lines) + "\n"
 
 
 def _eval_report_text(result, num_phases: int) -> str:
     report = result.report
     rows = [["metric", "mean ± std", "n"]]
-    named = [("accuracy", report.accuracy), ("macro_recall", report.macro_recall),
-             ("macro_precision", report.macro_precision), ("f1", report.f1)]
-    named += [(f"P{k + 1}", report.per_phase_f1.get(k, MetricSummary(None, None, 0)))
-              for k in range(num_phases)]
-    for name, summary in named:
+    for name, summary in _report_rows(report, num_phases):
         rows.append([name, _cell(summary), str(summary.count)])
     return (f"evaluation over {report.num_videos} video(s)\n"
             + _text_table(rows))
@@ -220,39 +205,31 @@ def _run_compare(resolved, run, paths) -> list[Path]:
     out_dir = Path(paths["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    per_seed_lines = ["seed,method,accuracy,macro_recall,macro_precision,f1"]
+    per_seed_lines = [",".join(["seed", "method", *HEADLINE])]
     values: dict[tuple[str, int], dict[str, float]] = {}
     for arm in arms:
-        row = {
-            "accuracy": arm.report.accuracy.mean,
-            "macro_recall": arm.report.macro_recall.mean,
-            "macro_precision": arm.report.macro_precision.mean,
-            "f1": arm.report.f1.mean,
-        }
+        row = {m: getattr(arm.report, m).mean for m in HEADLINE}
         values[(arm.method, arm.seed)] = row
-        per_seed_lines.append(
-            f"{arm.seed},{arm.method},{_fnum(row['accuracy'])},"
-            f"{_fnum(row['macro_recall'])},{_fnum(row['macro_precision'])},"
-            f"{_fnum(row['f1'])}")
+        per_seed_lines.append(",".join(
+            [str(arm.seed), arm.method, *(_fnum(row[m]) for m in HEADLINE)]))
     per_seed_csv = out_dir / "per_seed.csv"
     atomic_write_text(per_seed_csv, "\n".join(per_seed_lines) + "\n")
 
-    metric_names = ("accuracy", "macro_recall", "macro_precision", "f1")
     summary_lines = ["method," + ",".join(
-        f"{m}_mean,{m}_std" for m in metric_names) + ",f1_improvement"]
-    table = [["method", *metric_names, "Δf1"]]
+        f"{m}_mean,{m}_std" for m in HEADLINE) + ",f1_improvement"]
+    table = [["method", *HEADLINE, "Δf1"]]
     for method in [BASELINE, *methods]:
         summaries = {m: MetricSummary.of([values[(method, s)][m] for s in seeds])
-                     for m in metric_names}
+                     for m in HEADLINE}
         improvement = float(np.mean(
             [values[(method, s)]["f1"] - values[(BASELINE, s)]["f1"]
              for s in seeds]))
         cells = [method]
-        for m in metric_names:
+        for m in HEADLINE:
             cells += [_fnum(summaries[m].mean), _fnum(summaries[m].std)]
         cells.append(_fnum(improvement))
         summary_lines.append(",".join(cells))
-        table.append([method, *(_cell(summaries[m]) for m in metric_names),
+        table.append([method, *(_cell(summaries[m]) for m in HEADLINE),
                       f"{improvement:+.1f}"])
     summary_csv = out_dir / "summary.csv"
     atomic_write_text(summary_csv, "\n".join(summary_lines) + "\n")
@@ -390,7 +367,7 @@ def _check_run_ranges(command: str, run: dict) -> None:
         _check_methods(run["methods"])
     elif command == "retrieve":
         for letter in run["query_split"]:
-            if letter not in SPLIT_CHOICES:
+            if letter not in SPLIT_NAMES:
                 raise ValueError(f"query_split: unknown split {letter!r}")
 
 
@@ -479,6 +456,10 @@ def cmd_replay(args) -> int:
             if not has_type(value):
                 raise DataFormatError(f"{manifest_path}: {field} value {key} "
                                       f"= {value!r} is not {type_name}")
+    init = manifest["paths"].get("init")
+    if not (init is None or isinstance(init, str)):
+        raise DataFormatError(f"{manifest_path}: paths value init = {init!r} "
+                              f"is not a string or null")
     check_resolved_config(manifest["resolved_config"], str(manifest_path))
     try:
         _check_run_ranges(command, manifest["run"])
@@ -530,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("finetune", help="supervised phase-model training")
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--labeled-sets", required=True, choices=LABELED_SET_CHOICES,
+    p.add_argument("--labeled-sets", required=True, choices=LABEL_BUDGETS,
                    dest="labeled_sets", help="label budget")
     p.add_argument("--init", default=None,
                    help="encoder checkpoint to start from (omit for the "
@@ -542,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a phase model on one split")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--model", required=True, help="phase-model checkpoint")
-    p.add_argument("--split", default="D", choices=SPLIT_CHOICES)
+    p.add_argument("--split", default="D", choices=SPLIT_NAMES)
     p.add_argument("--out", required=True,
                    help="report CSV path (text table at PATH.txt)")
     _add_common(p)
@@ -553,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--seeds", type=int, required=True,
                    help="number of seeds (base seed from --seed)")
-    p.add_argument("--labeled-sets", default="A", choices=LABELED_SET_CHOICES,
+    p.add_argument("--labeled-sets", default="A", choices=LABEL_BUDGETS,
                    dest="labeled_sets", help="label budget (default: A)")
     p.add_argument("--methods", required=True, type=_method_list,
                    help="comma list of pretraining methods")
@@ -567,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="encoder or phase-model checkpoint")
     p.add_argument("--queries", required=True,
                    help="'VIDEO_ID:FRAME,...' or 'random:N'")
-    p.add_argument("--split", default="D", choices=SPLIT_CHOICES,
+    p.add_argument("--split", default="D", choices=SPLIT_NAMES,
                    help="corpus split (default: D)")
     p.add_argument("--query-split", default="ABC", dest="query_split",
                    help="splits random queries are drawn from (default: ABC)")

@@ -191,4 +191,4 @@ def resolve_delta_seconds(resolved: dict, method: str) -> float:
         return float(value)
     if method not in PRETRAIN_METHODS:
         raise UsageError(f"unknown pretraining method {method!r}")
-    return PRETRAIN_METHODS[method][2]
+    return PRETRAIN_METHODS[method][1]

@@ -377,17 +377,21 @@ def _check_video_id(video_id: str) -> None:
                           f"{problem}")
 
 
-def save_dataset(directory, dataset: Dataset) -> Path:
-    """Write features, labels, splits and the JSON manifest; returns the
-    manifest path. Every video id is checked before anything is written."""
+def save_dataset(directory, dataset: Dataset) -> list[Path]:
+    """Write features, labels, splits and the JSON manifest. Returns the
+    paths of the files written: `dataset.json`, `splits.txt`, then per
+    video its `.feat` file and, if the video is labeled, its labels file.
+    Every video id is checked before anything is written."""
     for seq in dataset.videos:
         _check_video_id(seq.video_id)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
+    video_files = []
     for seq in dataset.videos:
         feat_name = f"{seq.video_id}.feat"
         write_video(directory / feat_name, seq)
+        video_files.append(directory / feat_name)
         entry = {
             "video_id": seq.video_id,
             "num_frames": seq.num_frames,
@@ -395,21 +399,23 @@ def save_dataset(directory, dataset: Dataset) -> Path:
         }
         if seq.labels is not None:
             entry["labels"] = labels_path_for(feat_name).name
+            video_files.append(directory / entry["labels"])
         entries.append(entry)
-    save_splits(directory / "splits.txt", dataset.splits)
+    splits_path = directory / "splits.txt"
+    save_splits(splits_path, dataset.splits)
     manifest = {
         "format": "tempcoh-dataset",
         "version": FORMAT_VERSION,
         "fps": dataset.fps,
         "num_phases": dataset.num_phases,
         "feature_dim": dataset.feature_dim,
-        "splits_file": "splits.txt",
+        "splits_file": splits_path.name,
         "videos": entries,
     }
     path = directory / "dataset.json"
     _atomic_write(path, lambda f: f.write(
         json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8")))
-    return path
+    return [path, splits_path, *video_files]
 
 
 def _json_int(value, what: str, minimum: int, path, error=DataFormatError) -> int:

@@ -26,6 +26,15 @@ from .training import (FinetuneConfig, FinetuneResult, PretrainConfig,
                        PretrainResult, evaluate, finetune, pretrain)
 
 BASELINE = "baseline"
+# The label budgets of the protocol: fine-tuning sees the labels of split A,
+# A+B or A+B+C, never those of the test split D.
+LABEL_BUDGETS = ("A", "AB", "ABC")
+
+
+def _check_label_budget(labeled_sets: tuple[str, ...]) -> None:
+    if tuple(labeled_sets) not in map(tuple, LABEL_BUDGETS):
+        raise ValueError(f"labeled sets {''.join(labeled_sets)!r} are not a "
+                         f"label budget; expected one of {list(LABEL_BUDGETS)}")
 
 
 def build_encoder(resolved: dict, feature_dim: int) -> EncoderModel:
@@ -79,7 +88,8 @@ def finetune_stage(dataset: Dataset, resolved: dict, encoder: EncoderModel,
                    seed: int) -> tuple[PhaseModel, FinetuneResult]:
     """A phase model on `encoder` (which it trains in place), its head
     initialized from lane 2 and trained on the labeled splits with that
-    same stream."""
+    same stream; a ValueError for labeled sets outside LABEL_BUDGETS."""
+    _check_label_budget(labeled_sets)
     model = build_phase_model(resolved, encoder, dataset.num_phases)
     rng = np.random.default_rng([seed, 2])
     model.init_head_uniform_fan(rng)
@@ -91,6 +101,7 @@ def finetune_stage(dataset: Dataset, resolved: dict, encoder: EncoderModel,
 def run_arm(dataset: Dataset, resolved: dict, labeled_sets: tuple[str, ...],
             seed: int, method: str) -> ArmResult:
     """Train one arm end to end and evaluate it on split D."""
+    _check_label_budget(labeled_sets)
     encoder, pretrain_log = pretrain_stage(dataset, resolved, seed, method)
     snapshot = encoder.copy()
     model, finetune_log = finetune_stage(dataset, resolved, encoder,

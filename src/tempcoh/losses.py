@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-LOSS_KINDS = ("contrastive", "ranking", "contrastive2", "combined")
 LOSS_ARITY = {"contrastive": 3, "ranking": 3, "contrastive2": 4, "combined": 4}
 
 

@@ -19,6 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# The headline scores of a video and of a report, in the order reports list
+# them: the field names of VideoMetrics and AggregateReport.
+HEADLINE = ("accuracy", "macro_recall", "macro_precision", "f1")
+
 
 def confusion_matrix(gt, pred, num_phases: int) -> np.ndarray:
     """Counts[i, j] = number of frames with ground truth i predicted as j."""
@@ -126,11 +130,7 @@ def aggregate(videos: list[VideoMetrics]) -> AggregateReport:
         )
         for k in phases
     }
-    return AggregateReport(
-        accuracy=MetricSummary.of([v.accuracy for v in videos]),
-        macro_recall=MetricSummary.of([v.macro_recall for v in videos]),
-        macro_precision=MetricSummary.of([v.macro_precision for v in videos]),
-        f1=MetricSummary.of([v.f1 for v in videos]),
-        per_phase_f1=per_phase,
-        num_videos=len(videos),
-    )
+    headline = {m: MetricSummary.of([getattr(v, m) for v in videos])
+                for m in HEADLINE}
+    return AggregateReport(**headline, per_phase_f1=per_phase,
+                           num_videos=len(videos))

@@ -302,10 +302,10 @@ class PhaseModel:
         """Left-to-right pass over consecutive frames of one video.
 
         Returns (logits of shape (T, num_phases), state after last frame)."""
-        logits, state, _ = self.forward_chunk_cached(frames, state_in, keep_cache=False)
+        logits, state, _ = self.forward_chunk_cached(frames, state_in)
         return logits, state
 
-    def forward_chunk_cached(self, frames, state_in: LstmState, keep_cache=True):
+    def forward_chunk_cached(self, frames, state_in: LstmState):
         frames = np.asarray(frames, dtype=self.dtype)
         if frames.ndim != 2 or frames.shape[0] == 0:
             raise ValueError("frames must be a non-empty (T, features) array")
@@ -316,11 +316,9 @@ class PhaseModel:
         gates, cs, tanh_cs, hs_out = self._recurrence(zx, h0, c0)
         logits = _affine(hs_out, self.clf_weight, self.clf_bias)
         state_out = LstmState(hs_out[-1].copy(), cs[-1].copy())
-        cache = None
-        if keep_cache:
-            h_prev = np.concatenate([h0[None], hs_out[:-1]])
-            c_prev = np.concatenate([c0[None], cs[:-1]])
-            cache = (enc_cache, emb, h_prev, c_prev, gates, cs, tanh_cs, hs_out)
+        h_prev = np.concatenate([h0[None], hs_out[:-1]])
+        c_prev = np.concatenate([c0[None], cs[:-1]])
+        cache = (enc_cache, emb, h_prev, c_prev, gates, cs, tanh_cs, hs_out)
         return logits, state_out, cache
 
     def _recurrence_backward(self, dh_seq: np.ndarray, gates: np.ndarray,

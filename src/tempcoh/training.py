@@ -24,14 +24,14 @@ from .models import (AdamState, EncoderModel, PhaseModel, adam_step,
 from .sampling import SamplerConfig, build_epoch_schedule
 
 
-# Pretraining method -> (loss kind, tuple order, default temporal offset of
-# the "near" frame in seconds). The second-order method trains on the
-# combined objective (first-order contrastive plus weighted second-order
-# term) over 4-frame tuples.
+# Pretraining method -> (loss kind, default temporal offset of the "near"
+# frame in seconds). The second-order method trains on the combined
+# objective (first-order contrastive plus weighted second-order term) over
+# 4-frame tuples; the loss kind's arity fixes the tuple order.
 PRETRAIN_METHODS = {
-    "contrastive": ("contrastive", "first", 30.0),
-    "ranking": ("ranking", "first", 30.0),
-    "contrastive2": ("combined", "second", 15.0),
+    "contrastive": ("contrastive", 30.0),
+    "ranking": ("ranking", 30.0),
+    "contrastive2": ("combined", 15.0),
 }
 
 
@@ -68,7 +68,7 @@ class PretrainConfig:
 
     @property
     def tuple_order(self) -> str:
-        return PRETRAIN_METHODS[self.method][1]
+        return "second" if LOSS_ARITY[self.loss_kind] == 4 else "first"
 
 
 @dataclass

@@ -616,9 +616,15 @@ def test_deeply_nested_json_exits_2_naming_the_file(work, tmp_path, capsys,
     assert not out.exists()
 
 
-def replay_malformed(work, tmp_path, capsys, edit) -> str:
-    """Replay an edited copy of the synth manifest; return its error text."""
-    manifest = read_manifest(work / "data" / "run_manifest.json")
+SYNTH_MANIFEST = "data/run_manifest.json"
+FINETUNE_MANIFEST = "model.ckpt.manifest.json"
+
+
+def replay_malformed(work, tmp_path, capsys, edit,
+                     source=SYNTH_MANIFEST) -> str:
+    """Replay an edited copy of a manifest under `work` (by default the
+    synth manifest); return its error text."""
+    manifest = read_manifest(work / source)
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(edit(manifest)))
     assert main(["replay", str(path)]) == 2
@@ -689,21 +695,27 @@ def test_replay_rejects_config_value_of_the_wrong_type(work, tmp_path, capsys,
     assert f"config value {section}.{key} = {value!r} is not {type_name}" in err
 
 
-@pytest.mark.parametrize("field,key,value,type_name", [
-    ("run", "seed", "x", "an integer"),
-    ("run", "seed", True, "an integer"),
-    ("run", "seed", 1.5, "an integer"),
-    ("run", "videos", "x", "an integer"),
-    ("paths", "out", 7, "a string"),
-], ids=["str-seed", "bool-seed", "float-seed", "str-videos", "int-out"])
+@pytest.mark.parametrize("source,field,key,value,type_name", [
+    (SYNTH_MANIFEST, "run", "seed", "x", "an integer"),
+    (SYNTH_MANIFEST, "run", "seed", True, "an integer"),
+    (SYNTH_MANIFEST, "run", "seed", 1.5, "an integer"),
+    (SYNTH_MANIFEST, "run", "videos", "x", "an integer"),
+    (SYNTH_MANIFEST, "paths", "out", 7, "a string"),
+    (FINETUNE_MANIFEST, "paths", "init", 5, "a string or null"),
+    (FINETUNE_MANIFEST, "paths", "init", ["x"], "a string or null"),
+], ids=["str-seed", "bool-seed", "float-seed", "str-videos", "int-out",
+        "int-init", "list-init"])
 def test_replay_rejects_run_value_of_the_wrong_type(work, tmp_path, capsys,
-                                                    field, key, value, type_name):
+                                                    source, field, key, value,
+                                                    type_name):
     def retype(manifest):
         manifest[field][key] = value
         return manifest
 
-    err = replay_malformed(work, tmp_path, capsys, retype)
+    before = (work / "model.ckpt").read_bytes()
+    err = replay_malformed(work, tmp_path, capsys, retype, source)
     assert f"{field} value {key} = {value!r} is not {type_name}" in err
+    assert (work / "model.ckpt").read_bytes() == before
 
 
 @pytest.mark.parametrize("key,value,message", [
@@ -750,7 +762,10 @@ def compare_manifest(work, tmp_path_factory):
     ("seeds", 0, "seeds must be at least 1, got 0"),
     ("methods", [], "methods must name at least one method"),
     ("methods", ["nope"], "unknown method 'nope'"),
-], ids=["zero-seeds", "no-methods", "unknown-method"])
+    ("labeled_sets", "D", "labeled sets 'D' are not a label budget"),
+    ("labeled_sets", "ABCD", "labeled sets 'ABCD' are not a label budget"),
+], ids=["zero-seeds", "no-methods", "unknown-method", "test-split-labels",
+        "all-split-labels"])
 def test_replay_names_the_manifest_for_out_of_range_compare_run(
         compare_manifest, tmp_path, capsys, key, value, message):
     manifest = read_manifest(compare_manifest)
@@ -762,6 +777,22 @@ def test_replay_names_the_manifest_for_out_of_range_compare_run(
     assert main(["replay", str(path)]) == 2
     assert f"{path}: {message}" in capsys.readouterr().err
     assert {p: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("value", ["D", "ABCD"])
+def test_replay_names_the_manifest_for_finetune_labels_outside_the_budgets(
+        work, tmp_path, capsys, value):
+    # D is the test split: fine-tuning on its labels would score a model on
+    # the videos it was trained on.
+    manifest = read_manifest(work / FINETUNE_MANIFEST)
+    manifest["run"]["labeled_sets"] = value
+    before = {p: Path(p).read_bytes() for p in manifest["outputs"]}
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["replay", str(path)]) == 2
+    assert (f"{path}: labeled sets {value!r} are not a label budget"
+            in capsys.readouterr().err)
+    assert {p: Path(p).read_bytes() for p in manifest["outputs"]} == before
 
 
 @pytest.mark.parametrize("method", ["nope", "baseline"])

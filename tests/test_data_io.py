@@ -347,6 +347,19 @@ def test_dataset_round_trip(tmp_path, rng):
         assert np.array_equal(back.labels, orig.labels)
 
 
+def test_save_dataset_returns_exactly_the_files_it_wrote(tmp_path, rng):
+    ids = ["v0", "v1", "v2", "v3"]
+    videos = [make_seq(rng, vid, frames=6, labeled=vid != "v1") for vid in ids]
+    root = tmp_path / "data"
+    written = save_dataset(root, Dataset(videos, dict(zip(ids, "ABCD")), 4, 5.0))
+    assert written == [root / "dataset.json", root / "splits.txt",
+                       root / "v0.feat", root / "v0.feat.labels.csv",
+                       root / "v1.feat",
+                       root / "v2.feat", root / "v2.feat.labels.csv",
+                       root / "v3.feat", root / "v3.feat.labels.csv"]
+    assert sorted(root.iterdir()) == sorted(written)
+
+
 def test_dataset_manifest_cross_checks(tmp_path, rng):
     dataset = generate_dataset(SynthConfig(min_duration=5, max_duration=9,
                                            feature_dim=4), 4, rng)
@@ -1009,7 +1022,7 @@ def fuzz_dataset(tmp_path_factory):
     dataset = generate_dataset(SynthConfig(min_duration=5, max_duration=9,
                                            feature_dim=4), 4,
                                np.random.default_rng(0))
-    manifest_path = save_dataset(root, dataset)
+    manifest_path = save_dataset(root, dataset)[0]
     (root / "sub").mkdir()
     return root, json.loads(manifest_path.read_text())
 

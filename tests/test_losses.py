@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from gradcheck import central_diff, rel_error
 from tempcoh.losses import (
     LOSS_ARITY,
-    LOSS_KINDS,
     LossConfig,
     batch_loss_and_gradients,
     combined_loss,
@@ -159,7 +158,7 @@ def test_contrastive_hinge_boundary_gradient_zero():
 
 def test_batch_rows_equal_scalar_calls_exactly(rng):
     cfg = LossConfig()
-    for kind in LOSS_KINDS:
+    for kind in LOSS_ARITY:
         arity = LOSS_ARITY[kind]
         branches = [rng.normal(size=(9, 4)) for _ in range(arity)]
         losses, grads = batch_loss_and_gradients(kind, branches, cfg)
@@ -192,7 +191,7 @@ finite_vec = st.integers(1, 5).flatmap(
 def test_losses_nonnegative(vecs):
     d = len(vecs[0])
     vs = [np.resize(np.asarray(v, dtype=float), d) for v in vecs]
-    for kind in LOSS_KINDS:
+    for kind in LOSS_ARITY:
         assert SCALAR_LOSS[kind](*vs[:LOSS_ARITY[kind]]) >= 0.0
 
 
@@ -201,7 +200,7 @@ def test_losses_nonnegative(vecs):
 def test_translation_invariance(vecs, shift):
     d = len(vecs[0])
     vs = [np.resize(np.asarray(v, dtype=float), d) for v in vecs]
-    for kind in LOSS_KINDS:
+    for kind in LOSS_ARITY:
         arity = LOSS_ARITY[kind]
         base = SCALAR_LOSS[kind](*vs[:arity])
         moved = SCALAR_LOSS[kind](*[v + shift for v in vs[:arity]])
@@ -265,7 +264,7 @@ def fd_worst_error(kind: str, pts, cfg: LossConfig) -> float:
     return rel_error(analytic, numeric)
 
 
-@pytest.mark.parametrize("kind", LOSS_KINDS)
+@pytest.mark.parametrize("kind", LOSS_ARITY)
 def test_gradients_match_finite_differences(kind, rng):
     cfg = LossConfig()
     worst = max(
@@ -276,7 +275,7 @@ def test_gradients_match_finite_differences(kind, rng):
     assert worst < 1e-4
 
 
-@pytest.mark.parametrize("kind", LOSS_KINDS)
+@pytest.mark.parametrize("kind", LOSS_ARITY)
 def test_gradients_tight_at_well_conditioned_points(kind, rng):
     # Far from every kink the losses are smooth, so central differences
     # agree to much better than the generic bound.
@@ -408,7 +407,7 @@ _ORACLE_CASES = [
 @pytest.mark.parametrize("want_grads", [True, False])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("rows", [None, 1, 17, 64])
-@pytest.mark.parametrize("kind", LOSS_KINDS)
+@pytest.mark.parametrize("kind", LOSS_ARITY)
 def test_stacked_evaluator_equals_per_branch_reference_bitwise(kind, rows, dtype,
                                                                want_grads):
     rng = np.random.default_rng(rows or 0)
@@ -432,7 +431,7 @@ def test_stacked_evaluator_equals_per_branch_reference_bitwise(kind, rows, dtype
         assert stacked[1].tobytes() == grads.tobytes()
 
 
-@pytest.mark.parametrize("kind", LOSS_KINDS)
+@pytest.mark.parametrize("kind", LOSS_ARITY)
 def test_oracle_rows_hit_zero_distance_and_zero_hinge(kind):
     """The special rows of the oracle test reach both subgradient cases."""
     branches = np.stack(_oracle_branches(kind, 17, 5, np.float64,

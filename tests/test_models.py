@@ -254,8 +254,7 @@ def test_lstm_step_gradients_match_finite_differences(rng):
         weights = rng.normal(size=(5, model.num_phases))
 
         def loss():
-            logits, _, _ = model.forward_chunk_cached(
-                frames, model.zero_state(), keep_cache=False)
+            logits, _ = model.forward_chunk(frames, model.zero_state())
             return float((logits * weights).sum())
 
         logits, _, cache = model.forward_chunk_cached(frames, model.zero_state())

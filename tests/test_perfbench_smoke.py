@@ -3,7 +3,9 @@
 `perfbench` wraps tempcoh functions by name (`tempcoh.cli.pretrain`,
 `tempcoh.experiments.make_pretrain_config`, ...), so renaming one breaks
 every benchmark run. One short `cli-chain` run per mode checks that each
-binding it patches still exists and that the outputs pass its own checks.
+binding it patches still exists and that the outputs pass its own checks;
+a set-up probe of each other workload checks the bindings its set-up
+reads (`experiments.build_encoder`, `PhaseModel.init_uniform_fan`, ...).
 The traced run also checks that the training layers are still called
 through the bindings the benchmark wraps: a refactor that bypasses one
 would read 0 calls there while every output stays right. It asserts no
@@ -40,3 +42,13 @@ def test_cli_chain_runs_clean(trace):
         metrics = result["metrics"]
         for layer in TRACED_LAYERS:
             assert metrics[f"{layer}.calls"]["value"] > 0, layer
+
+
+@pytest.mark.parametrize("workload", ["arm-pair", "paper-shape"])
+def test_workload_setup_runs(workload):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--setup-probe", "--workload",
+         workload, "--seed", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "setup_s" in json.loads(proc.stdout.strip().splitlines()[-1])

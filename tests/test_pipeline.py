@@ -67,6 +67,22 @@ def tiny_data(tmp_path_factory):
     return data
 
 
+@pytest.mark.parametrize("labeled_sets", [("D",), ("A", "B", "C", "D"), ("AB",)],
+                         ids=["D", "ABCD", "one-name-AB"])
+def test_run_arm_refuses_other_labeled_sets_before_training(tiny_data,
+                                                            monkeypatch,
+                                                            labeled_sets):
+    # Split D is the test split; ("AB",) names no split at all.
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before checking the label budget")
+
+    for stage in ("pretrain", "finetune", "evaluate"):
+        monkeypatch.setattr(experiments, stage, no_training)
+    with pytest.raises(ValueError, match="are not a label budget"):
+        run_arm(load_dataset(tiny_data), _resolved(), labeled_sets, 0,
+                "contrastive2")
+
+
 @pytest.mark.parametrize("seed", [3, 4])
 @pytest.mark.parametrize("method", [BASELINE, "contrastive2"])
 def test_cli_chain_trains_the_compare_arm(tiny_data, tmp_path, monkeypatch,

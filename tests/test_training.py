@@ -307,14 +307,14 @@ def test_finetune_walks_each_video_in_order(monkeypatch, rng):
     calls = []
     forward = PhaseModel.forward_chunk_cached
 
-    def recording(self, frames, state_in, keep_cache=True):
+    def recording(self, frames, state_in):
         # Each chunk is a row slice of one video's features.
         for seq in videos:
             if np.shares_memory(frames, seq.features):
                 start = ((frames.ctypes.data - seq.features.ctypes.data)
                          // seq.features.strides[0])
                 calls.append((seq.video_id, start, start + len(frames)))
-        return forward(self, frames, state_in, keep_cache)
+        return forward(self, frames, state_in)
 
     monkeypatch.setattr(PhaseModel, "forward_chunk_cached", recording)
     finetune(model, videos,
