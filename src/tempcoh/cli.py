@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 data or contract error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -26,8 +27,8 @@ from .data_io import (SPLIT_NAMES, atomic_write_text, load_checkpoint,
                       load_dataset, load_encoder, load_phase_model, read_json,
                       save_dataset, save_encoder, save_phase_model)
 from .errors import CheckpointError, DataFormatError, TempcohError, UsageError
-from .experiments import (BASELINE, LABEL_BUDGETS, finetune_stage,
-                          pretrain_stage, run_comparison)
+from .experiments import (BASELINE, LABEL_BUDGETS, PRETRAIN_SPLITS, TEST_SPLIT,
+                          finetune_stage, pretrain_stage, run_comparison)
 from .metrics import HEADLINE, MetricSummary
 from .retrieval import phase_agreement, retrieval_report
 from .synthetic import SynthConfig, generate_dataset
@@ -237,7 +238,7 @@ def _run_compare(resolved, run, paths) -> list[Path]:
     atomic_write_text(
         summary_txt,
         f"label budget {run['labeled_sets']}, {len(seeds)} seed(s), "
-        f"test split D\n" + _text_table(table))
+        f"test split {TEST_SPLIT}\n" + _text_table(table))
     return [per_seed_csv, summary_csv, summary_txt]
 
 
@@ -426,8 +427,8 @@ def _run_command(args) -> int:
                     Path(paths["out"] + manifest_suffix))
 
 
-# Each command has its own name, which build_parser looks up when it runs:
-# the benchmark (perfbench/layers.py) wraps `cmd_<command>` to count calls.
+# Each command has its own name, which `main` looks up on every call: the
+# benchmark (perfbench/layers.py) wraps `cmd_<command>` to count calls.
 cmd_synth = cmd_pretrain = cmd_finetune = cmd_eval = cmd_compare = \
     cmd_retrieve = _run_command
 
@@ -486,7 +487,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves no state on it."""
     parser = _Parser(prog="tempcoh",
                      description="Temporal-coherence pretraining and phase "
                                  "segmentation experiments.")
@@ -499,7 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--videos", type=int, required=True,
                    help="number of videos (>= 4)")
     _add_common(p)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("pretrain", help="self-supervised encoder pretraining")
     p.add_argument("--data", required=True, help="dataset directory")
@@ -507,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(PRETRAIN_METHODS))
     p.add_argument("--out", required=True, help="encoder checkpoint path")
     _add_common(p)
-    p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="supervised phase-model training")
     p.add_argument("--data", required=True, help="dataset directory")
@@ -518,16 +519,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "no-pretraining baseline)")
     p.add_argument("--out", required=True, help="phase-model checkpoint path")
     _add_common(p)
-    p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("eval", help="evaluate a phase model on one split")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--model", required=True, help="phase-model checkpoint")
-    p.add_argument("--split", default="D", choices=SPLIT_NAMES)
+    p.add_argument("--split", default=TEST_SPLIT, choices=SPLIT_NAMES)
     p.add_argument("--out", required=True,
                    help="report CSV path (text table at PATH.txt)")
     _add_common(p)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("compare",
                        help="baseline vs pretraining methods across seeds")
@@ -540,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of pretraining methods")
     p.add_argument("--out", required=True, help="output directory")
     _add_common(p)
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("retrieve", help="nearest-neighbor frame retrieval")
     p.add_argument("--data", required=True, help="dataset directory")
@@ -548,18 +546,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="encoder or phase-model checkpoint")
     p.add_argument("--queries", required=True,
                    help="'VIDEO_ID:FRAME,...' or 'random:N'")
-    p.add_argument("--split", default="D", choices=SPLIT_NAMES,
-                   help="corpus split (default: D)")
-    p.add_argument("--query-split", default="ABC", dest="query_split",
-                   help="splits random queries are drawn from (default: ABC)")
+    p.add_argument("--split", default=TEST_SPLIT, choices=SPLIT_NAMES,
+                   help="corpus split (default: %(default)s)")
+    p.add_argument("--query-split", default="".join(PRETRAIN_SPLITS),
+                   dest="query_split", help="splits random queries are drawn "
+                                            "from (default: %(default)s)")
     p.add_argument("--out", required=True,
                    help="report CSV path (summary at PATH.txt)")
     _add_common(p)
-    p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("replay", help="re-execute a run from its manifest")
     p.add_argument("manifest", help="run manifest JSON path")
-    p.set_defaults(func=cmd_replay)
 
     return parser
 
@@ -567,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

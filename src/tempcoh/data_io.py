@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import struct
 import sys
 from dataclasses import dataclass
@@ -269,6 +270,34 @@ def _is_decimal(text: str) -> bool:
     return text.isascii() and text.isdigit() and (text == "0" or text[0] != "0")
 
 
+def _first_bad_label_row(path, rows: list[str]) -> DataFormatError:
+    """The error for the first of the data `rows` that `load_labels`
+    rejects; it runs only once the checks over all rows have failed."""
+    def bad(row: int, message: str) -> DataFormatError:
+        return DataFormatError(f"{path}: line {row + 2}: {message}")
+
+    for row, line in enumerate(rows):
+        parts = line.split(",")
+        if len(parts) != 2:
+            return bad(row, f"expected 'frame_index,phase_id', got {_clip(line)!r}")
+        idx, phase = parts
+        if not _is_decimal(idx) or not _is_decimal(phase):
+            if _is_decimal(idx) and phase[:1] == "-" and _is_decimal(phase[1:]) \
+                    and phase != "-0":
+                return bad(row, "negative phase id")
+            return bad(row, f"non-integer field in {_clip(line)!r}")
+        if idx != str(row):
+            return bad(row, f"frame_index {_clip(idx)} out of order, expected {row}")
+        if len(phase) > len(str(PHASE_ID_MAX)) or int(phase) > PHASE_ID_MAX:
+            return bad(row, f"phase id above {PHASE_ID_MAX}")
+
+
+# The data rows as `save_labels` writes them, joined by "\n": two `_is_decimal`
+# fields of at most as many digits as PHASE_ID_MAX, so both fit in int64.
+_DECIMAL = "(?:0|[1-9][0-9]{0,%d})" % (len(str(PHASE_ID_MAX)) - 1)
+_LABEL_ROWS = re.compile(f"{_DECIMAL},{_DECIMAL}(?:\n{_DECIMAL},{_DECIMAL})*")
+
+
 def load_labels(path, expected_frames: int | None = None) -> np.ndarray | None:
     """Read a label sidecar; a file with no data rows means labels absent.
     Each field must be written as `save_labels` writes it."""
@@ -277,32 +306,20 @@ def load_labels(path, expected_frames: int | None = None) -> np.ndarray | None:
         return None
     if lines[0].strip() != LABELS_HEADER:
         raise DataFormatError(f"{path}: first line must be '{LABELS_HEADER}'")
-    if len(lines) == 1:
+    rows = lines[1:]
+    if not rows:
         return None
-    out = np.empty(len(lines) - 1, dtype=np.int32)
-
-    def bad(row: int, message: str) -> DataFormatError:
-        return DataFormatError(f"{path}: line {row + 2}: {message}")
-
-    for row, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise bad(row, f"expected 'frame_index,phase_id', got {_clip(line)!r}")
-        idx, phase = parts
-        if not _is_decimal(idx) or not _is_decimal(phase):
-            if _is_decimal(idx) and phase[:1] == "-" and _is_decimal(phase[1:]) \
-                    and phase != "-0":
-                raise bad(row, "negative phase id")
-            raise bad(row, f"non-integer field in {_clip(line)!r}")
-        if idx != str(row):
-            raise bad(row, f"frame_index {_clip(idx)} out of order, expected {row}")
-        if len(phase) > len(str(PHASE_ID_MAX)) or int(phase) > PHASE_ID_MAX:
-            raise bad(row, f"phase id above {PHASE_ID_MAX}")
-        out[row] = int(phase)
-    if expected_frames is not None and out.shape[0] != expected_frames:
-        raise DataFormatError(f"{path}: {out.shape[0]} label rows for "
+    text = "\n".join(rows)
+    if not _LABEL_ROWS.fullmatch(text):
+        raise _first_bad_label_row(path, rows)
+    fields = np.fromstring(text.replace("\n", ","), dtype=np.int64, sep=",")
+    index, phase = fields[0::2], fields[1::2]
+    if (index != np.arange(len(rows))).any() or phase.max() > PHASE_ID_MAX:
+        raise _first_bad_label_row(path, rows)
+    if expected_frames is not None and len(rows) != expected_frames:
+        raise DataFormatError(f"{path}: {len(rows)} label rows for "
                               f"{expected_frames} frames")
-    return out
+    return phase.astype(np.int32)
 
 
 def labels_path_for(features_path) -> Path:

@@ -26,8 +26,12 @@ from .training import (FinetuneConfig, FinetuneResult, PretrainConfig,
                        PretrainResult, evaluate, finetune, pretrain)
 
 BASELINE = "baseline"
-# The label budgets of the protocol: fine-tuning sees the labels of split A,
-# A+B or A+B+C, never those of the test split D.
+# The split roles of the protocol: pretraining reads the videos of splits
+# A+B+C without their labels, and every arm is scored on the test split D.
+PRETRAIN_SPLITS = ("A", "B", "C")
+TEST_SPLIT = "D"
+# The label budgets: fine-tuning sees the labels of split A, A+B or A+B+C,
+# never those of the test split.
 LABEL_BUDGETS = ("A", "AB", "ABC")
 
 
@@ -80,7 +84,7 @@ def pretrain_stage(dataset: Dataset, resolved: dict, seed: int,
     rng = np.random.default_rng([seed, 1])
     encoder.init_uniform_fan(rng)
     cfg = make_pretrain_config(resolved, method, dataset.fps)
-    return encoder, pretrain(encoder, dataset.split("A", "B", "C"), cfg, rng)
+    return encoder, pretrain(encoder, dataset.split(*PRETRAIN_SPLITS), cfg, rng)
 
 
 def finetune_stage(dataset: Dataset, resolved: dict, encoder: EncoderModel,
@@ -100,13 +104,13 @@ def finetune_stage(dataset: Dataset, resolved: dict, encoder: EncoderModel,
 
 def run_arm(dataset: Dataset, resolved: dict, labeled_sets: tuple[str, ...],
             seed: int, method: str) -> ArmResult:
-    """Train one arm end to end and evaluate it on split D."""
+    """Train one arm end to end and evaluate it on the test split."""
     _check_label_budget(labeled_sets)
     encoder, pretrain_log = pretrain_stage(dataset, resolved, seed, method)
     snapshot = encoder.copy()
     model, finetune_log = finetune_stage(dataset, resolved, encoder,
                                          labeled_sets, seed)
-    report = evaluate(model, dataset.split("D")).report
+    report = evaluate(model, dataset.split(TEST_SPLIT)).report
     return ArmResult(seed, method, snapshot, report, finetune_log, pretrain_log)
 
 

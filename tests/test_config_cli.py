@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tempcoh.cli as cli
 from tempcoh.cli import main
 from tempcoh.config import (
     DEFAULTS,
@@ -843,6 +844,42 @@ def test_version_and_help_exit_zero(capsys):
 def test_no_subcommand_is_a_usage_error(capsys):
     assert main([]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# `main` builds its parser once per process; each call parses afresh and
+# runs the command function bound in `tempcoh.cli` at that moment.
+
+def test_a_call_leaves_no_trace_in_the_next(work, tmp_path, capsys):
+    data = str(work / "data")
+    first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+    assert main(["pretrain", "--data", data, "--method", "ranking",
+                 "--out", str(first), "--set", "pretrain.epochs=0",
+                 "--set", "pretrain.batch_size=7"]) == 0
+    never = tmp_path / "never.ckpt"
+    assert main(["pretrain", "--data", data, "--method", "ranking",
+                 "--out", str(never), "--set", "pretrain.lr=0.5",
+                 "--no-such-flag"]) == 1
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    assert not never.exists()
+    assert main(["pretrain", "--data", data, "--method", "ranking",
+                 "--out", str(second), "--set", "pretrain.epochs=0"]) == 0
+    expected = resolve_config(set_flags=["pretrain.epochs=0"])
+    expected["sampler"]["delta_seconds"] = resolve_delta_seconds(expected, "ranking")
+    manifest = read_manifest(str(second) + ".manifest.json")
+    assert manifest["resolved_config"] == expected
+    assert read_manifest(str(first) + ".manifest.json")["resolved_config"][
+        "pretrain"]["batch_size"] == 7
+
+
+def test_main_runs_the_command_function_bound_at_call_time(work, tmp_path,
+                                                           monkeypatch):
+    argv = ["eval", "--data", str(work / "data"), "--model",
+            str(work / "model.ckpt"), "--out", str(tmp_path / "report.csv")]
+    assert main(argv) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: seen.append(args) or 7)
+    assert main(argv) == 7
+    assert [args.command for args in seen] == ["eval"]
 
 
 def test_bad_set_flag_exit_1(tmp_path, capsys):

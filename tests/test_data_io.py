@@ -942,6 +942,122 @@ def test_fuzz_labels_file(fuzz_dir, data):
         assert labels.dtype == np.int32 and (labels >= 0).all()
 
 
+# `load_labels` checks all rows at once and runs a per-row loop only to name
+# the first bad row. The reference is the per-row reader it replaced: the
+# two must agree on every file, in the array, in None and in the message.
+
+def _reference_load_labels(path, expected_frames=None):
+    lines = dio._read_text(path).splitlines()
+    if not lines:
+        return None
+    if lines[0].strip() != dio.LABELS_HEADER:
+        raise DataFormatError(f"{path}: first line must be '{dio.LABELS_HEADER}'")
+    if len(lines) == 1:
+        return None
+    out = np.empty(len(lines) - 1, dtype=np.int32)
+
+    def bad(row, message):
+        return DataFormatError(f"{path}: line {row + 2}: {message}")
+
+    for row, line in enumerate(lines[1:]):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise bad(row, f"expected 'frame_index,phase_id', got {dio._clip(line)!r}")
+        idx, phase = parts
+        if not dio._is_decimal(idx) or not dio._is_decimal(phase):
+            if dio._is_decimal(idx) and phase[:1] == "-" \
+                    and dio._is_decimal(phase[1:]) and phase != "-0":
+                raise bad(row, "negative phase id")
+            raise bad(row, f"non-integer field in {dio._clip(line)!r}")
+        if idx != str(row):
+            raise bad(row, f"frame_index {dio._clip(idx)} out of order, expected {row}")
+        if len(phase) > len(str(dio.PHASE_ID_MAX)) or int(phase) > dio.PHASE_ID_MAX:
+            raise bad(row, f"phase id above {dio.PHASE_ID_MAX}")
+        out[row] = int(phase)
+    if expected_frames is not None and out.shape[0] != expected_frames:
+        raise DataFormatError(f"{path}: {out.shape[0]} label rows for "
+                              f"{expected_frames} frames")
+    return out
+
+
+def _labels_outcome(reader, path, expected_frames):
+    try:
+        labels = reader(path, expected_frames)
+    except DataFormatError as exc:
+        return "error", str(exc)
+    if labels is None:
+        return None
+    return "labels", labels.dtype.str, labels.shape, labels.tobytes()
+
+
+EDGE_NUMBERS = st.sampled_from([
+    str(dio.PHASE_ID_MAX - 1), str(dio.PHASE_ID_MAX), str(dio.PHASE_ID_MAX + 1),
+    "1" + "0" * 9, "9" * 10, "1" + "0" * 10, "9" * 11, "0", "-1", "01",
+    "1\u0663", "\u0661"])
+
+
+LABEL_VALUES = st.lists(st.integers(0, 5) | st.integers(-1, dio.PHASE_ID_MAX + 1),
+                        max_size=8)
+
+
+@st.composite
+def edited_label_files(draw):
+    """Rows as `save_labels` writes them with an edge value in one field,
+    other line breaks, a padded header or no final newline."""
+    values = draw(LABEL_VALUES)
+    lines = [dio.LABELS_HEADER, *(f"{i},{v}" for i, v in enumerate(values))]
+    if len(lines) > 1:
+        row = draw(st.integers(1, len(lines) - 1))
+        index, phase = lines[row].split(",")
+        if draw(st.booleans()):
+            phase = draw(EDGE_NUMBERS)
+        else:
+            index = draw(EDGE_NUMBERS)
+        lines[row] = f"{index},{phase}"
+    lines[0] += draw(st.sampled_from(["", "", " ", "\t"]))
+    text = draw(LINE_BREAKS).join(lines) + draw(st.sampled_from(["\n", "\r\n", ""]))
+    return text.encode("utf-8")
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_load_labels_equals_the_per_row_reference(fuzz_dir, data):
+    path = fuzz_dir / "reference.labels.csv"
+    if data.draw(st.booleans(), label="saved"):
+        save_labels(path, data.draw(LABEL_VALUES, label="labels"))
+    else:
+        path.write_bytes(data.draw(label_files() | edited_label_files(), label="file"))
+    expected_frames = data.draw(st.none() | st.integers(0, 9), label="frames")
+    assert _labels_outcome(load_labels, path, expected_frames) \
+        == _labels_outcome(_reference_load_labels, path, expected_frames)
+
+
+@pytest.mark.parametrize("text", [
+    "frame_index,phase_id\r\n0,1\r\n1,2\r\n",
+    "frame_index,phase_id\r0,1\r1,2\r",
+    "frame_index,phase_id\u20280,1\u20281,2",
+    "frame_index,phase_id\n0,1\n1,2",
+    " frame_index,phase_id \n0,1\n",
+    f"frame_index,phase_id\n0,{dio.PHASE_ID_MAX - 1}\n1,{dio.PHASE_ID_MAX}\n",
+    f"frame_index,phase_id\n0,1\n1,{dio.PHASE_ID_MAX + 1}\n",
+    "frame_index,phase_id\n0,9999999999\n",
+    "frame_index,phase_id\n0,10000000000\n",
+    "frame_index,phase_id\n0,1\n9999999999,1\n",
+    "frame_index,phase_id\n0,1\n10000000000,1\n",
+    "frame_index,phase_id\n0,1\n2,1\n1,-1\n",
+    "frame_index,phase_id\n0,1\n\n1,1\n",
+    "frame_index,phase_id\n0,1\u0663\n",
+], ids=["crlf", "cr", "u2028", "no-final-newline", "padded-header",
+        "max-1-and-max", "max+1", "10-digit-phase", "11-digit-phase",
+        "10-digit-index", "11-digit-index", "order-before-sign", "blank-row",
+        "non-ascii-digit"])
+def test_load_labels_edge_files_equal_the_per_row_reference(tmp_path, text):
+    path = tmp_path / "l.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _labels_outcome(load_labels, path, None) \
+        == _labels_outcome(_reference_load_labels, path, None)
+
+
 @settings(max_examples=300)
 @given(st.data())
 def test_fuzz_splits_file(fuzz_dir, data):

@@ -6,10 +6,10 @@ every benchmark run. One short `cli-chain` run per mode checks that each
 binding it patches still exists and that the outputs pass its own checks;
 a set-up probe of each other workload checks the bindings its set-up
 reads (`experiments.build_encoder`, `PhaseModel.init_uniform_fan`, ...).
-The traced run also checks that the training layers are still called
-through the bindings the benchmark wraps: a refactor that bypasses one
-would read 0 calls there while every output stays right. It asserts no
-timings.
+The traced run also checks that the training layers and the CLI commands
+are still called through the bindings the benchmark wraps: a refactor
+that bypasses one would read 0 calls there while every output stays
+right. It asserts no timings.
 """
 
 import json
@@ -25,6 +25,10 @@ TRACED_LAYERS = (
     "sampling.build_epoch_schedule", "models.encoder.forward_cached",
     "models.encoder.backward", "models.lstm.forward_chunk_cached",
     "models.lstm.backward_chunk",
+    # `cli.main` finds each command's function when it runs, so the
+    # benchmark's wrapper on `cli.cmd_<command>` sees every call.
+    *(f"cli.main.{command}" for command in (
+        "synth", "pretrain", "finetune", "eval", "retrieve", "replay")),
 )
 
 
