@@ -489,6 +489,10 @@ def load_dataset(directory) -> Dataset:
         raise DataFormatError(f"{manifest_path}: unsupported version "
                               f"{manifest['version']}")
     num_phases = _json_int(manifest["num_phases"], "num_phases", 2, manifest_path)
+    if num_phases > PHASE_ID_MAX + 1:
+        raise DataFormatError(f"{manifest_path}: num_phases must be at most "
+                              f"{PHASE_ID_MAX + 1} (int32 labels), got "
+                              f"{_clip(repr(num_phases))}")
     feature_dim = _json_int(manifest["feature_dim"], "feature_dim", 1, manifest_path)
     fps = manifest["fps"]
     if isinstance(fps, bool) or not isinstance(fps, (int, float)) \

@@ -5,11 +5,7 @@ class TempcohError(Exception):
     """Base class for all package-specific errors."""
 
 
-class SamplingError(TempcohError):
-    """Base class for tuple-sampler failures."""
-
-
-class NoValidDistantFrame(SamplingError):
+class NoValidDistantFrame(TempcohError):
     """The sequence is too short to contain any frame at distant offset."""
 
 

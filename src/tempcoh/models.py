@@ -11,11 +11,15 @@ same outputs at any BLAS thread count. The kernel also follows the memory
 order of the operands, so the constructors require C-contiguous weights
 and the entry points make their inputs contiguous.
 
-The per-frame LSTM loops write into preallocated buffers. Their ufuncs
-take `out` positionally (no keyword parsing) and constants as prebuilt
-arrays of the model dtype (no float conversion per call). A forward step
-is 10 numpy calls and a backward step 6; see `_recurrence` and
-`_recurrence_backward`.
+The encoder's `forward` and `forward_cached` run one layer loop, so they
+give the same bits. The per-frame LSTM loops write into preallocated
+buffers. Their ufuncs take `out` positionally (no keyword parsing) and
+constants as prebuilt arrays of the model dtype (no float conversion per
+call). A forward step is 10 numpy calls and a backward step 6; see
+`_recurrence` and `_recurrence_backward`. The forward writes the hidden
+and cell states into (T+1)-row histories whose row 0 is the carried-in
+state, so a chunk's cache holds the states before and after each step as
+views of them.
 
 Adam updates every parameter of a step as one flat array: per element the
 same operations, in the same order, as a per-parameter update. The layout
@@ -35,16 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
-
-
-def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """x @ weight.T + bias for one row (one gemv) or a stack (one gemm)."""
-    return x @ weight.T + bias
-
-
-def _row_outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum over t of outer(a[t], b[t]) for a (T, O) and b (T, I): one gemm."""
-    return a.T @ b
 
 
 def _uniform_fan_in(rng, shape: tuple[int, ...], fan_in: int, dtype) -> np.ndarray:
@@ -114,31 +108,31 @@ class EncoderModel:
             out[f"encoder.{i}.bias"] = b
         return out
 
-    def _check_input(self, x: np.ndarray) -> None:
-        if x.shape[-1] != self.input_dim:
-            raise ValueError(f"input dimension {x.shape[-1]} does not match "
+    def _layers(self, x, cache: list | None) -> np.ndarray:
+        """The layer loop of `forward` and `forward_cached`: the embedding of
+        `x`, appending each layer's (input, pre-activation) to `cache` unless
+        it is None."""
+        a = np.ascontiguousarray(x, dtype=self.dtype)
+        if a.shape[-1] != self.input_dim:
+            raise ValueError(f"input dimension {a.shape[-1]} does not match "
                              f"encoder input {self.input_dim}")
+        for w, b in zip(self.weights, self.biases):
+            z = a @ w.T + b
+            if cache is not None:
+                cache.append((a, z))
+            a = np.maximum(z, 0)
+        return a
 
     def forward(self, x) -> np.ndarray:
         """Embed a single feature vector or a (batch, features) stack."""
-        a = np.ascontiguousarray(x, dtype=self.dtype)
-        self._check_input(a)
-        for w, b in zip(self.weights, self.biases):
-            a = np.maximum(_affine(a, w, b), 0)
-        return a
+        return self._layers(x, None)
 
     def forward_cached(self, x: np.ndarray):
         """Batched forward keeping per-layer inputs and pre-activations."""
-        a = np.ascontiguousarray(x, dtype=self.dtype)
-        if a.ndim != 2:
+        if np.ndim(x) != 2:
             raise ValueError("forward_cached expects a (batch, features) array")
-        self._check_input(a)
         cache = []
-        for w, b in zip(self.weights, self.biases):
-            z = _affine(a, w, b)
-            cache.append((a, z))
-            a = np.maximum(z, 0)
-        return a, cache
+        return self._layers(x, cache), cache
 
     def backward(self, cache, grad_embedding: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of every parameter for one cached forward, each summed
@@ -150,7 +144,7 @@ class EncoderModel:
         for i in reversed(range(self.num_layers)):
             a_in, z = cache[i]
             dz = da * (z > 0)
-            grads[f"encoder.{i}.weight"] = _row_outer_sum(dz, a_in)
+            grads[f"encoder.{i}.weight"] = dz.T @ a_in
             grads[f"encoder.{i}.bias"] = dz.sum(axis=0)
             if i > 0:
                 da = dz @ self.weights[i]
@@ -256,17 +250,18 @@ class PhaseModel:
         out["classifier.bias"] = self.clf_bias
         return out
 
-    def _recurrence(self, zx: np.ndarray, h: np.ndarray, c: np.ndarray):
+    def _recurrence(self, zx: np.ndarray, state_in: LstmState):
         """Run the cell over precomputed input pre-activations zx (T, 4H)
-        from the carried state (h, c), which is read and never written.
+        from the carried `state_in`, which is read and never written.
 
-        Returns (gates, cs, tanh_cs, hs_out), each row the values at one
-        step. A sigmoid gate is tanh(z/2)/2 + 1/2. Halving is exact (a
-        power-of-two scale), so it is folded into copies of zx and of the
-        recurrent weight rows of the input, forget and output gates; one
-        tanh over all 4H pre-activations, one multiply by `scale` and one
-        add of `shift` then give all four gates, the candidate with scale 1
-        and shift 0."""
+        Returns (gates, tanh_cs, h_hist, c_hist): row t of the first two and
+        row t+1 of the (T+1)-row state histories are the values at step t;
+        row 0 of the histories is `state_in`. A sigmoid gate is tanh(z/2)/2
+        + 1/2. Halving is exact (a power-of-two scale), so it is folded into
+        copies of zx and of the recurrent weight rows of the input, forget
+        and output gates; one tanh over all 4H pre-activations, one multiply
+        by `scale` and one add of `shift` then give all four gates, the
+        candidate with scale 1 and shift 0."""
         n = zx.shape[0]
         hs = self.hidden_size
         dt = self.dtype
@@ -276,15 +271,18 @@ class PhaseModel:
         zx = zx * scale
         w_hidden = self.lstm_w_hidden * scale[:, None]
         gates = np.empty((n, 4 * hs), dtype=dt)
-        cs = np.empty((n, hs), dtype=dt)
         tanh_cs = np.empty((n, hs), dtype=dt)
-        hs_out = np.empty((n, hs), dtype=dt)
+        h_hist = np.empty((n + 1, hs), dtype=dt)
+        c_hist = np.empty((n + 1, hs), dtype=dt)
+        h_hist[0] = state_in.h
+        c_hist[0] = state_in.c
         gi, gf = gates[:, :hs], gates[:, hs:2 * hs]
         gg, go = gates[:, 2 * hs:3 * hs], gates[:, 3 * hs:]
         z = np.empty(4 * hs, dtype=dt)
         ig = np.empty(hs, dtype=dt)
-        for zx_t, g_t, gi_t, gf_t, gg_t, go_t, c_t, tc_t, h_t in zip(
-                zx, gates, gi, gf, gg, go, cs, tanh_cs, hs_out):
+        for zx_t, g_t, gi_t, gf_t, gg_t, go_t, h, c, c_t, tc_t, h_t in zip(
+                zx, gates, gi, gf, gg, go, h_hist, c_hist, c_hist[1:], tanh_cs,
+                h_hist[1:]):
             np.dot(w_hidden, h, z)
             np.add(zx_t, z, z)
             np.tanh(z, g_t)
@@ -295,8 +293,7 @@ class PhaseModel:
             np.add(c_t, ig, c_t)
             np.tanh(c_t, tc_t)
             np.multiply(go_t, tc_t, h_t)
-            h, c = h_t, c_t
-        return gates, cs, tanh_cs, hs_out
+        return gates, tanh_cs, h_hist, c_hist
 
     def forward_chunk(self, frames, state_in: LstmState):
         """Left-to-right pass over consecutive frames of one video.
@@ -310,15 +307,13 @@ class PhaseModel:
         if frames.ndim != 2 or frames.shape[0] == 0:
             raise ValueError("frames must be a non-empty (T, features) array")
         emb, enc_cache = self.encoder.forward_cached(frames)
-        zx = _affine(emb, self.lstm_w_input, self.lstm_bias)  # (T, 4H)
-        h0 = np.ascontiguousarray(state_in.h, dtype=self.dtype)
-        c0 = np.asarray(state_in.c, dtype=self.dtype)
-        gates, cs, tanh_cs, hs_out = self._recurrence(zx, h0, c0)
-        logits = _affine(hs_out, self.clf_weight, self.clf_bias)
-        state_out = LstmState(hs_out[-1].copy(), cs[-1].copy())
-        h_prev = np.concatenate([h0[None], hs_out[:-1]])
-        c_prev = np.concatenate([c0[None], cs[:-1]])
-        cache = (enc_cache, emb, h_prev, c_prev, gates, cs, tanh_cs, hs_out)
+        zx = emb @ self.lstm_w_input.T + self.lstm_bias  # (T, 4H)
+        gates, tanh_cs, h_hist, c_hist = self._recurrence(zx, state_in)
+        hs_out = h_hist[1:]
+        logits = hs_out @ self.clf_weight.T + self.clf_bias
+        state_out = LstmState(h_hist[-1].copy(), c_hist[-1].copy())
+        cache = (enc_cache, emb, h_hist[:-1], c_hist[:-1], gates, c_hist[1:],
+                 tanh_cs, hs_out)
         return logits, state_out, cache
 
     def _recurrence_backward(self, dh_seq: np.ndarray, gates: np.ndarray,
@@ -368,13 +363,13 @@ class PhaseModel:
         enc_cache, emb, h_prev, c_prev, gates, cs, tanh_cs, hs_out = cache
         grad_logits = np.ascontiguousarray(grad_logits)
         grads: dict[str, np.ndarray] = {
-            "classifier.weight": _row_outer_sum(grad_logits, hs_out),
+            "classifier.weight": grad_logits.T @ hs_out,
             "classifier.bias": grad_logits.sum(axis=0),
         }
         dh_seq = grad_logits @ self.clf_weight
         dzs = self._recurrence_backward(dh_seq, gates, c_prev, tanh_cs)
-        grads["lstm.w_input"] = _row_outer_sum(dzs, emb)
-        grads["lstm.w_hidden"] = _row_outer_sum(dzs, h_prev)
+        grads["lstm.w_input"] = dzs.T @ emb
+        grads["lstm.w_hidden"] = dzs.T @ h_prev
         grads["lstm.bias"] = dzs.sum(axis=0)
         grad_emb = dzs @ self.lstm_w_input
         grads.update(self.encoder.backward(enc_cache, grad_emb))

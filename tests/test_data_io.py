@@ -425,6 +425,7 @@ def test_dataset_manifest_errors_name_the_manifest(tmp_path, rng, edit, problem)
     pytest.param("fps", 10**400, id="fps-10**400"),
     ("num_phases", 7.9), ("num_phases", 7.0), ("num_phases", "4"),
     ("num_phases", True), ("num_phases", 1), ("num_phases", None),
+    ("num_phases", 2**31 + 1), ("num_phases", 2**36), ("num_phases", 10**4000),
     ("feature_dim", 4.0), ("feature_dim", "4"), ("feature_dim", True),
     ("feature_dim", 0)])
 def test_dataset_manifest_numbers_must_have_their_json_type(tmp_path, rng, key,
@@ -454,6 +455,22 @@ def test_dataset_manifest_integer_fps_loads_as_float(tmp_path, rng):
     manifest_path.write_text(json.dumps(manifest))
     fps = load_dataset(root).fps
     assert fps == 5.0 and isinstance(fps, float)
+
+
+def test_dataset_manifest_num_phases_of_every_int32_label_loads(tmp_path, rng):
+    # int32 labels name phases 0 .. PHASE_ID_MAX, so PHASE_ID_MAX + 1 = 2**31
+    # phases is the most a manifest may declare; 2**31 + 1 is refused in
+    # test_dataset_manifest_numbers_must_have_their_json_type. Loading
+    # allocates nothing per phase.
+    dataset = generate_dataset(SynthConfig(min_duration=5, max_duration=9,
+                                           feature_dim=4), 4, rng)
+    root = tmp_path / "data"
+    save_dataset(root, dataset)
+    manifest_path = root / "dataset.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["num_phases"] = 2**31
+    manifest_path.write_text(json.dumps(manifest))
+    assert load_dataset(root).num_phases == dio.PHASE_ID_MAX + 1 == 2**31
 
 
 def test_dataset_manifest_over_long_integer_names_the_manifest(tmp_path, rng):

@@ -11,7 +11,6 @@ from tempcoh.models import (
     EncoderModel,
     LstmState,
     PhaseModel,
-    _row_outer_sum,
     adam_step,
     softmax_cross_entropy_batch,
 )
@@ -73,6 +72,18 @@ def test_encoder_batch_equals_stacked_singles_to_rounding(rng):
     batched = enc.forward(xs)
     singles = np.stack([enc.forward(x) for x in xs])
     assert np.allclose(batched, singles, rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hidden", [[], [64]], ids=["no-hidden", "hidden"])
+def test_encoder_forward_equals_forward_cached_bitwise(rng, dtype, hidden):
+    # Retrieval embeds with forward and pretraining with forward_cached; both
+    # run one layer loop, so they give the same bits.
+    enc = EncoderModel.create(16, hidden, 32, dtype=dtype).init_uniform_fan(rng)
+    x = rng.normal(size=(37, 16)).astype(dtype)
+    emb, cache = enc.forward_cached(x)
+    assert len(cache) == enc.num_layers
+    assert _same_bits(enc.forward(x), emb)
 
 
 def test_encoder_input_dim_checked(rng):
@@ -158,12 +169,14 @@ def test_models_take_strided_inputs_as_their_contiguous_copies(rng, dtype):
     (1, 1), (1, 6), (6, 1), (16, 16), (7, 40), (40, 7), (256, 32), (32, 64)])
 def test_row_outer_sum_equals_einsum_bitwise(rng, dtype_a, dtype_b, rows,
                                              out_width, in_width):
-    # The gemm sums in another order than einsum's loop, so the two agree
-    # bit for bit only without a sum (one row), and to rounding otherwise.
-    # Bitwise, the result is the same for the same rows at any offset.
+    # Every weight gradient is the gemm a.T @ b, the sum over rows t of
+    # outer(a[t], b[t]). It sums in another order than einsum's loop, so the
+    # two agree bit for bit only without a sum (one row), and to rounding
+    # otherwise. Bitwise, the result is the same for the same rows at any
+    # offset, which the LSTM's views into its state histories rely on.
     a = (50.0 * rng.normal(size=(rows, out_width))).astype(dtype_a)
     b = rng.normal(size=(rows, in_width)).astype(dtype_b)
-    got = _row_outer_sum(a, b)
+    got = a.T @ b
     assert got.flags.c_contiguous
     want = np.einsum("to,ti->oi", a, b)
     if rows == 1:
@@ -171,9 +184,9 @@ def test_row_outer_sum_equals_einsum_bitwise(rng, dtype_a, dtype_b, rows,
     eps = np.finfo(got.dtype).eps
     assert (np.abs(got - want) <= 2 * rows * eps * (np.abs(a).T @ np.abs(b))).all()
     first = int(rng.integers(0, rows))
-    shifted = _row_outer_sum(_placed(a, rng, int(rng.integers(1, 8)), 0)[first:],
-                             _placed(b, rng, int(rng.integers(1, 8)), 0)[first:])
-    assert _same_bits(shifted, _row_outer_sum(a[first:].copy(), b[first:].copy()))
+    shifted = (_placed(a, rng, int(rng.integers(1, 8)), 0)[first:].T
+               @ _placed(b, rng, int(rng.integers(1, 8)), 0)[first:])
+    assert _same_bits(shifted, a[first:].copy().T @ b[first:].copy())
 
 
 def test_models_reject_fortran_ordered_weights(rng):
@@ -441,6 +454,46 @@ def test_forward_chunk_state_out_does_not_alias_cache(rng):
     state.c += 1.0
     for got, want in zip(cache[1:], before):
         assert _same_bits(got, want)
+
+
+def test_chunk_cache_outlives_the_next_chunk(rng):
+    # The next chunk starts from this chunk's state_out; it must not reuse
+    # the state histories that this chunk's cache views.
+    enc = EncoderModel.create(4, [5], 4, dtype=np.float32).init_uniform_fan(rng)
+    model = PhaseModel.create(enc, 6, 3).init_head_uniform_fan(rng)
+    frames = rng.normal(size=(12, 4)).astype(np.float32)
+    upstream = rng.normal(size=(7, 3)).astype(np.float32)
+    _, state, cache = model.forward_chunk_cached(frames[:7], model.zero_state())
+    want = model.backward_chunk(cache, upstream)
+    model.forward_chunk_cached(frames[7:], state)
+    got = model.backward_chunk(cache, upstream)
+    assert got.keys() == want.keys()
+    for name in want:
+        assert _same_bits(got[name], want[name]), name
+
+
+def test_lstm_step_costs_ten_numpy_calls_forward_and_six_backward(rng, monkeypatch):
+    # README "Performance" gives these counts per frame, the floor of the
+    # step loops: one more frame in a chunk costs exactly that many calls.
+    model = f64_phase_model(rng, n_in=4, hidden=(5,), d=4, h=6, k=3)
+    calls = [0]
+    for name in ("dot", "add", "tanh", "multiply"):
+        def counted(*args, _real=getattr(np, name), **kwargs):
+            calls[0] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+
+    def cost(n):
+        before = calls[0]
+        logits, _, cache = model.forward_chunk_cached(rng.normal(size=(n, 4)),
+                                                      model.zero_state())
+        forward = calls[0] - before
+        model.backward_chunk(cache, rng.normal(size=logits.shape))
+        return forward, calls[0] - before - forward
+
+    (forward, backward), (forward_plus, backward_plus) = cost(5), cost(6)
+    assert forward >= 5 * 10 and backward >= 5 * 6
+    assert (forward_plus - forward, backward_plus - backward) == (10, 6)
 
 
 def test_phase_model_create_validation():
