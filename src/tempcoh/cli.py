@@ -58,11 +58,27 @@ def _cell(summary: MetricSummary) -> str:
     return f"{summary.mean:.1f} ± {summary.std:.1f}"
 
 
-def _text_table(rows: list[list[str]]) -> str:
+def _write_csv(path, header: list[str], rows) -> None:
+    """The one CSV writer: a float cell in full precision, None as an empty
+    cell, anything else as its `str`."""
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, (float, np.floating)):
+            return _fnum(value)
+        return str(value)
+
+    lines = [",".join(header), *(",".join(map(cell, row)) for row in rows)]
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_table(path, title: str, rows: list[list[str]]) -> None:
+    """The one text-table writer: `title` over left-aligned columns."""
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-             for row in rows]
-    return "\n".join(lines) + "\n"
+    lines = [title]
+    lines += ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+              for row in rows]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _mkparent(path: Path) -> None:
@@ -100,9 +116,7 @@ def _run_pretrain(resolved, run, paths) -> list[Path]:
     save_encoder(out, encoder, {"method": method, "seed": run["seed"],
                                 "epochs": resolved["pretrain"]["epochs"]})
     losses_csv = Path(str(out) + ".losses.csv")
-    lines = ["epoch,mean_loss"]
-    lines += [f"{i},{_fnum(x)}" for i, x in enumerate(result.epoch_losses)]
-    atomic_write_text(losses_csv, "\n".join(lines) + "\n")
+    _write_csv(losses_csv, ["epoch", "mean_loss"], enumerate(result.epoch_losses))
     return [out, losses_csv]
 
 
@@ -132,9 +146,8 @@ def _run_finetune(resolved, run, paths) -> list[Path]:
         "stopped_early": result.stopped_early,
     })
     log_csv = Path(str(out) + ".log.csv")
-    lines = ["epoch,train_accuracy"]
-    lines += [f"{i},{_fnum(a)}" for i, a in enumerate(result.epoch_accuracies)]
-    atomic_write_text(log_csv, "\n".join(lines) + "\n")
+    _write_csv(log_csv, ["epoch", "train_accuracy"],
+               enumerate(result.epoch_accuracies))
     return [out, log_csv]
 
 
@@ -143,32 +156,6 @@ def _report_rows(report, num_phases: int) -> list[tuple[str, object]]:
     P1, P2, ...; `report` is a VideoMetrics or an AggregateReport."""
     return ([(m, getattr(report, m)) for m in HEADLINE]
             + [(f"P{k + 1}", report.per_phase_f1[k]) for k in range(num_phases)])
-
-
-def _eval_report_csv(videos, result, num_phases: int) -> str:
-    summaries = _report_rows(result.report, num_phases)
-    lines = [",".join(["video_id", *(name for name, _ in summaries)])]
-
-    def fmt(value) -> str:
-        return "" if value is None else _fnum(value)
-
-    for seq in videos:
-        scores = _report_rows(result.per_video[seq.video_id], num_phases)
-        lines.append(",".join([seq.video_id, *(fmt(v) for _, v in scores)]))
-    for field in ("mean", "std"):
-        lines.append(",".join([field, *(fmt(getattr(s, field))
-                                        for _, s in summaries)]))
-    lines.append(",".join(["count", *(str(s.count) for _, s in summaries)]))
-    return "\n".join(lines) + "\n"
-
-
-def _eval_report_text(result, num_phases: int) -> str:
-    report = result.report
-    rows = [["metric", "mean ± std", "n"]]
-    for name, summary in _report_rows(report, num_phases):
-        rows.append([name, _cell(summary), str(summary.count)])
-    return (f"evaluation over {report.num_videos} video(s)\n"
-            + _text_table(rows))
 
 
 def _load_model_for_eval(path, dataset):
@@ -187,11 +174,19 @@ def _run_eval(resolved, run, paths) -> list[Path]:
     if not videos:
         raise DataFormatError(f"split {run['split']} is empty")
     result = evaluate(model, videos)
+    summaries = _report_rows(result.report, model.num_phases)
     out = Path(paths["out"])
     _mkparent(out)
+    per_video = ([seq.video_id, *(v for _, v in _report_rows(
+        result.per_video[seq.video_id], model.num_phases))] for seq in videos)
+    totals = ([field, *(getattr(s, field) for _, s in summaries)]
+              for field in ("mean", "std", "count"))
+    _write_csv(out, ["video_id", *(name for name, _ in summaries)],
+               [*per_video, *totals])
     txt = Path(str(out) + ".txt")
-    atomic_write_text(out, _eval_report_csv(videos, result, model.num_phases))
-    atomic_write_text(txt, _eval_report_text(result, model.num_phases))
+    _write_table(txt, f"evaluation over {result.report.num_videos} video(s)",
+                 [["metric", "mean ± std", "n"],
+                  *([name, _cell(s), str(s.count)] for name, s in summaries)])
     return [out, txt]
 
 
@@ -206,18 +201,14 @@ def _run_compare(resolved, run, paths) -> list[Path]:
     out_dir = Path(paths["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    per_seed_lines = [",".join(["seed", "method", *HEADLINE])]
-    values: dict[tuple[str, int], dict[str, float]] = {}
-    for arm in arms:
-        row = {m: getattr(arm.report, m).mean for m in HEADLINE}
-        values[(arm.method, arm.seed)] = row
-        per_seed_lines.append(",".join(
-            [str(arm.seed), arm.method, *(_fnum(row[m]) for m in HEADLINE)]))
+    values = {(arm.method, arm.seed): {m: getattr(arm.report, m).mean
+                                       for m in HEADLINE} for arm in arms}
     per_seed_csv = out_dir / "per_seed.csv"
-    atomic_write_text(per_seed_csv, "\n".join(per_seed_lines) + "\n")
+    _write_csv(per_seed_csv, ["seed", "method", *HEADLINE],
+               ([seed, method, *row.values()]
+                for (method, seed), row in values.items()))
 
-    summary_lines = ["method," + ",".join(
-        f"{m}_mean,{m}_std" for m in HEADLINE) + ",f1_improvement"]
+    summary_rows = []
     table = [["method", *HEADLINE, "Δf1"]]
     for method in [BASELINE, *methods]:
         summaries = {m: MetricSummary.of([values[(method, s)][m] for s in seeds])
@@ -225,20 +216,18 @@ def _run_compare(resolved, run, paths) -> list[Path]:
         improvement = float(np.mean(
             [values[(method, s)]["f1"] - values[(BASELINE, s)]["f1"]
              for s in seeds]))
-        cells = [method]
-        for m in HEADLINE:
-            cells += [_fnum(summaries[m].mean), _fnum(summaries[m].std)]
-        cells.append(_fnum(improvement))
-        summary_lines.append(",".join(cells))
+        summary_rows.append([method, *(x for m in HEADLINE for x in (
+            summaries[m].mean, summaries[m].std)), improvement])
         table.append([method, *(_cell(summaries[m]) for m in HEADLINE),
                       f"{improvement:+.1f}"])
     summary_csv = out_dir / "summary.csv"
-    atomic_write_text(summary_csv, "\n".join(summary_lines) + "\n")
+    _write_csv(summary_csv, ["method", *(f"{m}_{stat}" for m in HEADLINE
+                                         for stat in ("mean", "std")),
+                             "f1_improvement"], summary_rows)
     summary_txt = out_dir / "summary.txt"
-    atomic_write_text(
-        summary_txt,
-        f"label budget {run['labeled_sets']}, {len(seeds)} seed(s), "
-        f"test split {TEST_SPLIT}\n" + _text_table(table))
+    _write_table(summary_txt, f"label budget {run['labeled_sets']}, "
+                              f"{len(seeds)} seed(s), test split {TEST_SPLIT}",
+                 table)
     return [per_seed_csv, summary_csv, summary_txt]
 
 
@@ -297,17 +286,13 @@ def _run_retrieve(resolved, run, paths) -> list[Path]:
                              run["seed"])
     results = retrieval_report(encoder, queries, corpus)
     agreement = phase_agreement(results)
-    lines = ["query_id,video_id,frame_index,distance,query_phase,retrieved_phase"]
-    for res in results:
-        qid = f"{res.query_video}:{res.query_frame}"
-        qp = "" if res.query_phase is None else str(res.query_phase)
-        for m in res.matches:
-            rp = "" if m.retrieved_phase is None else str(m.retrieved_phase)
-            lines.append(f"{qid},{m.video_id},{m.frame_index},"
-                         f"{_fnum(m.distance)},{qp},{rp}")
     out = Path(paths["out"])
     _mkparent(out)
-    atomic_write_text(out, "\n".join(lines) + "\n")
+    _write_csv(out, ["query_id", "video_id", "frame_index", "distance",
+                     "query_phase", "retrieved_phase"],
+               ([f"{res.query_video}:{res.query_frame}", m.video_id,
+                 m.frame_index, m.distance, res.query_phase, m.retrieved_phase]
+                for res in results for m in res.matches))
     txt = Path(str(out) + ".txt")
     agreement_text = "n/a" if agreement is None else _fnum(agreement)
     atomic_write_text(txt, (
@@ -318,9 +303,11 @@ def _run_retrieve(resolved, run, paths) -> list[Path]:
 
 
 # command -> (runner, `run` keys, `paths` keys the runner requires, where
-# the manifest goes: appended to the `out` path). A command records `seed`
-# and its `run` keys from the arguments of the same names; replay checks a
-# manifest for the required keys before running it.
+# the manifest goes: appended to the `out` path). A command records its
+# `run` keys from the arguments of the same names; replay checks a manifest
+# for the required keys before running it. Only the commands with a `seed`
+# run key take `--seed`, and only those whose runner reads `resolved` take
+# the config flags; the others record the built-in default config.
 _RUNNERS = {
     "synth": (_run_synth, ("seed", "videos"), ("out",), "/run_manifest.json"),
     "pretrain": (_run_pretrain, ("seed", "method"), ("data", "out"),
@@ -349,11 +336,14 @@ _REQUIRED_TYPES = {
 
 
 def _check_run_ranges(command: str, run: dict) -> None:
-    """Raise a ValueError for a run value out of range: a `synth` with
-    fewer than 4 videos, a `pretrain` with an unknown method, a `compare`
-    with `seeds` below 1 or `methods` empty or naming an unknown method, or
-    a `retrieve` with a `query_split` letter that is not a split. The
-    values already have the types `_REQUIRED_TYPES` names."""
+    """Raise a ValueError for a run value out of range: a `seed` below 0, a
+    `synth` with fewer than 4 videos, a `pretrain` with an unknown method, a
+    `compare` with `seeds` below 1 or `methods` empty, naming an unknown
+    method or naming one twice, or a `retrieve` with a `query_split` letter
+    that is not a split. The values already have the types
+    `_REQUIRED_TYPES` names."""
+    if "seed" in _RUNNERS[command][1] and run["seed"] < 0:
+        raise ValueError(f"seed must be at least 0, got {run['seed']}")
     if command == "synth":
         if run["videos"] < 4:
             raise ValueError(f"videos must be at least 4 (A/B/C/D split), "
@@ -366,6 +356,9 @@ def _check_run_ranges(command: str, run: dict) -> None:
         if not run["methods"]:
             raise ValueError("methods must name at least one method")
         _check_methods(run["methods"])
+        for i, m in enumerate(run["methods"]):
+            if m in run["methods"][:i]:
+                raise ValueError(f"methods name {m!r} twice")
     elif command == "retrieve":
         for letter in run["query_split"]:
             if letter not in SPLIT_NAMES:
@@ -415,12 +408,13 @@ def _run_command(args) -> int:
     """Run `args.command` from its parsed arguments."""
     command = args.command
     _, run_keys, _, manifest_suffix = _RUNNERS[command]
-    run = {key: getattr(args, key) for key in ("seed", *run_keys)}
+    run = {key: getattr(args, key) for key in run_keys}
     try:
         _check_run_ranges(command, run)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    resolved = resolve_config(args.preset, args.config, args.set)
+    resolved = (resolve_config(args.preset, args.config, args.set)
+                if "preset" in args else resolve_config())
     paths = {key: str(Path(value).resolve()) if value else None
              for key, value in vars(args).items() if key in _PATH_ARGS}
     return _execute(command, resolved, run, paths,
@@ -476,7 +470,11 @@ def _method_list(text: str) -> list[str]:
     return [m.strip() for m in text.split(",") if m.strip()]
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_seed(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
+
+
+def _add_config(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, metavar="FILE",
                    help="config file ([section] headers over key = value lines)")
     p.add_argument("--preset", default="desk", choices=sorted(PRESETS),
@@ -484,7 +482,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", action="append", default=[],
                    metavar="SECTION.KEY=VALUE",
                    help="override one config value (repeatable)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
+    _add_seed(p)
 
 
 @functools.cache
@@ -501,14 +499,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--videos", type=int, required=True,
                    help="number of videos (>= 4)")
-    _add_common(p)
+    _add_config(p)
 
     p = sub.add_parser("pretrain", help="self-supervised encoder pretraining")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--method", required=True,
                    choices=sorted(PRETRAIN_METHODS))
     p.add_argument("--out", required=True, help="encoder checkpoint path")
-    _add_common(p)
+    _add_config(p)
 
     p = sub.add_parser("finetune", help="supervised phase-model training")
     p.add_argument("--data", required=True, help="dataset directory")
@@ -518,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="encoder checkpoint to start from (omit for the "
                         "no-pretraining baseline)")
     p.add_argument("--out", required=True, help="phase-model checkpoint path")
-    _add_common(p)
+    _add_config(p)
 
     p = sub.add_parser("eval", help="evaluate a phase model on one split")
     p.add_argument("--data", required=True, help="dataset directory")
@@ -526,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default=TEST_SPLIT, choices=SPLIT_NAMES)
     p.add_argument("--out", required=True,
                    help="report CSV path (text table at PATH.txt)")
-    _add_common(p)
 
     p = sub.add_parser("compare",
                        help="baseline vs pretraining methods across seeds")
@@ -538,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", required=True, type=_method_list,
                    help="comma list of pretraining methods")
     p.add_argument("--out", required=True, help="output directory")
-    _add_common(p)
+    _add_config(p)
 
     p = sub.add_parser("retrieve", help="nearest-neighbor frame retrieval")
     p.add_argument("--data", required=True, help="dataset directory")
@@ -553,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
                                             "from (default: %(default)s)")
     p.add_argument("--out", required=True,
                    help="report CSV path (summary at PATH.txt)")
-    _add_common(p)
+    _add_seed(p)
 
     p = sub.add_parser("replay", help="re-execute a run from its manifest")
     p.add_argument("manifest", help="run manifest JSON path")
@@ -570,6 +567,11 @@ def main(argv=None) -> int:
         return 1
     except (TempcohError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy names the allocation that failed; a bare MemoryError is empty.
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}",
+              file=sys.stderr)
         return 2
 
 

@@ -250,13 +250,8 @@ def save_labels(path, labels: np.ndarray) -> None:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1:
         raise ValueError("labels must be one-dimensional")
-
-    def write(f):
-        lines = [LABELS_HEADER]
-        lines.extend(f"{i},{int(p)}" for i, p in enumerate(labels))
-        f.write(("\n".join(lines) + "\n").encode("utf-8"))
-
-    _atomic_write(path, write)
+    lines = [LABELS_HEADER, *(f"{i},{int(p)}" for i, p in enumerate(labels))]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _clip(text: str, limit: int = 80) -> str:
@@ -339,11 +334,8 @@ def write_video(path, seq: FrameSequence) -> None:
 
 
 def save_splits(path, splits: dict[str, str]) -> None:
-    def write(f):
-        lines = [f"{vid},{name}" for vid, name in splits.items()]
-        f.write(("\n".join(lines) + "\n").encode("utf-8"))
-
-    _atomic_write(path, write)
+    lines = [f"{vid},{name}" for vid, name in splits.items()]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def load_splits(path) -> dict[str, str]:
@@ -430,8 +422,7 @@ def save_dataset(directory, dataset: Dataset) -> list[Path]:
         "videos": entries,
     }
     path = directory / "dataset.json"
-    _atomic_write(path, lambda f: f.write(
-        json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8")))
+    atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True))
     return [path, splits_path, *video_files]
 
 

@@ -7,6 +7,8 @@ command writes a manifest that `replay` must reproduce byte for byte.
 import dataclasses
 import json
 import math
+import re
+import shlex
 import struct
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 import tempcoh.cli as cli
+import tempcoh.experiments as experiments
 from tempcoh.cli import main
 from tempcoh.config import (
     DEFAULTS,
@@ -30,6 +33,9 @@ from tempcoh.models import EncoderModel, PhaseModel
 from tempcoh.sampling import SamplerConfig
 from tempcoh.synthetic import SynthConfig
 from tempcoh.training import FinetuneConfig, PretrainConfig
+from test_acceptance import FINETUNE_EPOCH_CAP, HARD_SYNTH, PRETRAIN_EPOCHS
+
+REPO = Path(__file__).resolve().parents[1]
 
 # ------------------------------------------------------------------ config
 
@@ -168,6 +174,13 @@ def test_settable_keys_are_pinned():
 TINY = ["--set", "synth.fps=0.2", "--set", "synth.min_duration=25",
         "--set", "synth.max_duration=45", "--set", "synth.feature_dim=6",
         "--set", "synth.num_phases=4"]
+
+
+def test_direction_config_is_the_criterion_6_regime():
+    expected = {("synth", key): value for key, value in HARD_SYNTH.items()}
+    expected[("pretrain", "epochs")] = PRETRAIN_EPOCHS
+    expected[("finetune", "max_epochs")] = FINETUNE_EPOCH_CAP
+    assert parse_config_file(REPO / "configs" / "direction.ini") == expected
 
 
 @pytest.fixture(scope="module")
@@ -441,6 +454,11 @@ def test_compare_usage_errors(work, tmp_path, capsys):
     assert main(["compare", "--data", str(work / "data"), "--seeds", "1",
                  "--methods", ",", "--out", str(tmp_path / "x")]) == 1
     capsys.readouterr()
+    assert main(["compare", "--data", str(work / "data"), "--seeds", "1",
+                 "--methods", "contrastive2,contrastive2",
+                 "--out", str(tmp_path / "x")]) == 1
+    assert "methods name 'contrastive2' twice" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 # ---------------------------------------------------------------- retrieve
@@ -497,6 +515,43 @@ def test_retrieve_query_errors(work, tmp_path, capsys):
     capsys.readouterr()
 
 
+# ------------------------------------------------------------------- flags
+
+@pytest.mark.parametrize("command,flag", [
+    ("eval", ["--config", "run.ini"]), ("eval", ["--preset", "paper"]),
+    ("eval", ["--set", "model.embedding_dim=8"]), ("eval", ["--seed", "1"]),
+    ("retrieve", ["--config", "run.ini"]), ("retrieve", ["--preset", "paper"]),
+    ("retrieve", ["--set", "model.embedding_dim=8"]),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_commands_refuse_flags_they_do_not_read(work, tmp_path, capsys,
+                                                 command, flag):
+    out = tmp_path / "out.csv"
+    queries = ["--queries", "video_000:0"] if command == "retrieve" else []
+    assert main([command, "--data", str(work / "data"),
+                 "--model", str(work / "model.ckpt"), *queries,
+                 "--out", str(out), *flag]) == 1
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "pretrain", "finetune", "compare",
+                                     "retrieve"])
+def test_negative_seed_exit_1_naming_the_flag(work, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = {
+        "synth": ["--videos", "4"],
+        "pretrain": ["--data", str(work / "data"), "--method", "ranking"],
+        "finetune": ["--data", str(work / "data"), "--labeled-sets", "A"],
+        "compare": ["--data", str(work / "data"), "--seeds", "1",
+                    "--methods", "ranking"],
+        "retrieve": ["--data", str(work / "data"), "--model",
+                     str(work / "enc.ckpt"), "--queries", "random:2"],
+    }[command]
+    assert main([command, *argv, "--out", str(out), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
+    assert not out.exists()
+
+
 # ------------------------------------------- checkpoint of another width
 
 @pytest.mark.parametrize("command", ["finetune", "eval", "retrieve"])
@@ -538,6 +593,37 @@ def test_replay_reproduces_eval_byte_identically(work, tmp_path):
     assert after_manifest["resolved_config"] == before_manifest["resolved_config"]
     for path, content in before.items():
         assert Path(path).read_bytes() == content
+
+
+@pytest.mark.parametrize("command,run", [
+    ("eval", {"split": "D"}),
+    ("retrieve", {"seed": 6, "queries": "random:4", "split": "D",
+                  "query_split": "ABC"}),
+])
+def test_eval_and_retrieve_manifests_replay_as_earlier_runs_wrote_them(
+        work, tmp_path, command, run):
+    out = tmp_path / "r.csv"
+    extra = (["--queries", "random:4", "--seed", "6"] if command == "retrieve"
+             else [])
+    assert main([command, "--data", str(work / "data"),
+                 "--model", str(work / "model.ckpt"), *extra,
+                 "--out", str(out)]) == 0
+    manifest_path = Path(str(out) + ".manifest.json")
+    manifest = read_manifest(manifest_path)
+    assert manifest["run"] == run
+    assert manifest["resolved_config"] == resolve_config()
+    # Earlier eval manifests also recorded an unused `run.seed`.
+    manifest["run"].setdefault("seed", 0)
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    before = {p: Path(p).read_bytes() for p in manifest["outputs"]}
+    for path in before:
+        Path(path).unlink()
+
+    assert main(["replay", str(manifest_path)]) == 0
+    assert {p: Path(p).read_bytes() for p in before} == before
+    after = read_manifest(manifest_path)
+    assert after["artifact_version"] == manifest["artifact_version"]
+    assert after["run"] == manifest["run"]
 
 
 def test_replay_reproduces_synth_byte_identically(work):
@@ -765,8 +851,11 @@ def compare_manifest(work, tmp_path_factory):
     ("methods", ["nope"], "unknown method 'nope'"),
     ("labeled_sets", "D", "labeled sets 'D' are not a label budget"),
     ("labeled_sets", "ABCD", "labeled sets 'ABCD' are not a label budget"),
+    ("methods", ["contrastive", "contrastive"],
+     "methods name 'contrastive' twice"),
+    ("seed", -1, "seed must be at least 0, got -1"),
 ], ids=["zero-seeds", "no-methods", "unknown-method", "test-split-labels",
-        "all-split-labels"])
+        "all-split-labels", "repeated-method", "negative-seed"])
 def test_replay_names_the_manifest_for_out_of_range_compare_run(
         compare_manifest, tmp_path, capsys, key, value, message):
     manifest = read_manifest(compare_manifest)
@@ -880,6 +969,49 @@ def test_main_runs_the_command_function_bound_at_call_time(work, tmp_path,
     monkeypatch.setattr(cli, "cmd_eval", lambda args: seen.append(args) or 7)
     assert main(argv) == 7
     assert [args.command for args in seen] == ["eval"]
+
+
+@pytest.mark.parametrize("message,expected", [
+    ("Unable to allocate 16.0 GiB for an array with shape (2147483647, 2)",
+     "error: out of memory: Unable to allocate 16.0 GiB for an array with "
+     "shape (2147483647, 2)\n"),
+    ("", "error: out of memory\n"),
+], ids=["numpy", "bare"])
+def test_model_build_out_of_memory_exit_2(work, tmp_path, capsys, monkeypatch,
+                                          message, expected):
+    def cannot_allocate(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(experiments, "build_phase_model", cannot_allocate)
+    out = tmp_path / "model.ckpt"
+    assert main(["finetune", "--data", str(work / "data"), "--labeled-sets",
+                 "A", "--init", str(work / "enc.ckpt"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == expected
+    assert not out.exists()
+
+
+def _readme_command_lines() -> list[str]:
+    """Every `tempcoh ...` command line of the README's sh blocks, with
+    backslash continuations joined and shell variables replaced by a word."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    lines = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            line = re.sub(r"\$\{?\w+\}?", "VAR", line.strip())
+            if line.startswith("tempcoh "):
+                lines.append(line)
+    return lines
+
+
+def test_readme_commands_parse():
+    lines = _readme_command_lines()
+    commands = {line.split()[1] for line in lines}
+    assert commands >= {"synth", "pretrain", "finetune", "eval", "compare",
+                        "retrieve"}
+    for line in lines:
+        args = cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        config = getattr(args, "config", None)
+        assert config is None or (REPO / config).is_file(), line
 
 
 def test_bad_set_flag_exit_1(tmp_path, capsys):
