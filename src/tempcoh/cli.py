@@ -23,19 +23,24 @@ import numpy as np
 from . import __version__
 from .config import (PRESETS, check_resolved_config, is_int, resolve_config,
                      resolve_delta_seconds)
-from .data_io import (SPLIT_NAMES, atomic_write_text, load_checkpoint,
-                      load_dataset, load_encoder, load_phase_model, read_json,
-                      save_dataset, save_encoder, save_phase_model)
+# The runners train through `experiments` and read checkpoints through
+# `load_model`. `pretrain`, `finetune`, `load_checkpoint`, `load_encoder`
+# and `load_phase_model` stay bound here, unused, because the benchmark
+# (perfbench/layers.py) patches the training stages and wraps every
+# `data_io` loader and saver by name in this module.
+from .data_io import (SPLIT_NAMES, atomic_write_text, load_checkpoint,  # noqa: F401
+                      load_dataset, load_encoder, load_model, load_phase_model,
+                      read_json, save_dataset, save_encoder, save_phase_model)
 from .errors import CheckpointError, DataFormatError, TempcohError, UsageError
 from .experiments import (BASELINE, LABEL_BUDGETS, PRETRAIN_SPLITS, TEST_SPLIT,
-                          finetune_stage, pretrain_stage, run_comparison)
+                          finetune_stage, make_pretrain_config, pretrain_stage,
+                          run_arm)
 from .metrics import HEADLINE, MetricSummary
+from .models import PhaseModel
 from .retrieval import phase_agreement, retrieval_report
 from .synthetic import SynthConfig, generate_dataset
-# The runners train through `experiments`; `pretrain` and `finetune` stay
-# bound here because the benchmark's StageClock (perfbench/layers.py)
-# patches `pretrain`, `finetune` and `evaluate` by name in this module.
-from .training import PRETRAIN_METHODS, evaluate, finetune, pretrain  # noqa: F401
+from .training import (PRETRAIN_METHODS, FinetuneConfig, evaluate,  # noqa: F401
+                       finetune, pretrain)
 
 MANIFEST_FORMAT = "tempcoh-run"
 
@@ -85,12 +90,17 @@ def _mkparent(path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
 
 
-def _check_input_width(path, encoder, dataset) -> None:
-    """Reject a checkpoint whose encoder does not take the dataset's features."""
+def _load_checked(path, kinds: tuple[str, ...], dataset):
+    """(model, its encoder) from one read of the checkpoint at `path`, of
+    one of `kinds`; a CheckpointError unless the encoder takes the
+    dataset's features."""
+    model, _ = load_model(path, kinds)
+    encoder = model.encoder if isinstance(model, PhaseModel) else model
     if encoder.input_dim != dataset.feature_dim:
         raise CheckpointError(f"{path}: encoder expects {encoder.input_dim} "
                               f"input features but the dataset has "
                               f"{dataset.feature_dim}")
+    return model, encoder
 
 
 # ---------------------------------------------------------------- runners
@@ -128,8 +138,7 @@ def _run_finetune(resolved, run, paths) -> list[Path]:
                               f"no videos")
     init_path = paths.get("init")
     if init_path:
-        encoder, _ = load_encoder(init_path)
-        _check_input_width(init_path, encoder, dataset)
+        encoder, _ = _load_checked(init_path, ("encoder",), dataset)
     else:
         encoder, _ = pretrain_stage(dataset, resolved, run["seed"], BASELINE)
     model, result = finetune_stage(dataset, resolved, encoder, labeled_sets,
@@ -158,18 +167,12 @@ def _report_rows(report, num_phases: int) -> list[tuple[str, object]]:
             + [(f"P{k + 1}", report.per_phase_f1[k]) for k in range(num_phases)])
 
 
-def _load_model_for_eval(path, dataset):
-    model, _ = load_phase_model(path)
-    _check_input_width(path, model.encoder, dataset)
-    if model.num_phases != dataset.num_phases:
-        raise CheckpointError(f"{path}: model has {model.num_phases} phases "
-                              f"but the dataset has {dataset.num_phases}")
-    return model
-
-
 def _run_eval(resolved, run, paths) -> list[Path]:
     dataset = load_dataset(paths["data"])
-    model = _load_model_for_eval(paths["model"], dataset)
+    model, _ = _load_checked(paths["model"], ("phase_model",), dataset)
+    if model.num_phases != dataset.num_phases:
+        raise CheckpointError(f"{paths['model']}: model has {model.num_phases} "
+                              f"phases but the dataset has {dataset.num_phases}")
     videos = dataset.split(run["split"])
     if not videos:
         raise DataFormatError(f"split {run['split']} is empty")
@@ -193,16 +196,28 @@ def _run_eval(resolved, run, paths) -> list[Path]:
 def _run_compare(resolved, run, paths) -> list[Path]:
     dataset = load_dataset(paths["data"])
     methods = list(run["methods"])
+    # Every stage's settings are checked before the first arm trains.
+    stage = "pretraining"
+    try:
+        configs = {m: make_pretrain_config(resolved, m, dataset.fps)
+                   for m in methods}
+        stage = "fine-tuning"
+        FinetuneConfig(**resolved["finetune"])
+    except ValueError as exc:
+        raise ValueError(f"{stage} settings: {exc}") from exc
     run["delta_seconds_by_method"] = {
-        m: resolve_delta_seconds(resolved, m) for m in methods}
+        m: cfg.sampler.delta_seconds for m, cfg in configs.items()}
     seeds = [run["seed"] + i for i in range(run["seeds"])]
-    arms = run_comparison(dataset, resolved, tuple(run["labeled_sets"]),
-                          methods, seeds)
+    values = {}
+    for seed in seeds:
+        for method in [BASELINE, *methods]:
+            report = run_arm(dataset, resolved, tuple(run["labeled_sets"]),
+                             seed, method).report
+            values[(method, seed)] = {m: getattr(report, m).mean
+                                      for m in HEADLINE}
     out_dir = Path(paths["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    values = {(arm.method, arm.seed): {m: getattr(arm.report, m).mean
-                                       for m in HEADLINE} for arm in arms}
     per_seed_csv = out_dir / "per_seed.csv"
     _write_csv(per_seed_csv, ["seed", "method", *HEADLINE],
                ([seed, method, *row.values()]
@@ -229,16 +244,6 @@ def _run_compare(resolved, run, paths) -> list[Path]:
                               f"{len(seeds)} seed(s), test split {TEST_SPLIT}",
                  table)
     return [per_seed_csv, summary_csv, summary_txt]
-
-
-def _load_encoder_any(path):
-    """Accept an encoder checkpoint or take the encoder of a phase model."""
-    kind, _, _ = load_checkpoint(path)
-    if kind == "encoder":
-        encoder, _ = load_encoder(path)
-        return encoder
-    model, _ = load_phase_model(path)
-    return model.encoder
 
 
 def _parse_queries(spec: str, dataset, query_split: str, seed: int):
@@ -277,8 +282,8 @@ def _parse_queries(spec: str, dataset, query_split: str, seed: int):
 
 def _run_retrieve(resolved, run, paths) -> list[Path]:
     dataset = load_dataset(paths["data"])
-    encoder = _load_encoder_any(paths["model"])
-    _check_input_width(paths["model"], encoder, dataset)
+    _, encoder = _load_checked(paths["model"], ("encoder", "phase_model"),
+                               dataset)
     corpus = dataset.split(run["split"])
     if not corpus:
         raise DataFormatError(f"split {run['split']} is empty")

@@ -4,7 +4,9 @@ Config files are INI-style: `[section]` headers over flat `key = value`
 lines (`#` or `;` comments). Every hyperparameter has a named key and a
 built-in default; the `desk` and `paper` presets bundle scale-dependent
 overrides. Precedence, highest first: command-line flag (including
-`--set section.key=value`), config file, preset, built-in default.
+`--set section.key=value`), config file, preset, built-in default. A
+config file has no `[DEFAULT]` section and no `%` interpolation, and every
+float value must be finite.
 
 The stage dataclasses own the keys and defaults of their sections: each
 `int` or `float` field is a key, converted with its own type. Only the
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import typing
 from pathlib import Path
 
@@ -27,10 +30,17 @@ from .synthetic import SynthConfig
 from .training import PRETRAIN_METHODS, FinetuneConfig, PretrainConfig
 
 
+def _to_float(s: str) -> float:
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _to_optional_float(s: str):
     if s.strip().lower() in ("", "none"):
         return None
-    return float(s)
+    return _to_float(s)
 
 
 def _to_int_list(s: str) -> list[int]:
@@ -43,8 +53,10 @@ def _to_int_list(s: str) -> list[int]:
 def _keys(cls, skip: tuple[str, ...] = ()) -> dict[str, tuple]:
     """key -> (converter, default) for each int or float field of `cls`."""
     hints = typing.get_type_hints(cls)
-    return {f.name: (hints[f.name], f.default) for f in dataclasses.fields(cls)
-            if hints[f.name] in (int, float) and f.name not in skip}
+    converters = {int: int, float: _to_float}
+    return {f.name: (converters[hints[f.name]], f.default)
+            for f in dataclasses.fields(cls)
+            if hints[f.name] in converters and f.name not in skip}
 
 
 # section -> key -> (converter from config-file string, built-in default).
@@ -101,14 +113,17 @@ def parse_config_file(path) -> dict[tuple[str, str], object]:
     path = Path(path)
     if not path.exists():
         raise UsageError(f"config file {path} not found")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     try:
         parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
     except configparser.Error as exc:
         raise UsageError(f"config file {path}: {exc}") from exc
     out: dict[tuple[str, str], object] = {}
-    for section in parser.sections():
-        for key, raw in parser.items(section):
+    # `parser.items()` yields `[DEFAULT]` first, so its keys are refused as
+    # an unknown section's before another section shows them as its own.
+    for section, values in parser.items():
+        for key, raw in values.items():
             _check_key(section, key, str(path))
             out[(section, key)] = _convert(section, key, raw, str(path))
     return out
@@ -157,7 +172,7 @@ def _is_number(value) -> bool:
 # converter -> (test that a resolved value has the converter's type, its name).
 _VALUE_TYPES = {
     int: (is_int, "an integer"),
-    float: (_is_number, "a number"),
+    _to_float: (_is_number, "a number"),
     _to_optional_float: (lambda v: v is None or _is_number(v), "a number or null"),
     _to_int_list: (lambda v: isinstance(v, list) and all(map(is_int, v)),
                    "a list of integers"),
@@ -166,7 +181,7 @@ _VALUE_TYPES = {
 
 def check_resolved_config(resolved: dict, where: str) -> None:
     """Raise DataFormatError unless `resolved` holds exactly SCHEMA's keys,
-    each with a value of its converter's type."""
+    each with a finite value of its converter's type."""
     for section, keys in resolved.items():
         if not isinstance(keys, dict):
             raise DataFormatError(f"{where}: config section [{section}] is "
@@ -177,6 +192,9 @@ def check_resolved_config(resolved: dict, where: str) -> None:
             if not has_type(value):
                 raise DataFormatError(f"{where}: config value {section}.{key} "
                                       f"= {value!r} is not {type_name}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DataFormatError(f"{where}: config value {section}.{key} "
+                                      f"= {value!r} is not finite")
     for section, keys in SCHEMA.items():
         missing = sorted(set(keys) - set(resolved.get(section, {})))
         if missing:

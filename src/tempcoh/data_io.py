@@ -390,9 +390,18 @@ def save_dataset(directory, dataset: Dataset) -> list[Path]:
     """Write features, labels, splits and the JSON manifest. Returns the
     paths of the files written: `dataset.json`, `splits.txt`, then per
     video its `.feat` file and, if the video is labeled, its labels file.
-    Every video id is checked before anything is written."""
+    Every video id and the fps are checked before anything is written."""
     for seq in dataset.videos:
         _check_video_id(seq.video_id)
+    # The feature files hold the fps as float32, and `load_dataset` refuses
+    # one more than 1e-5 away from the manifest's.
+    with np.errstate(over="ignore"):
+        stored = float(np.float32(dataset.fps))
+    if not (0 < dataset.fps <= sys.float_info.max
+            and abs(stored - dataset.fps) <= 1e-5):
+        raise DataFormatError(f"refusing to write dataset: fps must be a "
+                              f"finite positive number that float32 holds to "
+                              f"within 1e-5, got {dataset.fps!r}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -613,34 +622,11 @@ def _meta_layer_sizes(metadata, key: str, path) -> list[int]:
             for i, s in enumerate(sizes)]
 
 
-def _encoder_shapes(sizes: list[int]) -> dict[str, tuple]:
-    shapes = {}
-    for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
-        shapes[f"encoder.{i}.weight"] = (fan_out, fan_in)
-        shapes[f"encoder.{i}.bias"] = (fan_out,)
-    return shapes
-
-
-def _build_encoder(params: dict[str, np.ndarray], num_layers: int) -> EncoderModel:
-    """An encoder holding the checkpoint's arrays."""
-    return EncoderModel([params[f"encoder.{i}.weight"] for i in range(num_layers)],
-                        [params[f"encoder.{i}.bias"] for i in range(num_layers)])
-
-
 def save_encoder(path, encoder: EncoderModel, extra_metadata: dict | None = None) -> None:
     metadata = {"layer_sizes": encoder.layer_sizes}
     if extra_metadata:
         metadata.update(extra_metadata)
     save_checkpoint(path, "encoder", encoder.parameters(), metadata)
-
-
-def load_encoder(path) -> tuple[EncoderModel, dict]:
-    kind, params, metadata = load_checkpoint(path)
-    if kind != "encoder":
-        raise CheckpointError(f"{path}: checkpoint kind {kind!r}, expected 'encoder'")
-    sizes = _meta_layer_sizes(metadata, "layer_sizes", path)
-    _check_params(params, _encoder_shapes(sizes), path)
-    return _build_encoder(params, len(sizes) - 1), metadata
 
 
 def save_phase_model(path, model: PhaseModel, extra_metadata: dict | None = None) -> None:
@@ -654,23 +640,44 @@ def save_phase_model(path, model: PhaseModel, extra_metadata: dict | None = None
     save_checkpoint(path, "phase_model", model.parameters(), metadata)
 
 
-def load_phase_model(path) -> tuple[PhaseModel, dict]:
+def load_model(path, kinds: tuple[str, ...]) -> tuple[EncoderModel | PhaseModel, dict]:
+    """(model, metadata) from one read of the checkpoint at `path`: an
+    EncoderModel for kind "encoder", a PhaseModel for "phase_model". A
+    kind outside `kinds`, or metadata sizes that do not give the stored
+    parameter names and shapes, raise a CheckpointError naming `path`."""
     kind, params, metadata = load_checkpoint(path)
-    if kind != "phase_model":
-        raise CheckpointError(f"{path}: checkpoint kind {kind!r}, "
-                              f"expected 'phase_model'")
-    sizes = _meta_layer_sizes(metadata, "encoder_layer_sizes", path)
-    h = _json_int(metadata.get("hidden_size"), "metadata hidden_size", 1, path,
-                  CheckpointError)
-    k = _json_int(metadata.get("num_phases"), "metadata num_phases", 2, path,
-                  CheckpointError)
-    shapes = _encoder_shapes(sizes)
-    shapes.update({"lstm.w_input": (4 * h, sizes[-1]), "lstm.w_hidden": (4 * h, h),
-                   "lstm.bias": (4 * h,), "classifier.weight": (k, h),
-                   "classifier.bias": (k,)})
+    if kind not in kinds:
+        raise CheckpointError(f"{path}: checkpoint kind {kind!r}, expected "
+                              + " or ".join(map(repr, kinds)))
+    phase = kind == "phase_model"
+    sizes = _meta_layer_sizes(
+        metadata, "encoder_layer_sizes" if phase else "layer_sizes", path)
+    layers = range(len(sizes) - 1)
+    shapes = {}
+    for i in layers:
+        shapes[f"encoder.{i}.weight"] = (sizes[i + 1], sizes[i])
+        shapes[f"encoder.{i}.bias"] = (sizes[i + 1],)
+    if phase:
+        h = _json_int(metadata.get("hidden_size"), "metadata hidden_size", 1,
+                      path, CheckpointError)
+        k = _json_int(metadata.get("num_phases"), "metadata num_phases", 2,
+                      path, CheckpointError)
+        shapes.update({"lstm.w_input": (4 * h, sizes[-1]),
+                       "lstm.w_hidden": (4 * h, h), "lstm.bias": (4 * h,),
+                       "classifier.weight": (k, h), "classifier.bias": (k,)})
     _check_params(params, shapes, path)
-    encoder = _build_encoder(params, len(sizes) - 1)
-    model = PhaseModel(encoder, params["lstm.w_input"], params["lstm.w_hidden"],
-                       params["lstm.bias"], params["classifier.weight"],
-                       params["classifier.bias"])
+    model = EncoderModel([params[f"encoder.{i}.weight"] for i in layers],
+                         [params[f"encoder.{i}.bias"] for i in layers])
+    if phase:
+        model = PhaseModel(model, params["lstm.w_input"], params["lstm.w_hidden"],
+                           params["lstm.bias"], params["classifier.weight"],
+                           params["classifier.bias"])
     return model, metadata
+
+
+def load_encoder(path) -> tuple[EncoderModel, dict]:
+    return load_model(path, ("encoder",))
+
+
+def load_phase_model(path) -> tuple[PhaseModel, dict]:
+    return load_model(path, ("phase_model",))

@@ -90,11 +90,11 @@ def pretrain_stage(dataset: Dataset, resolved: dict, seed: int,
 def finetune_stage(dataset: Dataset, resolved: dict, encoder: EncoderModel,
                    labeled_sets: tuple[str, ...],
                    seed: int) -> tuple[PhaseModel, FinetuneResult]:
-    """A phase model on `encoder` (which it trains in place), its head
-    initialized from lane 2 and trained on the labeled splits with that
-    same stream; a ValueError for labeled sets outside LABEL_BUDGETS."""
+    """A phase model on a copy of `encoder`, which stays as it was, its
+    head initialized from lane 2 and trained on the labeled splits with
+    that same stream; a ValueError for labeled sets outside LABEL_BUDGETS."""
     _check_label_budget(labeled_sets)
-    model = build_phase_model(resolved, encoder, dataset.num_phases)
+    model = build_phase_model(resolved, encoder.copy(), dataset.num_phases)
     rng = np.random.default_rng([seed, 2])
     model.init_head_uniform_fan(rng)
     result = finetune(model, dataset.split(*labeled_sets),
@@ -107,20 +107,7 @@ def run_arm(dataset: Dataset, resolved: dict, labeled_sets: tuple[str, ...],
     """Train one arm end to end and evaluate it on the test split."""
     _check_label_budget(labeled_sets)
     encoder, pretrain_log = pretrain_stage(dataset, resolved, seed, method)
-    snapshot = encoder.copy()
     model, finetune_log = finetune_stage(dataset, resolved, encoder,
                                          labeled_sets, seed)
     report = evaluate(model, dataset.split(TEST_SPLIT)).report
-    return ArmResult(seed, method, snapshot, report, finetune_log, pretrain_log)
-
-
-def run_comparison(dataset: Dataset, resolved: dict,
-                   labeled_sets: tuple[str, ...], methods: list[str],
-                   seeds: list[int]) -> list[ArmResult]:
-    """Baseline plus each pretraining method, across all seeds."""
-    arms = []
-    for seed in seeds:
-        arms.append(run_arm(dataset, resolved, labeled_sets, seed, BASELINE))
-        for method in methods:
-            arms.append(run_arm(dataset, resolved, labeled_sets, seed, method))
-    return arms
+    return ArmResult(seed, method, encoder, report, finetune_log, pretrain_log)

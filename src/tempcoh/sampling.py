@@ -26,6 +26,7 @@ its size. A single tuple is a one-row draw through the same kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,6 +49,10 @@ class SamplerConfig:
             raise ValueError("delta_seconds and gamma_seconds must be >= 0")
         if self.fps <= 0:
             raise ValueError("fps must be positive")
+        if not all(math.isfinite(s * self.fps)
+                   for s in (self.delta_seconds, self.gamma_seconds)):
+            raise ValueError("delta_seconds and gamma_seconds times fps must "
+                             "be finite")
         if self.tuples_per_video < 1:
             raise ValueError("tuples_per_video must be >= 1")
         if self.delta_frames >= self.gamma_frames:

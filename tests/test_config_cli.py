@@ -16,17 +16,20 @@ import numpy as np
 import pytest
 
 import tempcoh.cli as cli
+import tempcoh.data_io as data_io
 import tempcoh.experiments as experiments
 from tempcoh.cli import main
 from tempcoh.config import (
     DEFAULTS,
+    SCHEMA,
     parse_config_file,
     parse_set_flag,
     resolve_config,
     resolve_delta_seconds,
 )
 from tempcoh.data_io import (load_checkpoint, load_dataset, load_encoder,
-                             load_phase_model, save_encoder, save_phase_model)
+                             load_phase_model, save_checkpoint, save_encoder,
+                             save_phase_model)
 from tempcoh.errors import UsageError
 from tempcoh.losses import LossConfig
 from tempcoh.models import EncoderModel, PhaseModel
@@ -102,6 +105,29 @@ def test_config_file_errors(tmp_path):
     not_ini.write_text("epochs = 3\n")  # key before any [section]
     with pytest.raises(UsageError, match="config file"):
         parse_config_file(not_ini)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[DEFAULT]\nepochs = 3\n[pretrain]\nlr = 0.01\n",
+     "unknown config section [DEFAULT]"),
+    ("[DEFAULT]\nepochs = 3\n", "unknown config section [DEFAULT]"),
+    ("[pretrain]\nlr = 1e-3%\n", "bad value '1e-3%' for pretrain.lr"),
+    ("[pretrain]\nlr = %(x)s\n", "bad value '%(x)s' for pretrain.lr"),
+    ("[loss]\nmargin_ranking = -inf\n",
+     "bad value '-inf' for loss.margin_ranking: not a finite number"),
+], ids=["default-beside-a-section", "default-alone", "percent",
+        "interpolation", "infinite"])
+def test_config_file_has_no_default_section_interpolation_or_infinity(
+        tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    out = tmp_path / "data"
+    assert main(["synth", "--out", str(out), "--videos", "4",
+                 "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: {message}")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_set_flag_parsing():
@@ -200,6 +226,23 @@ def work(tmp_path_factory):
 
 def read_manifest(path) -> dict:
     return json.loads(Path(path).read_text())
+
+
+@pytest.mark.parametrize("command,key,raw", [
+    ("synth", "synth.fps", "nan"), ("synth", "synth.fps", "inf"),
+    ("pretrain", "sampler.gamma_seconds", "inf"),
+    ("pretrain", "sampler.delta_seconds", "-inf"),
+], ids=["synth-nan", "synth-inf", "gamma-inf", "delta-minus-inf"])
+def test_non_finite_number_exit_1_naming_the_key(work, tmp_path, capsys,
+                                                 command, key, raw):
+    out = tmp_path / "out"
+    argv = {"synth": ["--videos", "4"],
+            "pretrain": ["--data", str(work / "data"), "--method", "ranking"],
+            }[command]
+    assert main([command, *argv, "--out", str(out), "--set", f"{key}={raw}"]) == 1
+    assert capsys.readouterr().err == (f"error: --set '{key}={raw}': bad value "
+                                       f"'{raw}' for {key}: not a finite number\n")
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- synth
@@ -444,6 +487,29 @@ def test_compare_summarizes_baseline_and_methods(work, tmp_path):
     mean_f1 = np.mean([f1[("contrastive2", s)] for s in (11, 12)])
     assert float(rows["contrastive2"][7]) == mean_f1
     assert (out / "summary.txt").read_text().startswith("label budget A")
+    run = read_manifest(out / "run_manifest.json")["run"]
+    assert run["delta_seconds_by_method"] == {"contrastive2": 15.0}
+
+
+@pytest.mark.parametrize("flag,message", [
+    ("pretrain.lr=0", "pretraining settings: lr must be positive"),
+    ("sampler.gamma_seconds=1",
+     "pretraining settings: derived frame offsets must satisfy delta < gamma"),
+    ("finetune.lr=0", "fine-tuning settings: lr must be positive"),
+], ids=["pretrain-lr", "sampler-offsets", "finetune-lr"])
+def test_compare_checks_every_stage_before_the_first_arm(work, tmp_path, capsys,
+                                                         monkeypatch, flag,
+                                                         message):
+    def no_arm(*args):
+        raise AssertionError("an arm trained before the settings were checked")
+
+    monkeypatch.setattr(cli, "run_arm", no_arm)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--data", str(work / "data"), "--seeds", "1",
+                 "--methods", "contrastive2", "--out", str(out),
+                 "--set", flag]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
 
 
 def test_compare_usage_errors(work, tmp_path, capsys):
@@ -491,6 +557,37 @@ def test_retrieve_accepts_phase_model_checkpoint(work, tmp_path):
                  "--queries", "random:5", "--query-split", "AB",
                  "--seed", "2", "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 1 + 5 * 2
+
+
+@pytest.mark.parametrize("checkpoint", ["enc.ckpt", "model.ckpt"])
+def test_retrieve_reads_its_checkpoint_once(work, tmp_path, monkeypatch,
+                                            checkpoint):
+    reads = []
+    real_load_checkpoint = data_io.load_checkpoint
+
+    def counting(path):
+        reads.append(Path(path))
+        return real_load_checkpoint(path)
+
+    for module in (data_io, cli):
+        monkeypatch.setattr(module, "load_checkpoint", counting)
+    assert main(["retrieve", "--data", str(work / "data"),
+                 "--model", str(work / checkpoint), "--queries", "video_000:0",
+                 "--out", str(tmp_path / "hits.csv")]) == 0
+    assert reads == [(work / checkpoint).resolve()]
+
+
+def test_retrieve_refuses_a_checkpoint_of_unknown_kind(work, tmp_path, capsys):
+    encoder, metadata = load_encoder(work / "enc.ckpt")
+    ckpt = tmp_path / "other.ckpt"
+    save_checkpoint(ckpt, "optimizer", encoder.parameters(), metadata)
+    out = tmp_path / "hits.csv"
+    assert main(["retrieve", "--data", str(work / "data"), "--model", str(ckpt),
+                 "--queries", "video_000:0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {ckpt}: checkpoint kind 'optimizer', expected 'encoder' or "
+        f"'phase_model'\n")
+    assert not out.exists()
 
 
 def test_retrieve_rerun_is_byte_identical(work, tmp_path):
@@ -782,6 +879,23 @@ def test_replay_rejects_config_value_of_the_wrong_type(work, tmp_path, capsys,
     assert f"config value {section}.{key} = {value!r} is not {type_name}" in err
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("synth", "fps", float("nan")), ("synth", "noise_std", float("inf")),
+    ("sampler", "delta_seconds", float("-inf")),
+], ids=["nan", "inf", "optional-minus-inf"])
+def test_replay_rejects_non_finite_config_value(work, tmp_path, capsys,
+                                                section, key, value):
+    def edit(manifest):
+        manifest["resolved_config"][section][key] = value
+        return manifest
+
+    out = work / "data"
+    before = {p: p.read_bytes() for p in out.iterdir()}
+    err = replay_malformed(work, tmp_path, capsys, edit)
+    assert f"config value {section}.{key} = {value!r} is not finite" in err
+    assert {p: p.read_bytes() for p in out.iterdir()} == before
+
+
 @pytest.mark.parametrize("source,field,key,value,type_name", [
     (SYNTH_MANIFEST, "run", "seed", "x", "an integer"),
     (SYNTH_MANIFEST, "run", "seed", True, "an integer"),
@@ -1012,6 +1126,38 @@ def test_readme_commands_parse():
         args = cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
         config = getattr(args, "config", None)
         assert config is None or (REPO / config).is_file(), line
+
+
+def test_readme_configuration_matches_the_schema(tmp_path):
+    """The README's defaults table gives every key once, with its built-in
+    default, and its `ini` example is a config file that parses."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    text = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    seen = []
+    # Rows like `pretrain.epochs` / `batch_size` / `lr` | 25 / 64 / 1e-3.
+    for keys, defaults in re.findall(r"^\| (`[^|]*`) \| ([^|]*) \|", text,
+                                     re.M):
+        first, *rest = (name.strip("` ") for name in keys.split(" / "))
+        section, first_key = first.split(".")
+        names = [first_key, *rest]
+        values = defaults.strip().split(" / ")
+        values *= len(names) if len(values) == 1 else 1
+        assert len(values) == len(names), keys
+        for key, value in zip(names, values):
+            dotted = f"{section}.{key}"
+            assert key in SCHEMA.get(section, {}), dotted
+            expected = DEFAULTS[section][key]
+            if value == "per method":
+                assert expected is None, dotted
+            else:
+                assert SCHEMA[section][key][0](value) == expected, dotted
+            seen.append(dotted)
+    assert sorted(seen) == sorted(f"{section}.{key}" for section, keys
+                                  in SCHEMA.items() for key in keys)
+    [example] = re.findall(r"^```ini\n(.*?)^```", text, re.M | re.S)
+    path = tmp_path / "example.ini"
+    path.write_text(example)
+    assert parse_config_file(path)
 
 
 def test_bad_set_flag_exit_1(tmp_path, capsys):

@@ -563,6 +563,31 @@ def test_save_dataset_unusual_ids_round_trip(tmp_path, rng, video_id):
     assert loaded.splits == dataset.splits
 
 
+@pytest.mark.parametrize("fps", [float("nan"), float("inf"), 0.0, -5.0, 1e300,
+                                 1000.1],
+                         ids=["nan", "inf", "zero", "negative", "beyond-float32",
+                              "float32-off-by-more-than-1e-5"])
+def test_save_dataset_refuses_an_fps_load_dataset_would_refuse(tmp_path, rng, fps):
+    # The feature files hold the fps as float32: 1000.1 comes back
+    # 2.4e-5 away, and 1e300 does not fit.
+    dataset = _dataset_with_id(rng, "v1")
+    dataset.fps = fps
+    with pytest.raises(DataFormatError, match="fps") as err:
+        save_dataset(tmp_path / "data", dataset)
+    assert repr(fps) in str(err.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fps", [0.2, 25.0, 255.3])
+def test_save_dataset_fps_within_float32_round_trips(tmp_path, rng, fps):
+    dataset = _dataset_with_id(rng, "v1")
+    dataset.fps = fps
+    for seq in dataset.videos:
+        seq.fps = fps
+    save_dataset(tmp_path / "data", dataset)
+    assert load_dataset(tmp_path / "data").fps == fps
+
+
 # --------------------------------------------------------------- checkpoints
 
 def test_checkpoint_round_trip(tmp_path, rng):

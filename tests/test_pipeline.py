@@ -83,6 +83,21 @@ def test_run_arm_refuses_other_labeled_sets_before_training(tiny_data,
                 "contrastive2")
 
 
+def test_finetune_stage_leaves_its_encoder_alone(tiny_data):
+    dataset = load_dataset(tiny_data)
+    encoder, _ = experiments.pretrain_stage(dataset, _resolved(), 0,
+                                            "contrastive2")
+    before = {name: arr.tobytes() for name, arr in encoder.parameters().items()}
+    model, result = experiments.finetune_stage(dataset, _resolved(), encoder,
+                                               ("A",), 0)
+    assert result.epochs_run >= 1
+    assert {name: arr.tobytes()
+            for name, arr in encoder.parameters().items()} == before
+    # Fine-tuning trained a copy of the encoder.
+    assert model.encoder is not encoder
+    assert not _params_equal(model.encoder.parameters(), encoder.parameters())
+
+
 @pytest.mark.parametrize("seed", [3, 4])
 @pytest.mark.parametrize("method", [BASELINE, "contrastive2"])
 def test_cli_chain_trains_the_compare_arm(tiny_data, tmp_path, monkeypatch,

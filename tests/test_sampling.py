@@ -41,6 +41,9 @@ def test_config_validation():
         SamplerConfig(tuples_per_video=0)
     with pytest.raises(ValueError):  # derived offsets must satisfy delta < gamma
         SamplerConfig(delta_seconds=120.0, gamma_seconds=120.0)
+    for seconds in ({"gamma_seconds": 1e308}, {"delta_seconds": float("nan")}):
+        with pytest.raises(ValueError, match="times fps must be finite"):
+            SamplerConfig(**seconds)
 
 
 # ------------------------------------------------------------- invariants
