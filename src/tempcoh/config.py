@@ -5,8 +5,8 @@ lines (`#` or `;` comments). Every hyperparameter has a named key and a
 built-in default; the `desk` and `paper` presets bundle scale-dependent
 overrides. Precedence, highest first: command-line flag (including
 `--set section.key=value`), config file, preset, built-in default. A
-config file has no `[DEFAULT]` section and no `%` interpolation, and every
-float value must be finite.
+config file has no `[DEFAULT]` section and no `%` interpolation. Every
+value must be one numpy can hold: an integer within int64, a float finite.
 
 The stage dataclasses own the keys and defaults of their sections: each
 `int` or `float` field is a key, converted with its own type. Only the
@@ -30,8 +30,20 @@ from .synthetic import SynthConfig
 from .training import PRETRAIN_METHODS, FinetuneConfig, PretrainConfig
 
 
-def _to_float(s: str) -> float:
-    value = float(s)
+def _to_int(s) -> int:
+    """`int(s)`, refused outside int64. Also checks an int's range."""
+    value = int(s)
+    if not -2**63 <= value < 2**63:
+        raise ValueError("outside the int64 range")
+    return value
+
+
+def _to_float(s) -> float:
+    """`float(s)`, refused unless finite. Also checks a number's range."""
+    try:
+        value = float(s)
+    except OverflowError:
+        raise ValueError("too large for a float") from None
     if not math.isfinite(value):
         raise ValueError("not a finite number")
     return value
@@ -47,13 +59,13 @@ def _to_int_list(s: str) -> list[int]:
     s = s.strip()
     if not s:
         return []
-    return [int(part) for part in s.split(",")]
+    return [_to_int(part) for part in s.split(",")]
 
 
 def _keys(cls, skip: tuple[str, ...] = ()) -> dict[str, tuple]:
     """key -> (converter, default) for each int or float field of `cls`."""
     hints = typing.get_type_hints(cls)
-    converters = {int: int, float: _to_float}
+    converters = {int: _to_int, float: _to_float}
     return {f.name: (converters[hints[f.name]], f.default)
             for f in dataclasses.fields(cls)
             if hints[f.name] in converters and f.name not in skip}
@@ -70,8 +82,8 @@ SCHEMA = {
     "loss": _keys(LossConfig),
     "model": {
         "hidden_sizes": (_to_int_list, [64]),
-        "embedding_dim": (int, 32),
-        "lstm_hidden": (int, 64),
+        "embedding_dim": (_to_int, 32),
+        "lstm_hidden": (_to_int, 64),
     },
     "pretrain": _keys(PretrainConfig),
     "finetune": _keys(FinetuneConfig),
@@ -169,32 +181,41 @@ def _is_number(value) -> bool:
     return is_int(value) or isinstance(value, float)
 
 
-# converter -> (test that a resolved value has the converter's type, its name).
+# converter -> (test that a resolved value has the converter's type, its
+# name, the converter that checks the range of each number in the value).
 _VALUE_TYPES = {
-    int: (is_int, "an integer"),
-    _to_float: (_is_number, "a number"),
-    _to_optional_float: (lambda v: v is None or _is_number(v), "a number or null"),
+    _to_int: (is_int, "an integer", _to_int),
+    _to_float: (_is_number, "a number", _to_float),
+    _to_optional_float: (lambda v: v is None or _is_number(v),
+                         "a number or null", _to_float),
     _to_int_list: (lambda v: isinstance(v, list) and all(map(is_int, v)),
-                   "a list of integers"),
+                   "a list of integers", _to_int),
 }
 
 
 def check_resolved_config(resolved: dict, where: str) -> None:
     """Raise DataFormatError unless `resolved` holds exactly SCHEMA's keys,
-    each with a finite value of its converter's type."""
+    each with a value of its converter's type that numpy can hold."""
     for section, keys in resolved.items():
         if not isinstance(keys, dict):
             raise DataFormatError(f"{where}: config section [{section}] is "
                                   f"not an object")
         for key, value in keys.items():
             _check_key(section, key, where, DataFormatError)
-            has_type, type_name = _VALUE_TYPES[SCHEMA[section][key][0]]
+            has_type, type_name, check = _VALUE_TYPES[SCHEMA[section][key][0]]
             if not has_type(value):
                 raise DataFormatError(f"{where}: config value {section}.{key} "
                                       f"= {value!r} is not {type_name}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise DataFormatError(f"{where}: config value {section}.{key} "
                                       f"= {value!r} is not finite")
+            try:
+                for number in value if isinstance(value, list) else [value]:
+                    if number is not None:
+                        check(number)
+            except ValueError as exc:
+                raise DataFormatError(f"{where}: config value {section}.{key} "
+                                      f"= {value!r} is {exc}") from exc
     for section, keys in SCHEMA.items():
         missing = sorted(set(keys) - set(resolved.get(section, {})))
         if missing:

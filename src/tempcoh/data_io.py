@@ -79,6 +79,7 @@ class Dataset:
     splits: dict[str, str]  # video_id -> split name
     num_phases: int
     fps: float
+    manifest_path: Path | None = None  # the dataset.json it was loaded from
 
     def __post_init__(self):
         ids = [v.video_id for v in self.videos]
@@ -537,7 +538,7 @@ def load_dataset(directory) -> Dataset:
     splits = load_splits(_member_path(directory, manifest["splits_file"],
                                       "splits_file", manifest_path))
     try:
-        return Dataset(videos, splits, num_phases, fps)
+        return Dataset(videos, splits, num_phases, fps, manifest_path)
     except ValueError as exc:
         raise DataFormatError(f"{manifest_path}: {exc}") from exc
 

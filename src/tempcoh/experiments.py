@@ -92,9 +92,18 @@ def finetune_stage(dataset: Dataset, resolved: dict, encoder: EncoderModel,
                    seed: int) -> tuple[PhaseModel, FinetuneResult]:
     """A phase model on a copy of `encoder`, which stays as it was, its
     head initialized from lane 2 and trained on the labeled splits with
-    that same stream; a ValueError for labeled sets outside LABEL_BUDGETS."""
+    that same stream; a ValueError for labeled sets outside LABEL_BUDGETS.
+    A MemoryError from building the model names the dataset's num_phases."""
     _check_label_budget(labeled_sets)
-    model = build_phase_model(resolved, encoder.copy(), dataset.num_phases)
+    encoder = encoder.copy()
+    try:
+        model = build_phase_model(resolved, encoder, dataset.num_phases)
+    except MemoryError as exc:
+        raise MemoryError(
+            f"{dataset.manifest_path or 'dataset'}: num_phases "
+            f"{dataset.num_phases} with model.lstm_hidden "
+            f"{resolved['model']['lstm_hidden']}"
+            f"{f': {exc}' if str(exc) else ''}") from exc
     rng = np.random.default_rng([seed, 2])
     model.init_head_uniform_fan(rng)
     result = finetune(model, dataset.split(*labeled_sets),

@@ -325,17 +325,12 @@ class PhaseModel:
         dt = dh_seq.dtype
         gi, gf = gates[:, :hs], gates[:, hs:2 * hs]
         gg, go = gates[:, 2 * hs:3 * hs], gates[:, 3 * hs:]
-        # The gate pre-activation gradients are a * ((x1 * x2) * x3) with
-        # a = (dc, dc, dc, dh) per gate, e.g. dc * ((gg * gi) * (1 - gi)) for
-        # the input gate. The product y of x1..x3 is known before the loop.
-        # The candidate's x3 is 1, which leaves gi * (1 - gg**2) exact.
-        cand = slice(2 * hs, 3 * hs)
-        x1 = np.concatenate([gg, c_prev, gi, tanh_cs], axis=1)
-        x2 = gates.copy()
-        x2[:, cand] = 1.0 - gg ** 2
-        x3 = 1.0 - gates
-        x3[:, cand] = 1.0
-        y = x1 * x2 * x3
+        # The gate pre-activation gradients are a * y with a = (dc, dc, dc,
+        # dh) per gate and y each gate's derivative product, known before
+        # the loop: e.g. dc * (gg * gi * (1 - gi)) for the input gate.
+        y = np.concatenate([gg * gi * (1.0 - gi), c_prev * gf * (1.0 - gf),
+                            gi * (1.0 - gg ** 2), tanh_cs * go * (1.0 - go)],
+                           axis=1)
         go_dtanh = go * (1.0 - tanh_cs ** 2)
         dzs = np.empty((n, 4 * hs), dtype=dt)
         a = np.empty(4 * hs, dtype=dt)

@@ -170,12 +170,12 @@ def finetune(model: PhaseModel, videos: list[FrameSequence],
     """Train the phase model in place on labeled videos.
 
     Videos are visited in a fresh random order each epoch (`rng` is a numpy
-    Generator or an integer seed); the LSTM state is zeroed per video and
-    carried (detached) across that video's consecutive chunks. Chunk
-    gradients of the mean cross entropy are summed over `accumulate_batches`
-    chunks per Adam step; the accumulation counter runs across video and
-    epoch boundaries, except that a partial accumulation is flushed at the
-    end of each epoch.
+    Generator or an integer seed), each as its consecutive `batch_frames`
+    chunks; the LSTM state is zeroed at a video's first chunk and carried
+    (detached) across the rest. Chunk gradients of the mean cross entropy
+    are summed until an Adam step: every `accumulate_batches`-th chunk of
+    an epoch, counted across video boundaries, and the epoch's last chunk
+    end a step.
     """
     if not videos:
         raise ValueError("need at least one video to fine-tune on")
@@ -192,51 +192,41 @@ def finetune(model: PhaseModel, videos: list[FrameSequence],
     rng = np.random.default_rng(rng)
     adam = AdamState(lr=cfg.lr)
     params = model.parameters()
-    pending: dict[str, np.ndarray] = {}
-    pending_count = 0
-
-    def flush():
-        nonlocal pending, pending_count
-        if pending_count:
-            adam_step(params, pending, adam)
-            pending = {}
-            pending_count = 0
-
+    epoch_frames = sum(v.num_frames for v in videos)
     history: list[float] = []
     stopped = False
     epochs_run = 0
     for epoch in range(cfg.max_epochs):
         epochs_run = epoch + 1
-        order = rng.permutation(len(videos))
+        visit = [videos[int(vi)] for vi in rng.permutation(len(videos))]
+        chunks = [(seq, start) for seq in visit
+                  for start in range(0, seq.num_frames, cfg.batch_frames)]
+        pending: dict[str, np.ndarray] = {}
         correct = 0
-        total = 0
-        for vi in order:
-            seq = videos[int(vi)]
-            state = model.zero_state()
-            for start in range(0, seq.num_frames, cfg.batch_frames):
-                end = min(start + cfg.batch_frames, seq.num_frames)
-                frames = seq.features[start:end]
-                labels = seq.labels[start:end]
-                logits, state, cache = model.forward_chunk_cached(frames, state)
-                losses, dlogits = softmax_cross_entropy_batch(logits, labels)
-                if not np.isfinite(losses).all():
-                    raise NonFiniteLossError(
-                        f"non-finite cross entropy at epoch {epoch}, video "
-                        f"{seq.video_id!r}, frames [{start}, {end})")
-                dlogits /= end - start
-                grads = model.backward_chunk(cache, dlogits.astype(model.dtype))
-                for name, g in grads.items():
-                    if name in pending:
-                        pending[name] += g
-                    else:
-                        pending[name] = g
-                pending_count += 1
-                if pending_count == cfg.accumulate_batches:
-                    flush()
-                correct += int((np.argmax(logits, axis=1) == labels).sum())
-                total += end - start
-        flush()
-        accuracy = correct / total
+        for k, (seq, start) in enumerate(chunks, 1):
+            if start == 0:
+                state = model.zero_state()
+            end = min(start + cfg.batch_frames, seq.num_frames)
+            labels = seq.labels[start:end]
+            logits, state, cache = model.forward_chunk_cached(
+                seq.features[start:end], state)
+            losses, dlogits = softmax_cross_entropy_batch(logits, labels)
+            if not np.isfinite(losses).all():
+                raise NonFiniteLossError(
+                    f"non-finite cross entropy at epoch {epoch}, video "
+                    f"{seq.video_id!r}, frames [{start}, {end})")
+            dlogits /= end - start
+            grads = model.backward_chunk(cache, dlogits.astype(model.dtype))
+            for name, g in grads.items():
+                if name in pending:
+                    pending[name] += g
+                else:
+                    pending[name] = g
+            if k % cfg.accumulate_batches == 0 or k == len(chunks):
+                adam_step(params, pending, adam)
+                pending = {}
+            correct += int((np.argmax(logits, axis=1) == labels).sum())
+        accuracy = correct / epoch_frames
         history.append(accuracy)
         if accuracy > cfg.stop_train_accuracy:
             stopped = True

@@ -9,6 +9,7 @@ import json
 import math
 import re
 import shlex
+import shutil
 import struct
 from pathlib import Path
 
@@ -243,6 +244,36 @@ def test_non_finite_number_exit_1_naming_the_key(work, tmp_path, capsys,
     assert capsys.readouterr().err == (f"error: --set '{key}={raw}': bad value "
                                        f"'{raw}' for {key}: not a finite number\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key,raw", [
+    ("sampler.tuples_per_video", str(10**30)),
+    ("pretrain.batch_size", str(2**63)),
+    ("model.hidden_sizes", f"8,{-2**63 - 1}"),
+], ids=["tuples-10**30", "batch-2**63", "hidden-below-int64"])
+@pytest.mark.parametrize("source", ["set", "file"])
+def test_integer_outside_int64_exit_1_naming_the_key(work, tmp_path, capsys,
+                                                     source, key, raw):
+    out = tmp_path / "enc.ckpt"
+    section, name = key.split(".")
+    if source == "set":
+        flag = ["--set", f"{key}={raw}"]
+        where = f"--set '{key}={raw}'"
+    else:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[{section}]\n{name} = {raw}\n")
+        flag = ["--config", str(cfg)]
+        where = str(cfg)
+    assert main(["pretrain", "--data", str(work / "data"), "--method",
+                 "ranking", "--out", str(out), *flag]) == 1
+    assert capsys.readouterr().err == (f"error: {where}: bad value '{raw}' "
+                                       f"for {key}: outside the int64 range\n")
+    assert not out.exists()
+
+
+def test_int64_bounds_are_accepted():
+    for raw in (str(2**63 - 1), str(-2**63)):
+        assert parse_set_flag(f"sampler.tuples_per_video={raw}")[1] == int(raw)
 
 
 # ------------------------------------------------------------------- synth
@@ -674,6 +705,57 @@ def test_checkpoint_of_another_width_exits_2_naming_it(work, tmp_path, capsys,
     assert not out.exists()
 
 
+# --------------------------------------------------- inputs that hold nothing
+
+@pytest.fixture(scope="module")
+def sparse_data(work, tmp_path_factory):
+    """A copy of the shared dataset whose splits A and D hold no videos."""
+    data = tmp_path_factory.mktemp("sparse") / "data"
+    shutil.copytree(work / "data", data)
+    splits = data / "splits.txt"
+    splits.write_text(splits.read_text().replace(",A\n", ",B\n")
+                      .replace(",D\n", ",C\n"))
+    assert set(load_dataset(data).splits.values()) == {"B", "C"}
+    return data
+
+
+@pytest.mark.parametrize("command,message", [
+    ("finetune", "labeled sets A contain no videos"),
+    ("eval", "split D is empty"),
+    ("retrieve", "split D is empty"),
+    ("retrieve-random", "query splits AD contain no videos"),
+])
+def test_splits_holding_no_videos_exit_2_naming_them(work, sparse_data,
+                                                     tmp_path, capsys,
+                                                     command, message):
+    argv = {
+        "finetune": ["finetune", "--labeled-sets", "A"],
+        "eval": ["eval", "--model", str(work / "model.ckpt")],
+        "retrieve": ["retrieve", "--model", str(work / "enc.ckpt"),
+                     "--queries", "video_000:0"],
+        "retrieve-random": ["retrieve", "--model", str(work / "enc.ckpt"),
+                            "--queries", "random:2", "--split", "B",
+                            "--query-split", "AD"],
+    }[command]
+    out = tmp_path / "out"
+    assert main([*argv, "--data", str(sparse_data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_eval_model_of_other_num_phases_exits_2_naming_it(work, tmp_path,
+                                                          capsys):
+    encoder, _ = load_encoder(work / "enc.ckpt")
+    ckpt = tmp_path / "five.ckpt"
+    save_phase_model(ckpt, PhaseModel.create(encoder, 2, 5))
+    out = tmp_path / "report.csv"
+    assert main(["eval", "--data", str(work / "data"), "--model", str(ckpt),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: {ckpt}: model has 5 phases but "
+                                       f"the dataset has 4\n")
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ replay
 
 def test_replay_reproduces_eval_byte_identically(work, tmp_path):
@@ -896,6 +978,25 @@ def test_replay_rejects_non_finite_config_value(work, tmp_path, capsys,
     assert {p: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("section,key,value,reason", [
+    ("sampler", "gamma_seconds", 10**400, "too large for a float"),
+    ("sampler", "delta_seconds", -10**400, "too large for a float"),
+    ("sampler", "tuples_per_video", 10**30, "outside the int64 range"),
+    ("model", "hidden_sizes", [8, 2**63], "outside the int64 range"),
+], ids=["float-key-10**400", "optional-float-key", "int-key-10**30",
+        "int-list-2**63"])
+def test_replay_names_the_manifest_for_a_number_numpy_cannot_hold(
+        work, tmp_path, capsys, section, key, value, reason):
+    def edit(manifest):
+        manifest["resolved_config"][section][key] = value
+        return manifest
+
+    err = replay_malformed(work, tmp_path, capsys, edit,
+                           source="enc.ckpt.manifest.json")
+    assert f"config value {section}.{key} = {value!r} is {reason}" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("source,field,key,value,type_name", [
     (SYNTH_MANIFEST, "run", "seed", "x", "an integer"),
     (SYNTH_MANIFEST, "run", "seed", True, "an integer"),
@@ -1085,22 +1186,30 @@ def test_main_runs_the_command_function_bound_at_call_time(work, tmp_path,
     assert [args.command for args in seen] == ["eval"]
 
 
-@pytest.mark.parametrize("message,expected", [
+@pytest.mark.parametrize("message,detail", [
     ("Unable to allocate 16.0 GiB for an array with shape (2147483647, 2)",
-     "error: out of memory: Unable to allocate 16.0 GiB for an array with "
-     "shape (2147483647, 2)\n"),
-    ("", "error: out of memory\n"),
+     ": Unable to allocate 16.0 GiB for an array with shape (2147483647, 2)"),
+    ("", ""),
 ], ids=["numpy", "bare"])
-def test_model_build_out_of_memory_exit_2(work, tmp_path, capsys, monkeypatch,
-                                          message, expected):
+@pytest.mark.parametrize("command", ["finetune", "compare"])
+def test_model_build_out_of_memory_exit_2_naming_num_phases(
+        work, tmp_path, capsys, monkeypatch, command, message, detail):
+    # The build is made to fail as a num_phases near 2**31 in dataset.json
+    # would make it fail, without allocating anything.
     def cannot_allocate(*args):
         raise MemoryError(message)
 
     monkeypatch.setattr(experiments, "build_phase_model", cannot_allocate)
-    out = tmp_path / "model.ckpt"
-    assert main(["finetune", "--data", str(work / "data"), "--labeled-sets",
-                 "A", "--init", str(work / "enc.ckpt"), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == expected
+    out = tmp_path / "out"
+    argv = {"finetune": ["--labeled-sets", "A", "--init",
+                         str(work / "enc.ckpt")],
+            "compare": ["--seeds", "1", "--methods", "ranking"],
+            }[command]
+    assert main([command, "--data", str(work / "data"), *argv,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: out of memory: {work / 'data' / 'dataset.json'}: num_phases "
+        f"4 with model.lstm_hidden 64{detail}\n")
     assert not out.exists()
 
 

@@ -280,6 +280,34 @@ def test_dataset_with_huge_phase_id_names_the_labels_file(tmp_path, rng):
     assert str(path) in str(err.value)
 
 
+def test_dataset_label_at_or_above_num_phases_names_the_labels_file(tmp_path,
+                                                                   rng):
+    dataset = generate_dataset(SynthConfig(min_duration=5, max_duration=9,
+                                           feature_dim=4), 4, rng)
+    root = tmp_path / "data"
+    save_dataset(root, dataset)
+    path = root / f"{dataset.videos[0].video_id}.feat.labels.csv"
+    lines = path.read_text().splitlines()
+    lines[1] = f"0,{dataset.num_phases}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError,
+                       match=f"phase id {dataset.num_phases} >= num_phases "
+                             f"{dataset.num_phases}") as err:
+        load_dataset(root)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("text", ["[]", "7", "null", '"dataset"'])
+def test_dataset_manifest_not_an_object_names_the_manifest(tmp_path, rng, text):
+    root = tmp_path / "data"
+    save_dataset(root, generate_dataset(SynthConfig(min_duration=5,
+                                                    max_duration=9), 4, rng))
+    (root / "dataset.json").write_text(text)
+    with pytest.raises(DataFormatError, match="not a dataset manifest") as err:
+        load_dataset(root)
+    assert str(root / "dataset.json") in str(err.value)
+
+
 def test_label_row_count_checked(tmp_path):
     path = tmp_path / "l.csv"
     save_labels(path, np.array([0, 1, 2]))
@@ -633,6 +661,32 @@ def test_independently_written_checkpoint_loads(tmp_path):
     kind, params, meta = load_checkpoint(path)
     assert kind == "kind" and meta == {}
     assert np.array_equal(params["w"], data)
+
+
+def _hand_written_checkpoint(params) -> bytes:
+    """A checkpoint of kind "k" and metadata {} holding `params`, a list of
+    (name, float32 array) pairs, written with raw struct calls."""
+    raw = (b"TCSL" + struct.pack("<H", 1) + struct.pack("<I", 1) + b"k"
+           + struct.pack("<I", len(params)))
+    for name, arr in params:
+        raw += (struct.pack("<I", len(name)) + name.encode()
+                + struct.pack("<I", arr.ndim)
+                + struct.pack(f"<{arr.ndim}I", *arr.shape)
+                + arr.astype("<f4").tobytes())
+    return raw + struct.pack("<I", 2) + b"{}"
+
+
+@pytest.mark.parametrize("params,problem", [
+    ([("w", np.array([1.0, np.nan]))], "parameter 'w' contains non-finite"),
+    ([("w", np.array([[np.inf]]))], "parameter 'w' contains non-finite"),
+    ([("w", np.ones(2)), ("w", np.zeros(2))], "duplicate parameter 'w'"),
+], ids=["nan", "inf", "duplicate-name"])
+def test_hand_written_checkpoint_errors_name_the_file(tmp_path, params, problem):
+    path = tmp_path / "ext.bin"
+    path.write_bytes(_hand_written_checkpoint(params))
+    with pytest.raises(CheckpointError, match=problem) as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
 
 
 def test_checkpoint_malformed_rejected(tmp_path, rng):

@@ -1,6 +1,8 @@
 """Training loops: pretraining descent/determinism, fine-tuning mechanics
 (stateful chunking, accumulation, stop criterion), and evaluation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -299,6 +301,63 @@ def test_accumulation_count_changes_the_updates(rng):
         finals.append(snapshot(model))
     assert any(not np.array_equal(finals[0][name], finals[1][name])
                for name in finals[0])
+
+
+def test_finetune_steps_every_accumulate_batches_chunks_and_at_epoch_end(
+        monkeypatch, rng):
+    # 10-frame chunks of videos of 45, 45 and 30 frames: 5 + 5 + 3 = 13
+    # chunks per epoch, which 3 does not divide, and in any visiting order
+    # some group of 3 chunks straddles two videos.
+    videos = [*labeled_videos(rng, n=2), *labeled_videos(rng, n=1,
+                                                         frames_per_phase=10)]
+    videos[2].video_id = "short"
+    model = make_model(rng)
+    chunks = 0
+    steps = []
+    zeroed = []
+    forward, zero_state = PhaseModel.forward_chunk_cached, PhaseModel.zero_state
+
+    def counting_forward(self, frames, state_in):
+        nonlocal chunks
+        chunks += 1
+        return forward(self, frames, state_in)
+
+    def recording_zero_state(self):
+        zeroed.append(chunks)
+        return zero_state(self)
+
+    def recording_adam_step(params, grads, state):
+        steps.append(chunks)
+        return adam_step(params, grads, state)
+
+    monkeypatch.setattr(PhaseModel, "forward_chunk_cached", counting_forward)
+    monkeypatch.setattr(PhaseModel, "zero_state", recording_zero_state)
+    monkeypatch.setattr(training, "adam_step", recording_adam_step)
+    result = finetune(model, videos,
+                      FinetuneConfig(max_epochs=2, stop_train_accuracy=1.0,
+                                     accumulate_batches=3, batch_frames=10),
+                      rng=3)
+    assert result.epochs_run == 2
+    assert chunks == 2 * 13
+    assert len(steps) == 2 * math.ceil(13 / 3)
+    # Every third chunk of an epoch ends a step, and so does its last.
+    assert steps == [3, 6, 9, 12, 13, 16, 19, 22, 25, 26]
+    # A video's state is zeroed just before its first chunk, so the gaps
+    # between zeroings are the videos' chunk counts in visiting order.
+    assert len(zeroed) == 2 * len(videos)
+    for epoch in (0, 1):
+        bounds = [*zeroed[3 * epoch:3 * epoch + 3], 13 * (epoch + 1)]
+        assert sorted(np.diff(bounds).tolist()) == [3, 5, 5]
+
+
+def test_finetune_non_finite_loss_names_the_video_and_frames(rng):
+    videos = labeled_videos(rng, n=2)
+    model = make_model(rng)
+    model.clf_bias[1] = np.nan
+    with pytest.raises(NonFiniteLossError,
+                       match=r"non-finite cross entropy at epoch 0, video "
+                             r"'l[01]', frames \[0, 16\)"):
+        finetune(model, videos, FinetuneConfig(batch_frames=16), rng=0)
 
 
 def test_finetune_walks_each_video_in_order(monkeypatch, rng):
