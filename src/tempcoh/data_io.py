@@ -12,6 +12,14 @@ directory is tied together by a JSON manifest. Checkpoints reuse the same
 binary envelope followed by a named float32 parameter table and a JSON
 metadata trailer.
 
+`FrameSequence` owns a video's rules: features a (frames, dim) array with
+both sizes >= 1 and every value finite, and a finite positive fps.
+`load_features` builds through it, as `load_model` builds through the model
+constructors, and re-raises their ValueError naming the file. A checkpoint's
+metadata sizes must equal those of the model its parameters build.
+`save_features` checks finiteness again, since features can be edited in
+place after construction.
+
 All writers go through a temp file of their own in the target's directory
 plus os.replace, so a crash never leaves a half-written file under the final
 name. Readers reject truncated input (reporting the byte offset) and
@@ -40,6 +48,8 @@ FORMAT_VERSION = 1
 SPLIT_NAMES = ("A", "B", "C", "D")
 LABELS_HEADER = "frame_index,phase_id"
 PHASE_ID_MAX = int(np.iinfo(np.int32).max)  # labels load as int32
+# How far a feature file's float32 fps may lie from its manifest's fps.
+FPS_TOLERANCE = 1e-5
 
 
 @dataclass
@@ -53,10 +63,13 @@ class FrameSequence:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float32)
-        if self.features.ndim != 2 or self.features.shape[0] == 0:
-            raise ValueError("features must be a non-empty (num_frames, dim) array")
-        if self.fps <= 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
+        if self.features.ndim != 2 or 0 in self.features.shape:
+            raise ValueError(f"features must be a (num_frames, dim) array with "
+                             f"both sizes >= 1, got shape {self.features.shape}")
+        if not 0 < self.fps <= sys.float_info.max:
+            raise ValueError(f"fps must be a finite positive number, got {self.fps}")
+        if not np.isfinite(self.features).all():
+            raise ValueError("features contain non-finite values")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int32)
             if self.labels.shape != (self.features.shape[0],):
@@ -234,17 +247,13 @@ def load_features(path) -> FrameSequence:
     num_frames = r.u32("frame count")
     feature_dim = r.u32("feature dim")
     fps = r.f32("fps")
-    if num_frames == 0 or feature_dim == 0:
-        raise DataFormatError(f"{path}: empty feature array "
-                              f"({num_frames} frames x {feature_dim} dims)")
-    if fps <= 0 or not np.isfinite(fps):
-        raise DataFormatError(f"{path}: invalid fps {fps}")
     raw = r.take(num_frames * feature_dim * 4, "feature payload")
     r.expect_end()
     arr = np.frombuffer(raw, dtype="<f4").reshape(num_frames, feature_dim).copy()
-    if not np.isfinite(arr).all():
-        raise DataFormatError(f"{path}: feature payload contains non-finite values")
-    return FrameSequence(video_id, arr, float(fps))
+    try:
+        return FrameSequence(video_id, arr, fps)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def save_labels(path, labels: np.ndarray) -> None:
@@ -395,14 +404,14 @@ def save_dataset(directory, dataset: Dataset) -> list[Path]:
     for seq in dataset.videos:
         _check_video_id(seq.video_id)
     # The feature files hold the fps as float32, and `load_dataset` refuses
-    # one more than 1e-5 away from the manifest's.
+    # one more than FPS_TOLERANCE away from the manifest's.
     with np.errstate(over="ignore"):
         stored = float(np.float32(dataset.fps))
     if not (0 < dataset.fps <= sys.float_info.max
-            and abs(stored - dataset.fps) <= 1e-5):
+            and abs(stored - dataset.fps) <= FPS_TOLERANCE):
         raise DataFormatError(f"refusing to write dataset: fps must be a "
                               f"finite positive number that float32 holds to "
-                              f"within 1e-5, got {dataset.fps!r}")
+                              f"within {FPS_TOLERANCE:g}, got {dataset.fps!r}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -521,7 +530,7 @@ def load_dataset(directory) -> Dataset:
             raise DataFormatError(
                 f"{features_path}: feature dim "
                 f"{seq.feature_dim}, manifest says {feature_dim}")
-        if abs(seq.fps - fps) > 1e-5:
+        if abs(seq.fps - fps) > FPS_TOLERANCE:
             raise DataFormatError(
                 f"{features_path}: fps {seq.fps}, "
                 f"manifest says {fps}")
@@ -599,19 +608,6 @@ def load_checkpoint(path):
     return kind, params, metadata
 
 
-def _check_params(params: dict[str, np.ndarray], expected: dict[str, tuple],
-                  path) -> None:
-    if set(params) != set(expected):
-        missing = sorted(set(expected) - set(params))
-        extra = sorted(set(params) - set(expected))
-        raise CheckpointError(f"{path}: parameter names do not match model "
-                              f"(missing {missing}, unexpected {extra})")
-    for name, shape in expected.items():
-        if params[name].shape != shape:
-            raise CheckpointError(f"{path}: parameter {name!r} has shape "
-                                  f"{params[name].shape}, expected {shape}")
-
-
 def _meta_layer_sizes(metadata, key: str, path) -> list[int]:
     """The encoder's layer sizes from checkpoint metadata, validated."""
     if not isinstance(metadata, dict):
@@ -643,36 +639,40 @@ def save_phase_model(path, model: PhaseModel, extra_metadata: dict | None = None
 
 def load_model(path, kinds: tuple[str, ...]) -> tuple[EncoderModel | PhaseModel, dict]:
     """(model, metadata) from one read of the checkpoint at `path`: an
-    EncoderModel for kind "encoder", a PhaseModel for "phase_model". A
-    kind outside `kinds`, or metadata sizes that do not give the stored
-    parameter names and shapes, raise a CheckpointError naming `path`."""
+    EncoderModel for kind "encoder", a PhaseModel for "phase_model", built
+    by their constructors. A kind outside `kinds`, or parameter names or
+    shapes that do not fit the metadata, raise a CheckpointError naming it."""
     kind, params, metadata = load_checkpoint(path)
     if kind not in kinds:
         raise CheckpointError(f"{path}: checkpoint kind {kind!r}, expected "
                               + " or ".join(map(repr, kinds)))
     phase = kind == "phase_model"
-    sizes = _meta_layer_sizes(
-        metadata, "encoder_layer_sizes" if phase else "layer_sizes", path)
+    sizes_key = "encoder_layer_sizes" if phase else "layer_sizes"
+    sizes = _meta_layer_sizes(metadata, sizes_key, path)
     layers = range(len(sizes) - 1)
-    shapes = {}
-    for i in layers:
-        shapes[f"encoder.{i}.weight"] = (sizes[i + 1], sizes[i])
-        shapes[f"encoder.{i}.bias"] = (sizes[i + 1],)
+    names = [f"encoder.{i}.{p}" for i in layers for p in ("weight", "bias")]
     if phase:
-        h = _json_int(metadata.get("hidden_size"), "metadata hidden_size", 1,
-                      path, CheckpointError)
-        k = _json_int(metadata.get("num_phases"), "metadata num_phases", 2,
-                      path, CheckpointError)
-        shapes.update({"lstm.w_input": (4 * h, sizes[-1]),
-                       "lstm.w_hidden": (4 * h, h), "lstm.bias": (4 * h,),
-                       "classifier.weight": (k, h), "classifier.bias": (k,)})
-    _check_params(params, shapes, path)
-    model = EncoderModel([params[f"encoder.{i}.weight"] for i in layers],
-                         [params[f"encoder.{i}.bias"] for i in layers])
+        for key, minimum in (("hidden_size", 1), ("num_phases", 2)):
+            _json_int(metadata.get(key), f"metadata {key}", minimum, path,
+                      CheckpointError)
+        names += ["lstm.w_input", "lstm.w_hidden", "lstm.bias",
+                  "classifier.weight", "classifier.bias"]
+    if set(params) != set(names):
+        raise CheckpointError(f"{path}: parameter names do not match model "
+                              f"(missing {sorted(set(names) - set(params))}, "
+                              f"unexpected {sorted(set(params) - set(names))})")
+    try:
+        encoder = EncoderModel([params[f"encoder.{i}.weight"] for i in layers],
+                               [params[f"encoder.{i}.bias"] for i in layers])
+        model = PhaseModel(encoder, *(params[n] for n in names[-5:])) if phase else encoder
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
+    built = {sizes_key: encoder.layer_sizes}
     if phase:
-        model = PhaseModel(model, params["lstm.w_input"], params["lstm.w_hidden"],
-                           params["lstm.bias"], params["classifier.weight"],
-                           params["classifier.bias"])
+        built.update(hidden_size=model.hidden_size, num_phases=model.num_phases)
+    if any(metadata[key] != value for key, value in built.items()):
+        raise CheckpointError(f"{path}: metadata sizes do not match the stored "
+                              f"parameter shapes, which give {built}")
     return model, metadata
 
 

@@ -26,6 +26,13 @@ same operations, in the same order, as a per-parameter update. The layout
 is fixed at the first step; a later step with other parameter names, sizes
 or dtype is an error.
 
+The constructors own the shape rules, and the checkpoint loader builds
+through them. `EncoderModel` refuses a weight that is not 2-D, a bias that
+is not one entry per weight row, and a layer whose input width is not the
+previous layer's output width. `PhaseModel` refuses LSTM and classifier
+parameters whose five shapes do not fit one hidden size, one phase count
+and the encoder's embedding width.
+
 Parameters are stored as float32 by default (matching the checkpoint
 format); gradient-check tests build float64 models instead. A parameter is
 addressed by name ("encoder.0.weight", "lstm.w_hidden", ...) in the dicts
@@ -54,6 +61,13 @@ class EncoderModel:
             raise ValueError("weights and biases must be non-empty and aligned")
         self.weights = list(weights)
         self.biases = list(biases)
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if w.ndim != 2 or b.shape != w.shape[:1]:
+                raise ValueError(f"encoder layer {i} needs a 2-D weight and a "
+                                 f"bias of its rows, got {w.shape} and {b.shape}")
+            if i and w.shape[1] != self.weights[i - 1].shape[0]:
+                raise ValueError(f"encoder layer {i} takes {w.shape[1]} inputs, "
+                                 f"layer {i - 1} gives {self.weights[i - 1].shape[0]}")
         if not all(w.flags.c_contiguous for w in self.weights):
             raise ValueError("encoder weights must be C-contiguous")
 
@@ -182,12 +196,15 @@ class PhaseModel:
         self.lstm_bias = lstm_bias
         self.clf_weight = clf_weight
         self.clf_bias = clf_bias
-        h = self.hidden_size
-        d = encoder.embedding_dim
-        if lstm_w_input.shape != (4 * h, d) or lstm_bias.shape != (4 * h,):
-            raise ValueError("LSTM parameter shapes are inconsistent")
-        if clf_weight.shape[1] != h:
-            raise ValueError("classifier width does not match LSTM hidden size")
+        # Hidden size and phase count from the bias sizes, which arrays of
+        # any rank have, so a weight of the wrong rank is refused, not indexed.
+        h, k = lstm_bias.size // 4, clf_bias.size
+        got = [p.shape for p in (lstm_w_input, lstm_w_hidden, lstm_bias,
+                                 clf_weight, clf_bias)]
+        want = [(4 * h, encoder.embedding_dim), (4 * h, h), (4 * h,), (k, h), (k,)]
+        if got != want:
+            raise ValueError(f"LSTM and classifier shapes {got} do not fit one "
+                             f"hidden size and phase count; expected {want}")
         if not all(w.flags.c_contiguous for w in (lstm_w_input, lstm_w_hidden, clf_weight)):
             raise ValueError("LSTM and classifier weights must be C-contiguous")
 

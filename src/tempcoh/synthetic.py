@@ -7,10 +7,16 @@ vector plus a slow random-walk drift shared across the video plus per-frame
 noise. Prototypes are drawn once per dataset, so an encoder can transfer
 what it learns across videos. The drift makes temporally close frames
 similar for reasons beyond the phase label.
+
+`generate_dataset` names the `SynthConfig` fields behind a failure as keys
+of the `synth` config section: the sizes for an allocation that cannot be
+made, the scales for features beyond float32.
 """
 
 from __future__ import annotations
 
+import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +45,23 @@ class SynthConfig:
             raise ValueError("feature_dim must be >= 1")
         if not 1 <= self.min_duration <= self.max_duration:
             raise ValueError("need 1 <= min_duration <= max_duration")
-        if self.prototype_scale < 0 or self.drift_step < 0 or self.noise_std < 0:
-            raise ValueError("scales must be non-negative")
-        if self.fps <= 0:
-            raise ValueError("fps must be positive")
+        if not all(0 <= s <= sys.float_info.max
+                   for s in (self.prototype_scale, self.drift_step, self.noise_std)):
+            raise ValueError("scales must be finite and non-negative")
+        if not 0 < self.fps <= sys.float_info.max:
+            raise ValueError("fps must be finite and positive")
         if not 0.0 <= self.skip_probability < 1.0:
             raise ValueError("skip_probability must be in [0, 1)")
+
+
+SIZE_KEYS = ("num_phases", "feature_dim", "max_duration")
+SCALE_KEYS = ("prototype_scale", "drift_step", "noise_std")
+
+
+def _named(cfg: SynthConfig, keys: tuple[str, ...]) -> str:
+    """`keys` with their values in `cfg`, as the `synth` config section names them."""
+    *head, last = (f"synth.{key} {getattr(cfg, key)!r}" for key in keys)
+    return f"{', '.join(head)} and {last}"
 
 
 def generate_prototypes(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
@@ -88,14 +105,31 @@ def generate_dataset(cfg: SynthConfig, n_videos: int, rng) -> Dataset:
     `rng` is a numpy Generator or an integer seed. Prototypes are drawn
     before any video, and videos are drawn sequentially, so the same seed
     with a larger n_videos reproduces the smaller dataset's videos as a
-    prefix."""
+    prefix.
+
+    A float overflow raises a ValueError naming SCALE_KEYS, and a size that
+    cannot be allocated a MemoryError naming SIZE_KEYS."""
     if n_videos < 4:
         raise ValueError(f"need at least 4 videos for an A/B/C/D split, "
                          f"got {n_videos}")
     rng = np.random.default_rng(rng)
-    prototypes = generate_prototypes(cfg, rng)
-    videos = [
-        generate_procedure(cfg, rng, prototypes, f"video_{i:03d}")
-        for i in range(n_videos)
-    ]
+    try:
+        # numpy's overflow warning, raised as an error here, stops generation
+        # at the first overflow. An `np.errstate(over="raise")` block does the
+        # same but left the process's later numpy calls about 8% slower on
+        # the `cli-chain` benchmark, which runs every command in one process.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            prototypes = generate_prototypes(cfg, rng)
+            videos = [
+                generate_procedure(cfg, rng, prototypes, f"video_{i:03d}")
+                for i in range(n_videos)
+            ]
+    except RuntimeWarning as exc:
+        raise ValueError(f"{_named(cfg, SCALE_KEYS)} give features beyond "
+                         f"float32: {exc}") from exc
+    except (MemoryError, ValueError) as exc:
+        # A valid config leaves numpy's size errors as the only ValueErrors:
+        # an array past the address space, a frame count past int64.
+        raise MemoryError(f"{_named(cfg, SIZE_KEYS)}: {exc}") from exc
     return Dataset(videos, assign_splits(videos), cfg.num_phases, cfg.fps)

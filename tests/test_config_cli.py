@@ -11,6 +11,7 @@ import re
 import shlex
 import shutil
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ import pytest
 import tempcoh.cli as cli
 import tempcoh.data_io as data_io
 import tempcoh.experiments as experiments
+import tempcoh.synthetic as synthetic
 from tempcoh.cli import main
 from tempcoh.config import (
     DEFAULTS,
@@ -315,6 +317,49 @@ def test_synth_needs_four_videos(tmp_path, capsys):
     code = main(["synth", "--out", str(tmp_path / "x"), "--videos", "3"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [
+    MemoryError("Unable to allocate 5.09 TiB for an array with shape "
+                "(7, 100000000000) and data type float64"),
+    ValueError("array is too big; `arr.size * arr.dtype.itemsize` is larger "
+               "than the maximum possible size."),
+], ids=["out-of-memory", "array-too-big"])
+def test_synth_allocation_failure_names_the_size_keys(tmp_path, capsys,
+                                                      monkeypatch, error):
+    # Generation is made to fail as a huge synth.feature_dim or
+    # synth.max_duration makes it fail, without allocating anything.
+    def cannot_allocate(*args):
+        raise error
+
+    monkeypatch.setattr(synthetic, "generate_prototypes", cannot_allocate)
+    out = tmp_path / "data"
+    assert main(["synth", "--out", str(out), "--videos", "4",
+                 "--set", "synth.feature_dim=100000000000"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: out of memory: synth.num_phases 7, synth.feature_dim "
+        f"100000000000 and synth.max_duration 300: {error}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["prototype_scale", "drift_step", "noise_std"])
+def test_synth_float32_overflow_is_one_error_naming_the_scale_keys(
+        tmp_path, capsys, key):
+    out = tmp_path / "data"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["synth", "--out", str(out), "--videos", "4",
+                     "--set", f"synth.{key}=1e308"])
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    scales = {"prototype_scale": 2.0, "drift_step": 0.02, "noise_std": 0.5,
+              key: 1e308}
+    assert (f"synth.prototype_scale {scales['prototype_scale']!r}, "
+            f"synth.drift_step {scales['drift_step']!r} and "
+            f"synth.noise_std {scales['noise_std']!r}") in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- pretrain

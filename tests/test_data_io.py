@@ -59,6 +59,28 @@ def test_frame_sequence_validation(rng):
                       labels=np.zeros(3, dtype=np.int32))
 
 
+@pytest.mark.parametrize("fps", [float("nan"), float("inf"), float("-inf"), -1.0])
+def test_frame_sequence_refuses_an_fps_that_is_not_finite_and_positive(fps):
+    with pytest.raises(ValueError, match="fps"):
+        FrameSequence("v", np.zeros((2, 3), dtype=np.float32), fps)
+
+
+@pytest.mark.parametrize("shape", [(2, 0), (0, 0), (3,), (1, 2, 3)],
+                         ids=["zero-width", "zero-by-zero", "1-d", "3-d"])
+def test_frame_sequence_refuses_features_that_are_not_a_non_empty_matrix(shape):
+    with pytest.raises(ValueError, match="features"):
+        FrameSequence("v", np.zeros(shape, dtype=np.float32), 5.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])
+def test_frame_sequence_refuses_non_finite_features(value):
+    # 1e39 is beyond float32 and becomes inf in the cast.
+    features = np.zeros((2, 3))
+    features[1, 2] = value
+    with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
+        FrameSequence("v", features, 5.0)
+
+
 # ---------------------------------------------------------------- features
 
 def test_features_round_trip_bit_identical(tmp_path, rng):
@@ -773,6 +795,26 @@ def test_checkpoint_missing_parameters_rejected(tmp_path, rng):
                     {"layer_sizes": [4, 2], "trainable": [True]})
     with pytest.raises(CheckpointError, match="missing"):
         load_encoder(tmp_path / "bad.ckpt")
+
+
+@pytest.mark.parametrize("name,shape", [
+    ("encoder.0.bias", (1,)), ("encoder.0.bias", ()), ("encoder.0.weight", (6,)),
+    ("encoder.1.weight", (3, 5)), ("lstm.w_hidden", (15, 5)), ("lstm.bias", ()),
+    ("classifier.weight", (3,)), ("classifier.bias", (1,)),
+])
+def test_checkpoint_parameters_the_constructors_refuse_name_the_file(
+        tmp_path, rng, name, shape):
+    # A 0-d or 1-d stored parameter ends in a CheckpointError, never an
+    # IndexError from reading its shape.
+    enc = EncoderModel.create(4, [6], 3).init_uniform_fan(rng)
+    model = PhaseModel.create(enc, 5, 3).init_head_uniform_fan(rng)
+    params = dict(model.parameters(), **{name: np.zeros(shape, np.float32)})
+    path = tmp_path / "ck.ckpt"
+    save_checkpoint(path, "phase_model", params, {
+        "encoder_layer_sizes": [4, 6, 3], "hidden_size": 5, "num_phases": 3})
+    with pytest.raises(CheckpointError) as err:
+        load_phase_model(path)
+    assert str(path) in str(err.value)
 
 
 def _edited_checkpoint(path, rng, loader, edit):

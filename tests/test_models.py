@@ -204,6 +204,44 @@ def test_models_reject_fortran_ordered_weights(rng):
             PhaseModel(enc, *swapped)
 
 
+def _layer(rows, cols):
+    return np.ones((rows, cols), np.float32), np.zeros(rows, np.float32)
+
+
+@pytest.mark.parametrize("weights,biases,problem", [
+    ([np.ones((4, 3), np.float32)], [np.zeros(1, np.float32)], "bias"),
+    ([np.ones((4, 3), np.float32)], [np.zeros((4, 1), np.float32)], "bias"),
+    ([np.ones(3, np.float32)], [np.zeros(3, np.float32)], "2-D"),
+    ([np.ones((), np.float32)], [np.zeros((), np.float32)], "2-D"),
+    ([np.ones((2, 4, 3), np.float32)], [np.zeros(2, np.float32)], "2-D"),
+    (*zip(_layer(4, 3), _layer(2, 5)), "takes 5 inputs, layer 0 gives 4"),
+], ids=["one-long-bias", "2-d-bias", "1-d-weight", "0-d-weight", "3-d-weight",
+        "broken-chain"])
+def test_encoder_refuses_layers_that_do_not_chain(weights, biases, problem):
+    # A 1-long bias used to broadcast over the layer's rows, and a 3->4,
+    # 5->2 chain used to report layer_sizes [3, 4, 2].
+    with pytest.raises(ValueError, match=problem):
+        EncoderModel(list(weights), list(biases))
+
+
+@pytest.mark.parametrize("index,shape", [
+    (0, (16, 3)), (1, (12, 4)), (1, (16,)), (1, ()), (2, (12,)), (2, ()),
+    (3, (2, 4)), (3, (4,)), (4, (1,)), (4, (3, 1)),
+], ids=["w_input", "w_hidden-12x4", "w_hidden-1d", "w_hidden-0d", "bias",
+        "bias-0d", "clf_weight", "clf_weight-1d", "clf_bias-1", "clf_bias-2d"])
+def test_phase_model_refuses_head_shapes_that_do_not_fit(index, shape):
+    # Hidden size 4 with 3 phases over a 2-wide embedding: (16, 2), (16, 4),
+    # (16,), (3, 4), (3,). A (12, 4) recurrent weight used to fail only at
+    # the first step, and a (1,) classifier bias to broadcast into the logits.
+    enc = EncoderModel.create(3, [], 2)
+    head = PhaseModel.create(enc, 4, 3)
+    params = [head.lstm_w_input, head.lstm_w_hidden, head.lstm_bias,
+              head.clf_weight, head.clf_bias]
+    params[index] = np.zeros(shape, np.float32)
+    with pytest.raises(ValueError, match="shapes"):
+        PhaseModel(enc, *params)
+
+
 def _reference_encoder_backward(enc, cache, grad_embedding):
     """Each layer's gradients as one product over all rows: the weight
     gradient dz.T @ a, the bias gradient the row sum, the input gradient

@@ -42,6 +42,16 @@ def test_cli_chain_runs_clean(trace):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+    if trace == "0":
+        # One sample per epoch: an iteration pretrains 2 epochs and
+        # fine-tunes 5, each in its command and again in its replay. The
+        # stage clock finds epoch ends from `build_epoch_schedule` and
+        # `PhaseModel.zero_state` calls, so a refactor that bypassed either
+        # would merge epochs into fewer samples.
+        detail = json.loads(proc.stdout.strip().splitlines()[-2])["detail"]
+        stats = detail["metric_stats"]
+        assert stats["pretrain_tuples_per_s"]["n"] == 4 * detail["iterations"]
+        assert stats["finetune_frames_per_s"]["n"] == 10 * detail["iterations"]
     if trace == "1":
         metrics = result["metrics"]
         for layer in TRACED_LAYERS:

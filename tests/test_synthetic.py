@@ -27,6 +27,13 @@ SMALL = SynthConfig(min_duration=5, max_duration=12, feature_dim=6)
     {"fps": 0.0},
     {"skip_probability": 1.0},
     {"skip_probability": -0.1},
+    # Non-finite scales and fps: generation then fails only on a size or a
+    # float overflow, and names which.
+    {"prototype_scale": float("inf")},
+    {"drift_step": float("nan")},
+    {"noise_std": float("inf")},
+    {"fps": float("inf")},
+    {"fps": float("nan")},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
