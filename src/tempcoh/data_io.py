@@ -15,8 +15,10 @@ metadata trailer.
 `FrameSequence` owns a video's rules: features a (frames, dim) array with
 both sizes >= 1 and every value finite, and a finite positive fps.
 `load_features` builds through it, as `load_model` builds through the model
-constructors, and re-raises their ValueError naming the file. A checkpoint's
-metadata sizes must equal those of the model its parameters build.
+constructors, and re-raises their ValueError naming the file. `models.py`
+owns the names of the parameters a checkpoint stores; `_recorded_sizes`
+here owns the sizes its metadata records, which both savers write and
+`load_model` requires to equal those of the model its parameters build.
 `save_features` checks finiteness again, since features can be edited in
 place after construction.
 
@@ -619,22 +621,22 @@ def _meta_layer_sizes(metadata, key: str, path) -> list[int]:
             for i, s in enumerate(sizes)]
 
 
+def _recorded_sizes(model: EncoderModel | PhaseModel) -> dict:
+    """The sizes that a checkpoint of `model` records in its metadata."""
+    if isinstance(model, PhaseModel):
+        return {"encoder_layer_sizes": model.encoder.layer_sizes,
+                "hidden_size": model.hidden_size, "num_phases": model.num_phases}
+    return {"layer_sizes": model.layer_sizes}
+
+
 def save_encoder(path, encoder: EncoderModel, extra_metadata: dict | None = None) -> None:
-    metadata = {"layer_sizes": encoder.layer_sizes}
-    if extra_metadata:
-        metadata.update(extra_metadata)
-    save_checkpoint(path, "encoder", encoder.parameters(), metadata)
+    save_checkpoint(path, "encoder", encoder.parameters(),
+                    {**_recorded_sizes(encoder), **(extra_metadata or {})})
 
 
 def save_phase_model(path, model: PhaseModel, extra_metadata: dict | None = None) -> None:
-    metadata = {
-        "encoder_layer_sizes": model.encoder.layer_sizes,
-        "hidden_size": model.hidden_size,
-        "num_phases": model.num_phases,
-    }
-    if extra_metadata:
-        metadata.update(extra_metadata)
-    save_checkpoint(path, "phase_model", model.parameters(), metadata)
+    save_checkpoint(path, "phase_model", model.parameters(),
+                    {**_recorded_sizes(model), **(extra_metadata or {})})
 
 
 def load_model(path, kinds: tuple[str, ...]) -> tuple[EncoderModel | PhaseModel, dict]:
@@ -649,30 +651,26 @@ def load_model(path, kinds: tuple[str, ...]) -> tuple[EncoderModel | PhaseModel,
     phase = kind == "phase_model"
     sizes_key = "encoder_layer_sizes" if phase else "layer_sizes"
     sizes = _meta_layer_sizes(metadata, sizes_key, path)
-    layers = range(len(sizes) - 1)
-    names = [f"encoder.{i}.{p}" for i in layers for p in ("weight", "bias")]
+    encoder_names = EncoderModel.parameter_names(len(sizes) - 1)
+    names = encoder_names + list(PhaseModel.HEAD) if phase else encoder_names
     if phase:
         for key, minimum in (("hidden_size", 1), ("num_phases", 2)):
             _json_int(metadata.get(key), f"metadata {key}", minimum, path,
                       CheckpointError)
-        names += ["lstm.w_input", "lstm.w_hidden", "lstm.bias",
-                  "classifier.weight", "classifier.bias"]
     if set(params) != set(names):
         raise CheckpointError(f"{path}: parameter names do not match model "
                               f"(missing {sorted(set(names) - set(params))}, "
                               f"unexpected {sorted(set(params) - set(names))})")
     try:
-        encoder = EncoderModel([params[f"encoder.{i}.weight"] for i in layers],
-                               [params[f"encoder.{i}.bias"] for i in layers])
-        model = PhaseModel(encoder, *(params[n] for n in names[-5:])) if phase else encoder
+        encoder = EncoderModel([params[n] for n in encoder_names[0::2]],
+                               [params[n] for n in encoder_names[1::2]])
+        model = PhaseModel(encoder, *(params[n] for n in PhaseModel.HEAD)) if phase else encoder
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
-    built = {sizes_key: encoder.layer_sizes}
-    if phase:
-        built.update(hidden_size=model.hidden_size, num_phases=model.num_phases)
-    if any(metadata[key] != value for key, value in built.items()):
+    recorded = _recorded_sizes(model)
+    if any(metadata[key] != value for key, value in recorded.items()):
         raise CheckpointError(f"{path}: metadata sizes do not match the stored "
-                              f"parameter shapes, which give {built}")
+                              f"parameter shapes, which give {recorded}")
     return model, metadata
 
 

@@ -41,10 +41,24 @@ def _check_label_budget(labeled_sets: tuple[str, ...]) -> None:
                          f"label budget; expected one of {list(LABEL_BUDGETS)}")
 
 
+def _out_of_memory(names: str, exc: MemoryError) -> MemoryError:
+    """A MemoryError naming `names`, the values behind a failed allocation,
+    then `exc`'s message if it has one."""
+    return MemoryError(f"{names}{f': {exc}' if str(exc) else ''}")
+
+
 def build_encoder(resolved: dict, feature_dim: int) -> EncoderModel:
+    """A zero encoder for `feature_dim` inputs; a MemoryError names the
+    model sizes that could not be allocated."""
     model_cfg = resolved["model"]
-    return EncoderModel.create(feature_dim, model_cfg["hidden_sizes"],
-                               model_cfg["embedding_dim"])
+    try:
+        return EncoderModel.create(feature_dim, model_cfg["hidden_sizes"],
+                                   model_cfg["embedding_dim"])
+    except MemoryError as exc:
+        raise _out_of_memory(
+            f"model.hidden_sizes {model_cfg['hidden_sizes']} and "
+            f"model.embedding_dim {model_cfg['embedding_dim']} on "
+            f"{feature_dim} input features", exc) from exc
 
 
 def build_phase_model(resolved: dict, encoder: EncoderModel,
@@ -99,11 +113,10 @@ def finetune_stage(dataset: Dataset, resolved: dict, encoder: EncoderModel,
     try:
         model = build_phase_model(resolved, encoder, dataset.num_phases)
     except MemoryError as exc:
-        raise MemoryError(
+        raise _out_of_memory(
             f"{dataset.manifest_path or 'dataset'}: num_phases "
             f"{dataset.num_phases} with model.lstm_hidden "
-            f"{resolved['model']['lstm_hidden']}"
-            f"{f': {exc}' if str(exc) else ''}") from exc
+            f"{resolved['model']['lstm_hidden']}", exc) from exc
     rng = np.random.default_rng([seed, 2])
     model.init_head_uniform_fan(rng)
     result = finetune(model, dataset.split(*labeled_sets),

@@ -35,8 +35,12 @@ and the encoder's embedding width.
 
 Parameters are stored as float32 by default (matching the checkpoint
 format); gradient-check tests build float64 models instead. A parameter is
-addressed by name ("encoder.0.weight", "lstm.w_hidden", ...) in the dicts
-exchanged between backward passes, the optimizer, and checkpoints.
+addressed by name in the dicts exchanged between backward passes, the
+optimizer, and checkpoints. This module owns the name table:
+`EncoderModel.parameter_names` names an encoder's layers and
+`PhaseModel.HEAD` the head's five parameters in constructor order.
+`parameters()`, both backward passes and the checkpoint loader take their
+names from these two.
 """
 
 from __future__ import annotations
@@ -115,12 +119,15 @@ class EncoderModel:
             self.biases[i] = _uniform_fan_in(rng, b.shape, fan_in, b.dtype)
         return self
 
+    @staticmethod
+    def parameter_names(num_layers: int) -> list[str]:
+        """An encoder's parameter names: each layer's weight, then its bias."""
+        return [f"encoder.{i}.{p}" for i in range(num_layers)
+                for p in ("weight", "bias")]
+
     def parameters(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out[f"encoder.{i}.weight"] = w
-            out[f"encoder.{i}.bias"] = b
-        return out
+        arrays = [p for wb in zip(self.weights, self.biases) for p in wb]
+        return dict(zip(self.parameter_names(self.num_layers), arrays))
 
     def _layers(self, x, cache: list | None) -> np.ndarray:
         """The layer loop of `forward` and `forward_cached`: the embedding of
@@ -153,13 +160,14 @@ class EncoderModel:
         over all rows of the batch."""
         if len(cache) != self.num_layers:
             raise ValueError("cache does not match this encoder")
+        names = self.parameter_names(self.num_layers)
         grads: dict[str, np.ndarray] = {}
         da = grad_embedding
         for i in reversed(range(self.num_layers)):
             a_in, z = cache[i]
             dz = da * (z > 0)
-            grads[f"encoder.{i}.weight"] = dz.T @ a_in
-            grads[f"encoder.{i}.bias"] = dz.sum(axis=0)
+            grads[names[2 * i]] = dz.T @ a_in
+            grads[names[2 * i + 1]] = dz.sum(axis=0)
             if i > 0:
                 da = dz @ self.weights[i]
         return grads
@@ -188,6 +196,9 @@ class PhaseModel:
     output.
     """
 
+    HEAD = ("lstm.w_input", "lstm.w_hidden", "lstm.bias",
+            "classifier.weight", "classifier.bias")  # in constructor order
+
     def __init__(self, encoder: EncoderModel, lstm_w_input, lstm_w_hidden,
                  lstm_bias, clf_weight, clf_bias):
         self.encoder = encoder
@@ -199,14 +210,17 @@ class PhaseModel:
         # Hidden size and phase count from the bias sizes, which arrays of
         # any rank have, so a weight of the wrong rank is refused, not indexed.
         h, k = lstm_bias.size // 4, clf_bias.size
-        got = [p.shape for p in (lstm_w_input, lstm_w_hidden, lstm_bias,
-                                 clf_weight, clf_bias)]
+        got = [p.shape for p in self._head()]
         want = [(4 * h, encoder.embedding_dim), (4 * h, h), (4 * h,), (k, h), (k,)]
         if got != want:
             raise ValueError(f"LSTM and classifier shapes {got} do not fit one "
                              f"hidden size and phase count; expected {want}")
         if not all(w.flags.c_contiguous for w in (lstm_w_input, lstm_w_hidden, clf_weight)):
             raise ValueError("LSTM and classifier weights must be C-contiguous")
+
+    def _head(self) -> tuple[np.ndarray, ...]:
+        return (self.lstm_w_input, self.lstm_w_hidden, self.lstm_bias,
+                self.clf_weight, self.clf_bias)
 
     @classmethod
     def create(cls, encoder: EncoderModel, hidden_size: int, num_phases: int):
@@ -259,12 +273,8 @@ class PhaseModel:
         return LstmState.zeros(self.hidden_size, self.dtype)
 
     def parameters(self) -> dict[str, np.ndarray]:
-        out = dict(self.encoder.parameters())
-        out["lstm.w_input"] = self.lstm_w_input
-        out["lstm.w_hidden"] = self.lstm_w_hidden
-        out["lstm.bias"] = self.lstm_bias
-        out["classifier.weight"] = self.clf_weight
-        out["classifier.bias"] = self.clf_bias
+        out = self.encoder.parameters()
+        out.update(zip(self.HEAD, self._head()))
         return out
 
     def _recurrence(self, zx: np.ndarray, state_in: LstmState):
@@ -374,16 +384,12 @@ class PhaseModel:
         across chunk boundaries."""
         enc_cache, emb, h_prev, c_prev, gates, cs, tanh_cs, hs_out = cache
         grad_logits = np.ascontiguousarray(grad_logits)
-        grads: dict[str, np.ndarray] = {
-            "classifier.weight": grad_logits.T @ hs_out,
-            "classifier.bias": grad_logits.sum(axis=0),
-        }
+        clf = (grad_logits.T @ hs_out, grad_logits.sum(axis=0))
         dh_seq = grad_logits @ self.clf_weight
         dzs = self._recurrence_backward(dh_seq, gates, c_prev, tanh_cs)
-        grads["lstm.w_input"] = dzs.T @ emb
-        grads["lstm.w_hidden"] = dzs.T @ h_prev
-        grads["lstm.bias"] = dzs.sum(axis=0)
+        head = (dzs.T @ emb, dzs.T @ h_prev, dzs.sum(axis=0), *clf)
         grad_emb = dzs @ self.lstm_w_input
+        grads = dict(zip(self.HEAD, head))
         grads.update(self.encoder.backward(enc_cache, grad_emb))
         return grads
 

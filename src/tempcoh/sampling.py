@@ -148,7 +148,9 @@ def build_epoch_schedule(
 
     `videos` is a sequence of (video_id, num_frames) pairs; the schedule
     refers to them by position. A video too short for a distant frame is
-    named in the raised error. Makes four generator calls.
+    named in the raised error. Makes four generator calls. A schedule of
+    more tuples than int64 counts raises a ValueError, and one too large to
+    allocate a MemoryError, both naming `tuples_per_video`.
     """
     if order not in ("first", "second"):
         raise ValueError(f"order must be 'first' or 'second', got {order!r}")
@@ -158,8 +160,17 @@ def build_epoch_schedule(
         except NoValidDistantFrame as exc:
             raise NoValidDistantFrame(f"video {video_id!r}: {exc}") from exc
     per_video = cfg.tuples_per_video
-    last = np.repeat(np.array([n - 1 for _, n in videos], dtype=np.int64), per_video)
-    indices = _draw(last, cfg, rng, order == "second")
-    perm = rng.permutation(len(last))
-    video = np.repeat(np.arange(len(videos)), per_video)
-    return EpochSchedule(video[perm], indices[perm])
+    named = f"sampler.tuples_per_video {per_video} for {len(videos)} videos"
+    if len(videos) * per_video >= 2**63:
+        raise ValueError(f"{named} overflow int64: 2**63 tuples or more")
+    try:
+        last = np.repeat(np.array([n - 1 for _, n in videos], dtype=np.int64),
+                         per_video)
+        indices = _draw(last, cfg, rng, order == "second")
+        perm = rng.permutation(len(last))
+        video = np.repeat(np.arange(len(videos)), per_video)
+        return EpochSchedule(video[perm], indices[perm])
+    except (MemoryError, ValueError) as exc:
+        # With the tuple count inside int64, numpy's "array is too big" is
+        # the only ValueError left here.
+        raise MemoryError(f"{named}: {exc}") from exc

@@ -10,7 +10,8 @@ similar for reasons beyond the phase label.
 
 `generate_dataset` names the `SynthConfig` fields behind a failure as keys
 of the `synth` config section: the sizes for an allocation that cannot be
-made, the scales for features beyond float32.
+made, the scales for features beyond float32. `SynthConfig` itself refuses a
+`num_phases * max_duration` beyond int64, naming both keys as an overflow.
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ class SynthConfig:
             raise ValueError("feature_dim must be >= 1")
         if not 1 <= self.min_duration <= self.max_duration:
             raise ValueError("need 1 <= min_duration <= max_duration")
+        # `np.repeat` sums a video's phase durations in int64.
+        if self.num_phases * self.max_duration >= 2**63:
+            raise ValueError(f"{_named(self, ('num_phases', 'max_duration'))} "
+                             f"overflow int64: num_phases * max_duration "
+                             f"frames is 2**63 or more")
         if not all(0 <= s <= sys.float_info.max
                    for s in (self.prototype_scale, self.drift_step, self.noise_std)):
             raise ValueError("scales must be finite and non-negative")
@@ -129,7 +135,7 @@ def generate_dataset(cfg: SynthConfig, n_videos: int, rng) -> Dataset:
         raise ValueError(f"{_named(cfg, SCALE_KEYS)} give features beyond "
                          f"float32: {exc}") from exc
     except (MemoryError, ValueError) as exc:
-        # A valid config leaves numpy's size errors as the only ValueErrors:
-        # an array past the address space, a frame count past int64.
+        # A valid config bounds every frame count to int64, which leaves
+        # numpy's "array is too big" as the only ValueError.
         raise MemoryError(f"{_named(cfg, SIZE_KEYS)}: {exc}") from exc
     return Dataset(videos, assign_splits(videos), cfg.num_phases, cfg.fps)

@@ -342,6 +342,18 @@ def test_synth_allocation_failure_names_the_size_keys(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_synth_frame_count_overflow_is_refused_naming_its_keys(tmp_path,
+                                                               capsys):
+    out = tmp_path / "data"
+    assert main(["synth", "--out", str(out), "--videos", "4",
+                 "--set", "synth.max_duration=4611686018427387904"]) == 2
+    assert capsys.readouterr().err == (
+        "error: synth.num_phases 7 and synth.max_duration 4611686018427387904 "
+        "overflow int64: num_phases * max_duration frames is 2**63 or "
+        "more\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["prototype_scale", "drift_step", "noise_std"])
 def test_synth_float32_overflow_is_one_error_naming_the_scale_keys(
         tmp_path, capsys, key):
@@ -1255,6 +1267,49 @@ def test_model_build_out_of_memory_exit_2_naming_num_phases(
     assert capsys.readouterr().err == (
         f"error: out of memory: {work / 'data' / 'dataset.json'}: num_phases "
         f"4 with model.lstm_hidden 64{detail}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value,sizes", [
+    ("hidden_sizes", "100000000000", "[100000000000] and model.embedding_dim 32"),
+    ("embedding_dim", "100000000000", "[64] and model.embedding_dim 100000000000"),
+], ids=["hidden_sizes", "embedding_dim"])
+def test_pretrain_encoder_out_of_memory_names_the_model_keys(
+        work, tmp_path, capsys, monkeypatch, key, value, sizes):
+    # The build is made to fail as these sizes make it fail, without
+    # allocating anything.
+    message = ("Unable to allocate 5.82 TiB for an array with shape "
+               "(100000000000, 16) and data type float32")
+
+    def cannot_allocate(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(EncoderModel, "create", cannot_allocate)
+    out = tmp_path / "enc.ckpt"
+    assert main(["pretrain", "--data", str(work / "data"), "--method",
+                 "ranking", "--out", str(out), "--set", f"model.{key}={value}"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: out of memory: model.hidden_sizes {sizes} on 6 input "
+        f"features: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tuples,message", [
+    ("9000000000000000000", "error: sampler.tuples_per_video "
+     "9000000000000000000 for 6 videos overflow int64: 2**63 tuples or "
+     "more\n"),
+    ("1000000000000000000", "error: out of memory: sampler.tuples_per_video "
+     "1000000000000000000 for 6 videos: array is too big; `arr.size * "
+     "arr.dtype.itemsize` is larger than the maximum possible size.\n"),
+], ids=["overflow", "array-too-big"])
+def test_pretrain_schedule_too_large_names_tuples_per_video(
+        work, tmp_path, capsys, tuples, message):
+    # Both sizes are refused before anything is allocated.
+    out = tmp_path / "enc.ckpt"
+    assert main(["pretrain", "--data", str(work / "data"), "--method",
+                 "ranking", "--out", str(out),
+                 "--set", f"sampler.tuples_per_video={tuples}"]) == 2
+    assert capsys.readouterr().err == message
     assert not out.exists()
 
 

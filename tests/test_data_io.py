@@ -730,16 +730,46 @@ def test_checkpoint_malformed_rejected(tmp_path, rng):
         load_checkpoint(tmp_path / "dims.bin")
 
 
-def test_encoder_checkpoint_round_trip(tmp_path, rng):
-    enc = EncoderModel.create(6, [5], 4).init_uniform_fan(rng)
+DEPTHS = pytest.mark.parametrize("hidden", [[], [5], [5, 3]],
+                                 ids=["depth0", "depth1", "depth2"])
+
+
+@DEPTHS
+def test_encoder_checkpoint_round_trip(tmp_path, rng, hidden):
+    enc = EncoderModel.create(6, hidden, 4).init_uniform_fan(rng)
     path = tmp_path / "enc.ckpt"
     save_encoder(path, enc, {"note": "hello"})
     loaded, meta = load_encoder(path)
     assert meta["note"] == "hello"
-    assert meta["layer_sizes"] == [6, 5, 4]
+    assert meta["layer_sizes"] == [6, *hidden, 4]
     assert "trainable" not in meta
     for name, arr in enc.parameters().items():
         assert np.array_equal(loaded.parameters()[name], arr)
+    # The stored names, the parameter table and the gradients agree.
+    stored = set(load_checkpoint(path)[1])
+    _, cache = loaded.forward_cached(rng.normal(size=(3, 6)).astype(np.float32))
+    grads = loaded.backward(cache, np.ones((3, 4), np.float32))
+    assert stored == set(loaded.parameters()) == set(grads)
+    assert len(stored) == 2 * (len(hidden) + 1)
+
+
+@DEPTHS
+def test_phase_model_checkpoint_round_trip(tmp_path, rng, hidden):
+    model = PhaseModel.create(EncoderModel.create(6, hidden, 4), 3, 5)
+    model.init_uniform_fan(rng)
+    path = tmp_path / "pm.ckpt"
+    save_phase_model(path, model, {"note": "hello"})
+    loaded, meta = load_phase_model(path)
+    assert meta == {"note": "hello", "encoder_layer_sizes": [6, *hidden, 4],
+                    "hidden_size": 3, "num_phases": 5}
+    for name, arr in model.parameters().items():
+        assert np.array_equal(loaded.parameters()[name], arr)
+    stored = set(load_checkpoint(path)[1])
+    logits, _, cache = loaded.forward_chunk_cached(rng.normal(size=(4, 6)),
+                                                   loaded.zero_state())
+    grads = loaded.backward_chunk(cache, np.ones_like(logits))
+    assert stored == set(loaded.parameters()) == set(grads)
+    assert len(stored) == 2 * (len(hidden) + 1) + len(PhaseModel.HEAD)
 
 
 @pytest.mark.parametrize("kind", ["encoder", "phase_model"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import tempcoh.sampling as sampling
 from tempcoh.errors import NoValidDistantFrame
 from tempcoh.sampling import (
     EpochSchedule,
@@ -230,6 +231,37 @@ def test_schedule_error_names_offending_video(rng):
     videos = [("long_enough", 400), ("tiny", 50)]
     with pytest.raises(NoValidDistantFrame, match="tiny"):
         build_epoch_schedule(videos, cfg, rng)
+
+
+def test_schedule_out_of_memory_names_tuples_per_video(rng, monkeypatch):
+    # The draw is made to fail as a huge tuples_per_video makes it fail,
+    # without allocating anything.
+    message = "Unable to allocate 21.8 TiB for an array with shape (3000000000000,)"
+
+    def cannot_allocate(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(sampling, "_draw", cannot_allocate)
+    with pytest.raises(MemoryError) as caught:
+        build_epoch_schedule([("a", 60), ("b", 70)], frame_cfg(2, 10, tuples=7), rng)
+    assert str(caught.value) == f"sampler.tuples_per_video 7 for 2 videos: {message}"
+
+
+def test_schedule_past_numpy_size_limit_is_out_of_memory(rng):
+    # numpy refuses this size ("array is too big") before allocating.
+    cfg = frame_cfg(2, 10, tuples=2 * 10**18)
+    with pytest.raises(MemoryError, match=r"^sampler\.tuples_per_video "
+                       r"2000000000000000000 for 1 videos: array is too big"):
+        build_epoch_schedule([("a", 60)], cfg, rng)
+
+
+def test_schedule_past_int64_tuples_is_an_overflow(rng):
+    # 3 * 9e18 tuples wrap past int64, which numpy would report as a
+    # negative dimension.
+    cfg = frame_cfg(2, 10, tuples=9 * 10**18)
+    with pytest.raises(ValueError, match=r"^sampler\.tuples_per_video "
+                       r"9000000000000000000 for 3 videos overflow int64"):
+        build_epoch_schedule([("a", 60), ("b", 70), ("c", 80)], cfg, rng)
 
 
 @pytest.mark.parametrize("order", ["first", "second"])

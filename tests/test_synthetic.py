@@ -40,6 +40,19 @@ def test_config_validation(kwargs):
         SynthConfig(**kwargs)
 
 
+@pytest.mark.parametrize("num_phases,max_duration", [
+    (7, 2**62), (2, 2**62), (3, (2**63 - 1) // 3 + 1)])
+def test_config_refuses_frame_counts_beyond_int64(num_phases, max_duration):
+    # A video of every phase at max_duration frames would wrap past int64.
+    with pytest.raises(ValueError, match=f"^synth.num_phases {num_phases} and "
+                       f"synth.max_duration {max_duration} overflow int64"):
+        SynthConfig(num_phases=num_phases, max_duration=max_duration)
+
+
+def test_config_accepts_frame_counts_up_to_int64_max():
+    assert SynthConfig(num_phases=2, max_duration=(2**63 - 1) // 2).num_phases == 2
+
+
 # ----------------------------------------------------- determinism / prefix
 
 def test_same_seed_bitwise_identical():
