@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (PRESETS, check_resolved_config, is_int, resolve_config,
-                     resolve_delta_seconds)
+from .config import (PRESETS, check_ranges, check_resolved_config, is_int,
+                     resolve_config, resolve_delta_seconds)
 # The runners train through `experiments` and read checkpoints through
 # `load_model`. `pretrain`, `finetune`, `load_checkpoint`, `load_encoder`
 # and `load_phase_model` stay bound here, unused, because the benchmark
@@ -39,8 +39,8 @@ from .metrics import HEADLINE, MetricSummary
 from .models import PhaseModel
 from .retrieval import phase_agreement, retrieval_report
 from .synthetic import SynthConfig, generate_dataset
-from .training import (PRETRAIN_METHODS, FinetuneConfig, evaluate,  # noqa: F401
-                       finetune, pretrain)
+from .training import (PRETRAIN_METHODS, evaluate, finetune,  # noqa: F401
+                       pretrain)
 
 MANIFEST_FORMAT = "tempcoh-run"
 
@@ -196,15 +196,10 @@ def _run_eval(resolved, run, paths) -> list[Path]:
 def _run_compare(resolved, run, paths) -> list[Path]:
     dataset = load_dataset(paths["data"])
     methods = list(run["methods"])
-    # Every stage's settings are checked before the first arm trains.
-    stage = "pretraining"
-    try:
-        configs = {m: make_pretrain_config(resolved, m, dataset.fps)
-                   for m in methods}
-        stage = "fine-tuning"
-        FinetuneConfig(**resolved["finetune"])
-    except ValueError as exc:
-        raise ValueError(f"{stage} settings: {exc}") from exc
+    # The sampler, the one stage that needs the dataset, is checked for
+    # every method before the first arm trains.
+    configs = {m: make_pretrain_config(resolved, m, dataset.fps)
+               for m in methods}
     run["delta_seconds_by_method"] = {
         m: cfg.sampler.delta_seconds for m, cfg in configs.items()}
     seeds = [run["seed"] + i for i in range(run["seeds"])]
@@ -414,12 +409,13 @@ def _run_command(args) -> int:
     command = args.command
     _, run_keys, _, manifest_suffix = _RUNNERS[command]
     run = {key: getattr(args, key) for key in run_keys}
-    try:
-        _check_run_ranges(command, run)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     resolved = (resolve_config(args.preset, args.config, args.set)
                 if "preset" in args else resolve_config())
+    try:
+        _check_run_ranges(command, run)
+        check_ranges(resolved)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     paths = {key: str(Path(value).resolve()) if value else None
              for key, value in vars(args).items() if key in _PATH_ARGS}
     return _execute(command, resolved, run, paths,
@@ -438,7 +434,7 @@ def cmd_replay(args) -> int:
     if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
         raise DataFormatError(f"{manifest_path}: not a run manifest")
     command = manifest.get("command")
-    if command not in _RUNNERS:
+    if not isinstance(command, str) or command not in _RUNNERS:
         raise DataFormatError(f"{manifest_path}: unknown command {command!r}")
     for field in ("run", "paths", "resolved_config"):
         if not isinstance(manifest.get(field), dict):
@@ -463,6 +459,7 @@ def cmd_replay(args) -> int:
     check_resolved_config(manifest["resolved_config"], str(manifest_path))
     try:
         _check_run_ranges(command, manifest["run"])
+        check_ranges(manifest["resolved_config"])
         return _execute(command, manifest["resolved_config"], manifest["run"],
                         manifest["paths"], manifest_path)
     except ValueError as exc:

@@ -8,11 +8,14 @@ overrides. Precedence, highest first: command-line flag (including
 config file has no `[DEFAULT]` section and no `%` interpolation. Every
 value must be one numpy can hold: an integer within int64, a float finite.
 
-The stage dataclasses own the keys and defaults of their sections: each
-`int` or `float` field is a key, converted with its own type. Only the
-model shape and `sampler.delta_seconds` are written here. The latter
-defaults to the pretraining method's own value (`training.PRETRAIN_METHODS`)
-and therefore resolves to None until a method is known.
+The stage dataclasses own the keys, defaults and ranges of their sections:
+each `int`, `float` or `list[int]` field is a key, converted with its own
+type. Only `sampler.delta_seconds` is written here. It defaults to the
+pretraining method's own value (`training.PRETRAIN_METHODS`) and therefore
+resolves to None until a method is known. `check_ranges` builds every stage
+that needs no dataset, so a command refuses an out-of-range value before
+it runs; the sampler needs the dataset's frame rate and is checked when
+its stage builds it.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from pathlib import Path
 
 from .errors import DataFormatError, UsageError
 from .losses import LossConfig
+from .models import ModelConfig
 from .sampling import SamplerConfig
 from .synthetic import SynthConfig
 from .training import PRETRAIN_METHODS, FinetuneConfig, PretrainConfig
@@ -63,31 +67,25 @@ def _to_int_list(s: str) -> list[int]:
 
 
 def _keys(cls, skip: tuple[str, ...] = ()) -> dict[str, tuple]:
-    """key -> (converter, default) for each int or float field of `cls`."""
-    hints = typing.get_type_hints(cls)
-    converters = {int: _to_int, float: _to_float}
-    return {f.name: (converters[hints[f.name]], f.default)
+    """key -> (converter, default) for each int, float or list[int] field
+    of `cls`; the default is the field's value in `cls()`, so a
+    `default_factory` gives it too."""
+    hints, default = typing.get_type_hints(cls), cls()
+    converters = {int: _to_int, float: _to_float, list[int]: _to_int_list}
+    return {f.name: (converters[hints[f.name]], getattr(default, f.name))
             for f in dataclasses.fields(cls)
             if hints[f.name] in converters and f.name not in skip}
 
 
+# section -> the stage dataclass that owns its keys.
+STAGES = {"synth": SynthConfig, "loss": LossConfig, "model": ModelConfig,
+          "pretrain": PretrainConfig, "finetune": FinetuneConfig}
+
 # section -> key -> (converter from config-file string, built-in default).
 # `sampler.fps` is not a key: the frame rate comes from the dataset.
-SCHEMA = {
-    "synth": _keys(SynthConfig),
-    "sampler": {
-        "delta_seconds": (_to_optional_float, None),
-        **_keys(SamplerConfig, skip=("delta_seconds", "fps")),
-    },
-    "loss": _keys(LossConfig),
-    "model": {
-        "hidden_sizes": (_to_int_list, [64]),
-        "embedding_dim": (_to_int, 32),
-        "lstm_hidden": (_to_int, 64),
-    },
-    "pretrain": _keys(PretrainConfig),
-    "finetune": _keys(FinetuneConfig),
-}
+SCHEMA = {section: _keys(cls) for section, cls in STAGES.items()}
+SCHEMA["sampler"] = {"delta_seconds": (_to_optional_float, None),
+                     **_keys(SamplerConfig, skip=("delta_seconds", "fps"))}
 
 DEFAULTS = {section: {key: default for key, (_, default) in keys.items()}
             for section, keys in SCHEMA.items()}
@@ -221,6 +219,21 @@ def check_resolved_config(resolved: dict, where: str) -> None:
         if missing:
             raise DataFormatError(f"{where}: config section [{section}] "
                                   f"lacks {missing}")
+
+
+def build_stage(section: str, cls, **values):
+    """`cls(**values)`; its ValueError is raised again prefixed `[section] `."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"[{section}] {exc}") from exc
+
+
+def check_ranges(resolved: dict) -> None:
+    """Raise a ValueError naming the section of the first value in
+    `resolved` out of its stage's range; every STAGES dataclass is built."""
+    for section, cls in STAGES.items():
+        build_stage(section, cls, **resolved[section])
 
 
 def resolve_delta_seconds(resolved: dict, method: str) -> float:

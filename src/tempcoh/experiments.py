@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import resolve_delta_seconds
+from .config import build_stage, resolve_delta_seconds
 from .data_io import Dataset
+from .errors import allocating
 from .losses import LossConfig
 from .metrics import AggregateReport
-from .models import EncoderModel, PhaseModel
+from .models import EncoderModel, ModelConfig, PhaseModel
 from .sampling import SamplerConfig
 from .training import (FinetuneConfig, FinetuneResult, PretrainConfig,
                        PretrainResult, evaluate, finetune, pretrain)
@@ -41,24 +42,15 @@ def _check_label_budget(labeled_sets: tuple[str, ...]) -> None:
                          f"label budget; expected one of {list(LABEL_BUDGETS)}")
 
 
-def _out_of_memory(names: str, exc: MemoryError) -> MemoryError:
-    """A MemoryError naming `names`, the values behind a failed allocation,
-    then `exc`'s message if it has one."""
-    return MemoryError(f"{names}{f': {exc}' if str(exc) else ''}")
-
-
 def build_encoder(resolved: dict, feature_dim: int) -> EncoderModel:
     """A zero encoder for `feature_dim` inputs; a MemoryError names the
     model sizes that could not be allocated."""
-    model_cfg = resolved["model"]
-    try:
-        return EncoderModel.create(feature_dim, model_cfg["hidden_sizes"],
-                                   model_cfg["embedding_dim"])
-    except MemoryError as exc:
-        raise _out_of_memory(
-            f"model.hidden_sizes {model_cfg['hidden_sizes']} and "
-            f"model.embedding_dim {model_cfg['embedding_dim']} on "
-            f"{feature_dim} input features", exc) from exc
+    cfg = build_stage("model", ModelConfig, **resolved["model"])
+    with allocating(f"model.hidden_sizes {cfg.hidden_sizes} and "
+                    f"model.embedding_dim {cfg.embedding_dim} on "
+                    f"{feature_dim} input features"):
+        return EncoderModel.create(feature_dim, cfg.hidden_sizes,
+                                   cfg.embedding_dim)
 
 
 def build_phase_model(resolved: dict, encoder: EncoderModel,
@@ -67,11 +59,13 @@ def build_phase_model(resolved: dict, encoder: EncoderModel,
 
 
 def make_pretrain_config(resolved: dict, method: str, fps: float) -> PretrainConfig:
-    sampler = dict(resolved["sampler"],
-                   delta_seconds=resolve_delta_seconds(resolved, method))
+    """The pretraining stage's settings. The sampler is built here, where
+    the dataset's `fps` is known, and its range errors begin `[sampler] `."""
+    values = dict(resolved["sampler"],
+                  delta_seconds=resolve_delta_seconds(resolved, method))
+    sampler = build_stage("sampler", SamplerConfig, fps=fps, **values)
     return PretrainConfig(method=method, loss=LossConfig(**resolved["loss"]),
-                          sampler=SamplerConfig(fps=fps, **sampler),
-                          **resolved["pretrain"])
+                          sampler=sampler, **resolved["pretrain"])
 
 
 @dataclass
@@ -110,13 +104,10 @@ def finetune_stage(dataset: Dataset, resolved: dict, encoder: EncoderModel,
     A MemoryError from building the model names the dataset's num_phases."""
     _check_label_budget(labeled_sets)
     encoder = encoder.copy()
-    try:
+    with allocating(f"{dataset.manifest_path or 'dataset'}: num_phases "
+                    f"{dataset.num_phases} with model.lstm_hidden "
+                    f"{resolved['model']['lstm_hidden']}"):
         model = build_phase_model(resolved, encoder, dataset.num_phases)
-    except MemoryError as exc:
-        raise _out_of_memory(
-            f"{dataset.manifest_path or 'dataset'}: num_phases "
-            f"{dataset.num_phases} with model.lstm_hidden "
-            f"{resolved['model']['lstm_hidden']}", exc) from exc
     rng = np.random.default_rng([seed, 2])
     model.init_head_uniform_fan(rng)
     result = finetune(model, dataset.split(*labeled_sets),

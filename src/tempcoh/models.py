@@ -26,10 +26,11 @@ same operations, in the same order, as a per-parameter update. The layout
 is fixed at the first step; a later step with other parameter names, sizes
 or dtype is an error.
 
-The constructors own the shape rules, and the checkpoint loader builds
-through them. `EncoderModel` refuses a weight that is not 2-D, a bias that
-is not one entry per weight row, and a layer whose input width is not the
-previous layer's output width. `PhaseModel` refuses LSTM and classifier
+`ModelConfig` holds the sizes the `model` config section sets and refuses
+a size below 1. The constructors own the shape rules, and the checkpoint
+loader builds through them. `EncoderModel` refuses a weight that is not
+2-D, a bias that is not one entry per weight row, and a layer whose input
+width is not the previous layer's output width. `PhaseModel` refuses LSTM and classifier
 parameters whose five shapes do not fit one hidden size, one phase count
 and the encoder's embedding width.
 
@@ -45,11 +46,29 @@ names from these two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    """Encoder and LSTM sizes: input -> hidden_sizes... -> embedding_dim
+    into an LSTM of lstm_hidden units. No hidden size means no hidden
+    layer."""
+
+    hidden_sizes: list[int] = field(default_factory=lambda: [64])
+    embedding_dim: int = 32
+    lstm_hidden: int = 64
+
+    def __post_init__(self):
+        for key, sizes in (("hidden_sizes", self.hidden_sizes),
+                           ("embedding_dim", [self.embedding_dim]),
+                           ("lstm_hidden", [self.lstm_hidden])):
+            if any(size < 1 for size in sizes):
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
 
 
 def _uniform_fan_in(rng, shape: tuple[int, ...], fan_in: int, dtype) -> np.ndarray:

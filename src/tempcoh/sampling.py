@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NoValidDistantFrame
+from .errors import NoValidDistantFrame, allocating
 
 
 @dataclass(frozen=True)
@@ -163,14 +163,10 @@ def build_epoch_schedule(
     named = f"sampler.tuples_per_video {per_video} for {len(videos)} videos"
     if len(videos) * per_video >= 2**63:
         raise ValueError(f"{named} overflow int64: 2**63 tuples or more")
-    try:
+    with allocating(named):
         last = np.repeat(np.array([n - 1 for _, n in videos], dtype=np.int64),
                          per_video)
         indices = _draw(last, cfg, rng, order == "second")
         perm = rng.permutation(len(last))
         video = np.repeat(np.arange(len(videos)), per_video)
         return EpochSchedule(video[perm], indices[perm])
-    except (MemoryError, ValueError) as exc:
-        # With the tuple count inside int64, numpy's "array is too big" is
-        # the only ValueError left here.
-        raise MemoryError(f"{named}: {exc}") from exc

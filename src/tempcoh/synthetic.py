@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_io import SPLIT_NAMES, Dataset, FrameSequence
+from .errors import allocating
 
 
 @dataclass(frozen=True)
@@ -51,9 +52,9 @@ class SynthConfig:
             raise ValueError(f"{_named(self, ('num_phases', 'max_duration'))} "
                              f"overflow int64: num_phases * max_duration "
                              f"frames is 2**63 or more")
-        if not all(0 <= s <= sys.float_info.max
-                   for s in (self.prototype_scale, self.drift_step, self.noise_std)):
-            raise ValueError("scales must be finite and non-negative")
+        for key in SCALE_KEYS:
+            if not 0 <= getattr(self, key) <= sys.float_info.max:
+                raise ValueError(f"{key} must be finite and non-negative")
         if not 0 < self.fps <= sys.float_info.max:
             raise ValueError("fps must be finite and positive")
         if not 0.0 <= self.skip_probability < 1.0:
@@ -124,7 +125,7 @@ def generate_dataset(cfg: SynthConfig, n_videos: int, rng) -> Dataset:
         # at the first overflow. An `np.errstate(over="raise")` block does the
         # same but left the process's later numpy calls about 8% slower on
         # the `cli-chain` benchmark, which runs every command in one process.
-        with warnings.catch_warnings():
+        with allocating(_named(cfg, SIZE_KEYS)), warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             prototypes = generate_prototypes(cfg, rng)
             videos = [
@@ -134,8 +135,4 @@ def generate_dataset(cfg: SynthConfig, n_videos: int, rng) -> Dataset:
     except RuntimeWarning as exc:
         raise ValueError(f"{_named(cfg, SCALE_KEYS)} give features beyond "
                          f"float32: {exc}") from exc
-    except (MemoryError, ValueError) as exc:
-        # A valid config bounds every frame count to int64, which leaves
-        # numpy's "array is too big" as the only ValueError.
-        raise MemoryError(f"{_named(cfg, SIZE_KEYS)}: {exc}") from exc
     return Dataset(videos, assign_splits(videos), cfg.num_phases, cfg.fps)

@@ -4,6 +4,8 @@ The CLI tests run `main(argv)` in process on a tiny shared dataset; every
 command writes a manifest that `replay` must reproduce byte for byte.
 """
 
+import argparse
+import copy
 import dataclasses
 import json
 import math
@@ -13,9 +15,12 @@ import shutil
 import struct
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tempcoh.cli as cli
 import tempcoh.data_io as data_io
@@ -25,6 +30,7 @@ from tempcoh.cli import main
 from tempcoh.config import (
     DEFAULTS,
     SCHEMA,
+    STAGES,
     parse_config_file,
     parse_set_flag,
     resolve_config,
@@ -33,9 +39,9 @@ from tempcoh.config import (
 from tempcoh.data_io import (load_checkpoint, load_dataset, load_encoder,
                              load_phase_model, save_checkpoint, save_encoder,
                              save_phase_model)
-from tempcoh.errors import UsageError
+from tempcoh.errors import TempcohError, UsageError, allocating
 from tempcoh.losses import LossConfig
-from tempcoh.models import EncoderModel, PhaseModel
+from tempcoh.models import EncoderModel, ModelConfig, PhaseModel
 from tempcoh.sampling import SamplerConfig
 from tempcoh.synthetic import SynthConfig
 from tempcoh.training import FinetuneConfig, PretrainConfig
@@ -161,7 +167,7 @@ def test_delta_default_depends_on_method():
 
 def test_stage_dataclass_defaults_are_the_config_defaults():
     for section, cls in (("synth", SynthConfig), ("loss", LossConfig),
-                         ("finetune", FinetuneConfig)):
+                         ("model", ModelConfig), ("finetune", FinetuneConfig)):
         assert cls(**DEFAULTS[section]) == cls(), section
     # Fields that are not keys: the method is a command argument, the
     # frame rate comes from the dataset, and the nested configs are
@@ -346,11 +352,11 @@ def test_synth_frame_count_overflow_is_refused_naming_its_keys(tmp_path,
                                                                capsys):
     out = tmp_path / "data"
     assert main(["synth", "--out", str(out), "--videos", "4",
-                 "--set", "synth.max_duration=4611686018427387904"]) == 2
+                 "--set", "synth.max_duration=4611686018427387904"]) == 1
     assert capsys.readouterr().err == (
-        "error: synth.num_phases 7 and synth.max_duration 4611686018427387904 "
-        "overflow int64: num_phases * max_duration frames is 2**63 or "
-        "more\n")
+        "error: [synth] synth.num_phases 7 and synth.max_duration "
+        "4611686018427387904 overflow int64: num_phases * max_duration "
+        "frames is 2**63 or more\n")
     assert not out.exists()
 
 
@@ -579,15 +585,17 @@ def test_compare_summarizes_baseline_and_methods(work, tmp_path):
     assert run["delta_seconds_by_method"] == {"contrastive2": 15.0}
 
 
-@pytest.mark.parametrize("flag,message", [
-    ("pretrain.lr=0", "pretraining settings: lr must be positive"),
-    ("sampler.gamma_seconds=1",
-     "pretraining settings: derived frame offsets must satisfy delta < gamma"),
-    ("finetune.lr=0", "fine-tuning settings: lr must be positive"),
+@pytest.mark.parametrize("flag,code,message", [
+    ("pretrain.lr=0", 1, "[pretrain] lr must be positive"),
+    # The sampler's offsets depend on the dataset's frame rate, so they are
+    # checked after the dataset loads: a data error.
+    ("sampler.gamma_seconds=1", 2,
+     "[sampler] derived frame offsets must satisfy delta < gamma"),
+    ("finetune.lr=0", 1, "[finetune] lr must be positive"),
 ], ids=["pretrain-lr", "sampler-offsets", "finetune-lr"])
 def test_compare_checks_every_stage_before_the_first_arm(work, tmp_path, capsys,
                                                          monkeypatch, flag,
-                                                         message):
+                                                         code, message):
     def no_arm(*args):
         raise AssertionError("an arm trained before the settings were checked")
 
@@ -595,7 +603,7 @@ def test_compare_checks_every_stage_before_the_first_arm(work, tmp_path, capsys,
     out = tmp_path / "cmp"
     assert main(["compare", "--data", str(work / "data"), "--seeds", "1",
                  "--methods", "contrastive2", "--out", str(out),
-                 "--set", flag]) == 2
+                 "--set", flag]) == code
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not out.exists()
 
@@ -884,6 +892,14 @@ def test_replay_rejects_foreign_files(tmp_path, capsys):
     bad_command.write_text(json.dumps({"format": "tempcoh-run",
                                        "command": "teleport"}))
     assert main(["replay", str(bad_command)]) == 2
+    capsys.readouterr()
+    # A command that is a JSON list or object is no command name either.
+    for command in (["synth"], {"synth": 1}):
+        bad_command.write_text(json.dumps({"format": "tempcoh-run",
+                                           "command": command}))
+        assert main(["replay", str(bad_command)]) == 2
+        assert (f"{bad_command}: unknown command {command!r}"
+                in capsys.readouterr().err)
     missing = tmp_path / "d.json"
     assert main(["replay", str(missing)]) == 2
     capsys.readouterr()
@@ -1078,8 +1094,8 @@ def test_replay_rejects_run_value_of_the_wrong_type(work, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("key,value,message", [
-    ("num_phases", 1, "num_phases must be >= 2"),
-    ("skip_probability", 1.0, "skip_probability must be in [0, 1)"),
+    ("num_phases", 1, "[synth] num_phases must be >= 2"),
+    ("skip_probability", 1.0, "[synth] skip_probability must be in [0, 1)"),
 ], ids=["num-phases", "skip-probability"])
 def test_replay_names_the_manifest_for_out_of_range_config(work, tmp_path, capsys,
                                                            key, value, message):
@@ -1091,6 +1107,60 @@ def test_replay_names_the_manifest_for_out_of_range_config(work, tmp_path, capsy
     before = {p: p.read_bytes() for p in out.iterdir()}
     err = replay_malformed(work, tmp_path, capsys, edit)
     assert f"{tmp_path / 'edited.json'}: {message}" in err
+    assert {p: p.read_bytes() for p in out.iterdir()} == before
+
+
+# One value out of its stage's range for each key of the sections whose
+# stages need no dataset.
+OUT_OF_RANGE = [
+    ("synth", "num_phases", 1), ("synth", "feature_dim", 0),
+    ("synth", "min_duration", 0), ("synth", "max_duration", 0),
+    ("synth", "prototype_scale", -1.0), ("synth", "drift_step", -1.0),
+    ("synth", "noise_std", -1.0), ("synth", "fps", 0.0),
+    ("synth", "skip_probability", 1.0),
+    ("loss", "margin_contrastive", -1.0), ("loss", "margin_ranking", -1.0),
+    ("loss", "second_order_weight", -1.0),
+    ("model", "hidden_sizes", [64, 0]), ("model", "embedding_dim", 0),
+    ("model", "lstm_hidden", 0),
+    ("pretrain", "epochs", -1), ("pretrain", "batch_size", 0),
+    ("pretrain", "lr", 0.0),
+    ("finetune", "batch_frames", 0), ("finetune", "accumulate_batches", 0),
+    ("finetune", "stop_train_accuracy", 2.0), ("finetune", "max_epochs", -1),
+    ("finetune", "lr", -1.0),
+]
+OUT_OF_RANGE_IDS = [f"{section}.{key}" for section, key, _ in OUT_OF_RANGE]
+
+
+def test_out_of_range_table_covers_every_stage_key():
+    assert sorted(OUT_OF_RANGE_IDS) == sorted(
+        f"{section}.{key}" for section in STAGES for key in SCHEMA[section])
+
+
+@pytest.mark.parametrize("section,key,value", OUT_OF_RANGE,
+                         ids=OUT_OF_RANGE_IDS)
+def test_out_of_range_value_exits_1_before_the_runner(tmp_path, capsys,
+                                                      section, key, value):
+    # `synth` reads only its own section, yet refuses every section's ranges.
+    raw = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    assert main(["synth", "--out", str(tmp_path / "data"), "--videos", "4",
+                 "--set", f"{section}.{key}={raw}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [{section}] ") and key in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("section,key,value", OUT_OF_RANGE,
+                         ids=OUT_OF_RANGE_IDS)
+def test_out_of_range_value_fails_the_replay_naming_the_manifest(
+        work, tmp_path, capsys, section, key, value):
+    def edit(manifest):
+        manifest["resolved_config"][section][key] = value
+        return manifest
+
+    out = work / "data"
+    before = {p: p.read_bytes() for p in out.iterdir()}
+    err = replay_malformed(work, tmp_path, capsys, edit)
+    assert f"{tmp_path / 'edited.json'}: [{section}] " in err and key in err
     assert {p: p.read_bytes() for p in out.iterdir()} == before
 
 
@@ -1190,6 +1260,95 @@ def test_replay_names_the_manifest_for_unknown_query_split(work, tmp_path, capsy
     assert out.read_bytes() == before
 
 
+# The replay fuzzer: real manifests of every command with one to three
+# random values set or deleted. `_execute` is stubbed, so a manifest that
+# passes every check runs nothing; whatever it holds, `cmd_replay` refuses it
+# with a TempcohError or hands it on, and writes nothing.
+
+@pytest.fixture(scope="module")
+def replay_sources(work, compare_manifest, tmp_path_factory):
+    """command -> a manifest that command wrote."""
+    root = tmp_path_factory.mktemp("sources")
+    data = ["--data", str(work / "data")]
+    assert main(["eval", *data, "--model", str(work / "model.ckpt"),
+                 "--out", str(root / "report.csv")]) == 0
+    assert main(["retrieve", *data, "--model", str(work / "enc.ckpt"),
+                 "--queries", "random:2", "--out", str(root / "hits.csv")]) == 0
+    paths = {"synth": work / SYNTH_MANIFEST,
+             "pretrain": work / "enc.ckpt.manifest.json",
+             "finetune": work / FINETUNE_MANIFEST,
+             "eval": root / "report.csv.manifest.json",
+             "compare": compare_manifest,
+             "retrieve": root / "hits.csv.manifest.json"}
+    return {command: read_manifest(path) for command, path in paths.items()}
+
+
+DELETE = object()
+FUZZ_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4)
+
+
+def _json_paths(node, prefix=()):
+    """The key path of `node` and of every value inside it."""
+    yield prefix
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, (*prefix, key))
+
+
+def _fuzzed(draw, manifest):
+    for _ in range(draw(st.integers(1, 3), label="edits")):
+        path = draw(st.sampled_from(list(_json_paths(manifest))), label="path")
+        value = draw(st.just(DELETE) | FUZZ_VALUES, label="value")
+        if not path:
+            manifest = manifest if value is DELETE else value
+            continue
+        parent = manifest
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return manifest
+
+
+def _tree(roots) -> dict:
+    return {p: p.stat().st_mtime_ns for root in roots for p in root.rglob("*")}
+
+
+def test_fuzz_replay_manifest(replay_sources, tmp_path_factory):
+    path = tmp_path_factory.mktemp("replay-fuzz") / "fuzzed.manifest.json"
+    # Every command writes its outputs under the parent of its `out` path.
+    roots = {Path(m["paths"]["out"]).parent for m in replay_sources.values()}
+    before = _tree(roots)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def replay_one(data):
+        command = data.draw(st.sampled_from(sorted(replay_sources)),
+                            label="command")
+        manifest = _fuzzed(data.draw, copy.deepcopy(replay_sources[command]))
+        path.write_text(json.dumps(manifest))
+        executed = []
+        with mock.patch.object(cli, "_execute",
+                               lambda *args: executed.append(args) or 0):
+            try:
+                assert cli.cmd_replay(argparse.Namespace(manifest=str(path))) == 0
+            except TempcohError as exc:
+                assert str(path) in str(exc)
+            else:
+                assert executed
+
+    replay_one()
+    assert _tree(roots) == before
+
+
 # ------------------------------------------------------------- entry point
 
 def test_version_and_help_exit_zero(capsys):
@@ -1243,48 +1402,67 @@ def test_main_runs_the_command_function_bound_at_call_time(work, tmp_path,
     assert [args.command for args in seen] == ["eval"]
 
 
+# numpy refuses sizes like these itself, before allocating anything.
+HUGE = "9000000000000000000"
+
+
 @pytest.mark.parametrize("message,detail", [
     ("Unable to allocate 16.0 GiB for an array with shape (2147483647, 2)",
      ": Unable to allocate 16.0 GiB for an array with shape (2147483647, 2)"),
     ("", ""),
-], ids=["numpy", "bare"])
+    (None, ": Maximum allowed dimension exceeded"),
+], ids=["numpy", "bare", "past-numpy-limit"])
 @pytest.mark.parametrize("command", ["finetune", "compare"])
 def test_model_build_out_of_memory_exit_2_naming_num_phases(
         work, tmp_path, capsys, monkeypatch, command, message, detail):
     # The build is made to fail as a num_phases near 2**31 in dataset.json
-    # would make it fail, without allocating anything.
+    # would make it fail, without allocating anything; with no message, a
+    # model.lstm_hidden past numpy's limit makes it fail.
     def cannot_allocate(*args):
         raise MemoryError(message)
 
-    monkeypatch.setattr(experiments, "build_phase_model", cannot_allocate)
+    lstm_hidden = "64"
+    if message is None:
+        lstm_hidden = HUGE
+    else:
+        monkeypatch.setattr(experiments, "build_phase_model", cannot_allocate)
     out = tmp_path / "out"
     argv = {"finetune": ["--labeled-sets", "A", "--init",
                          str(work / "enc.ckpt")],
             "compare": ["--seeds", "1", "--methods", "ranking"],
             }[command]
     assert main([command, "--data", str(work / "data"), *argv,
-                 "--out", str(out)]) == 2
+                 "--out", str(out), "--set", f"model.lstm_hidden={lstm_hidden}"]) == 2
     assert capsys.readouterr().err == (
         f"error: out of memory: {work / 'data' / 'dataset.json'}: num_phases "
-        f"4 with model.lstm_hidden 64{detail}\n")
+        f"4 with model.lstm_hidden {lstm_hidden}{detail}\n")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key,value,sizes", [
-    ("hidden_sizes", "100000000000", "[100000000000] and model.embedding_dim 32"),
-    ("embedding_dim", "100000000000", "[64] and model.embedding_dim 100000000000"),
-], ids=["hidden_sizes", "embedding_dim"])
-def test_pretrain_encoder_out_of_memory_names_the_model_keys(
-        work, tmp_path, capsys, monkeypatch, key, value, sizes):
-    # The build is made to fail as these sizes make it fail, without
-    # allocating anything.
-    message = ("Unable to allocate 5.82 TiB for an array with shape "
-               "(100000000000, 16) and data type float32")
+ALLOCATION_FAILED = ("Unable to allocate 5.82 TiB for an array with shape "
+                     "(100000000000, 16) and data type float32")
+TOO_BIG = ("array is too big; `arr.size * arr.dtype.itemsize` is larger than "
+           "the maximum possible size.")
 
+
+@pytest.mark.parametrize("key,value,sizes,message", [
+    ("hidden_sizes", "100000000000",
+     "[100000000000] and model.embedding_dim 32", ALLOCATION_FAILED),
+    ("embedding_dim", "100000000000",
+     "[64] and model.embedding_dim 100000000000", ALLOCATION_FAILED),
+    ("hidden_sizes", HUGE, f"[{HUGE}] and model.embedding_dim 32", TOO_BIG),
+    ("embedding_dim", HUGE, f"[64] and model.embedding_dim {HUGE}", TOO_BIG),
+], ids=["hidden_sizes", "embedding_dim", "hidden_sizes-past-numpy-limit",
+        "embedding_dim-past-numpy-limit"])
+def test_pretrain_encoder_out_of_memory_names_the_model_keys(
+        work, tmp_path, capsys, monkeypatch, key, value, sizes, message):
+    # The build is made to fail as these sizes make it fail, without
+    # allocating anything; numpy itself refuses the sizes past its limit.
     def cannot_allocate(*args):
         raise MemoryError(message)
 
-    monkeypatch.setattr(EncoderModel, "create", cannot_allocate)
+    if message is ALLOCATION_FAILED:
+        monkeypatch.setattr(EncoderModel, "create", cannot_allocate)
     out = tmp_path / "enc.ckpt"
     assert main(["pretrain", "--data", str(work / "data"), "--method",
                  "ranking", "--out", str(out), "--set", f"model.{key}={value}"]) == 2
@@ -1292,6 +1470,17 @@ def test_pretrain_encoder_out_of_memory_names_the_model_keys(
         f"error: out of memory: model.hidden_sizes {sizes} on 6 input "
         f"features: {message}\n")
     assert not out.exists()
+
+
+def test_only_failed_allocations_are_reported_as_out_of_memory():
+    with pytest.raises(MemoryError, match=r"^model\.lstm_hidden 9: "
+                       r"Maximum allowed dimension exceeded$"):
+        with allocating("model.lstm_hidden 9"):
+            raise ValueError("Maximum allowed dimension exceeded")
+    # A range error is not an allocation that failed.
+    with pytest.raises(ValueError, match=r"^hidden_size must be >= 1$"):
+        with allocating("model.lstm_hidden 0"):
+            raise ValueError("hidden_size must be >= 1")
 
 
 @pytest.mark.parametrize("tuples,message", [
