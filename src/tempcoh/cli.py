@@ -28,13 +28,14 @@ from .config import (PRESETS, check_ranges, check_resolved_config, is_int,
 # and `load_phase_model` stay bound here, unused, because the benchmark
 # (perfbench/layers.py) patches the training stages and wraps every
 # `data_io` loader and saver by name in this module.
-from .data_io import (SPLIT_NAMES, atomic_write_text, load_checkpoint,  # noqa: F401
-                      load_dataset, load_encoder, load_model, load_phase_model,
-                      read_json, save_dataset, save_encoder, save_phase_model)
+from .data_io import (SPLIT_NAMES, atomic_write_text, fnum,  # noqa: F401
+                      load_checkpoint, load_dataset, load_encoder, load_model,
+                      load_phase_model, read_json, save_dataset, save_encoder,
+                      save_phase_model, write_csv)
 from .errors import CheckpointError, DataFormatError, TempcohError, UsageError
 from .experiments import (BASELINE, LABEL_BUDGETS, PRETRAIN_SPLITS, TEST_SPLIT,
-                          finetune_stage, make_pretrain_config, pretrain_stage,
-                          run_arm)
+                          check_label_budget, finetune_stage,
+                          make_pretrain_config, pretrain_stage, run_arm)
 from .metrics import HEADLINE, MetricSummary
 from .models import PhaseModel
 from .retrieval import phase_agreement, retrieval_report
@@ -52,29 +53,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _fnum(x) -> str:
-    """Full-precision, round-trippable float formatting for machine output."""
-    return repr(float(x))
-
-
 def _cell(summary: MetricSummary) -> str:
     if summary.mean is None:
         return "n/a"
     return f"{summary.mean:.1f} ± {summary.std:.1f}"
-
-
-def _write_csv(path, header: list[str], rows) -> None:
-    """The one CSV writer: a float cell in full precision, None as an empty
-    cell, anything else as its `str`."""
-    def cell(value) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, (float, np.floating)):
-            return _fnum(value)
-        return str(value)
-
-    lines = [",".join(header), *(",".join(map(cell, row)) for row in rows)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_table(path, title: str, rows: list[list[str]]) -> None:
@@ -84,10 +66,6 @@ def _write_table(path, title: str, rows: list[list[str]]) -> None:
     lines += ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
               for row in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def _mkparent(path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
 
 
 def _load_checked(path, kinds: tuple[str, ...], dataset):
@@ -122,31 +100,25 @@ def _run_pretrain(resolved, run, paths) -> list[Path]:
     run["fps"] = dataset.fps
     encoder, result = pretrain_stage(dataset, resolved, run["seed"], method)
     out = Path(paths["out"])
-    _mkparent(out)
     save_encoder(out, encoder, {"method": method, "seed": run["seed"],
                                 "epochs": resolved["pretrain"]["epochs"]})
     losses_csv = Path(str(out) + ".losses.csv")
-    _write_csv(losses_csv, ["epoch", "mean_loss"], enumerate(result.epoch_losses))
+    write_csv(losses_csv, ["epoch", "mean_loss"], enumerate(result.epoch_losses))
     return [out, losses_csv]
 
 
 def _run_finetune(resolved, run, paths) -> list[Path]:
     dataset = load_dataset(paths["data"])
-    labeled_sets = tuple(run["labeled_sets"])
-    if not dataset.split(*labeled_sets):
-        raise DataFormatError(f"labeled sets {run['labeled_sets']} contain "
-                              f"no videos")
     init_path = paths.get("init")
     if init_path:
         encoder, _ = _load_checked(init_path, ("encoder",), dataset)
     else:
         encoder, _ = pretrain_stage(dataset, resolved, run["seed"], BASELINE)
-    model, result = finetune_stage(dataset, resolved, encoder, labeled_sets,
-                                   run["seed"])
+    model, result = finetune_stage(dataset, resolved, encoder,
+                                   tuple(run["labeled_sets"]), run["seed"])
     run["epochs_run"] = result.epochs_run
     run["stopped_early"] = result.stopped_early
     out = Path(paths["out"])
-    _mkparent(out)
     save_phase_model(out, model, {
         "seed": run["seed"],
         "labeled_sets": run["labeled_sets"],
@@ -155,8 +127,8 @@ def _run_finetune(resolved, run, paths) -> list[Path]:
         "stopped_early": result.stopped_early,
     })
     log_csv = Path(str(out) + ".log.csv")
-    _write_csv(log_csv, ["epoch", "train_accuracy"],
-               enumerate(result.epoch_accuracies))
+    write_csv(log_csv, ["epoch", "train_accuracy"],
+              enumerate(result.epoch_accuracies))
     return [out, log_csv]
 
 
@@ -174,18 +146,15 @@ def _run_eval(resolved, run, paths) -> list[Path]:
         raise CheckpointError(f"{paths['model']}: model has {model.num_phases} "
                               f"phases but the dataset has {dataset.num_phases}")
     videos = dataset.split(run["split"])
-    if not videos:
-        raise DataFormatError(f"split {run['split']} is empty")
     result = evaluate(model, videos)
     summaries = _report_rows(result.report, model.num_phases)
     out = Path(paths["out"])
-    _mkparent(out)
     per_video = ([seq.video_id, *(v for _, v in _report_rows(
         result.per_video[seq.video_id], model.num_phases))] for seq in videos)
     totals = ([field, *(getattr(s, field) for _, s in summaries)]
               for field in ("mean", "std", "count"))
-    _write_csv(out, ["video_id", *(name for name, _ in summaries)],
-               [*per_video, *totals])
+    write_csv(out, ["video_id", *(name for name, _ in summaries)],
+              [*per_video, *totals])
     txt = Path(str(out) + ".txt")
     _write_table(txt, f"evaluation over {result.report.num_videos} video(s)",
                  [["metric", "mean ± std", "n"],
@@ -202,6 +171,10 @@ def _run_compare(resolved, run, paths) -> list[Path]:
                for m in methods}
     run["delta_seconds_by_method"] = {
         m: cfg.sampler.delta_seconds for m, cfg in configs.items()}
+    # So are the labeled sets every arm fine-tunes on and the test split
+    # every arm is scored on: `split` refuses a selection of no videos.
+    dataset.split(*run["labeled_sets"])
+    dataset.split(TEST_SPLIT)
     seeds = [run["seed"] + i for i in range(run["seeds"])]
     values = {}
     for seed in seeds:
@@ -211,12 +184,11 @@ def _run_compare(resolved, run, paths) -> list[Path]:
             values[(method, seed)] = {m: getattr(report, m).mean
                                       for m in HEADLINE}
     out_dir = Path(paths["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     per_seed_csv = out_dir / "per_seed.csv"
-    _write_csv(per_seed_csv, ["seed", "method", *HEADLINE],
-               ([seed, method, *row.values()]
-                for (method, seed), row in values.items()))
+    write_csv(per_seed_csv, ["seed", "method", *HEADLINE],
+              ([seed, method, *row.values()]
+               for (method, seed), row in values.items()))
 
     summary_rows = []
     table = [["method", *HEADLINE, "Δf1"]]
@@ -231,9 +203,9 @@ def _run_compare(resolved, run, paths) -> list[Path]:
         table.append([method, *(_cell(summaries[m]) for m in HEADLINE),
                       f"{improvement:+.1f}"])
     summary_csv = out_dir / "summary.csv"
-    _write_csv(summary_csv, ["method", *(f"{m}_{stat}" for m in HEADLINE
-                                         for stat in ("mean", "std")),
-                             "f1_improvement"], summary_rows)
+    write_csv(summary_csv, ["method", *(f"{m}_{stat}" for m in HEADLINE
+                                        for stat in ("mean", "std")),
+                            "f1_improvement"], summary_rows)
     summary_txt = out_dir / "summary.txt"
     _write_table(summary_txt, f"label budget {run['labeled_sets']}, "
                               f"{len(seeds)} seed(s), test split {TEST_SPLIT}",
@@ -249,9 +221,7 @@ def _parse_queries(spec: str, dataset, query_split: str, seed: int):
             raise UsageError(f"--queries {spec!r}: expected random:N") from exc
         if count < 1:
             raise UsageError("--queries random:N needs N >= 1")
-        pool = dataset.split(*tuple(query_split))
-        if not pool:
-            raise DataFormatError(f"query splits {query_split} contain no videos")
+        pool = dataset.split(*query_split)
         rng = np.random.default_rng(seed)
         queries = []
         for _ in range(count):
@@ -280,21 +250,18 @@ def _run_retrieve(resolved, run, paths) -> list[Path]:
     _, encoder = _load_checked(paths["model"], ("encoder", "phase_model"),
                                dataset)
     corpus = dataset.split(run["split"])
-    if not corpus:
-        raise DataFormatError(f"split {run['split']} is empty")
     queries = _parse_queries(run["queries"], dataset, run["query_split"],
                              run["seed"])
     results = retrieval_report(encoder, queries, corpus)
     agreement = phase_agreement(results)
     out = Path(paths["out"])
-    _mkparent(out)
-    _write_csv(out, ["query_id", "video_id", "frame_index", "distance",
-                     "query_phase", "retrieved_phase"],
-               ([f"{res.query_video}:{res.query_frame}", m.video_id,
-                 m.frame_index, m.distance, res.query_phase, m.retrieved_phase]
-                for res in results for m in res.matches))
+    write_csv(out, ["query_id", "video_id", "frame_index", "distance",
+                    "query_phase", "retrieved_phase"],
+              ([f"{res.query_video}:{res.query_frame}", m.video_id,
+                m.frame_index, m.distance, res.query_phase, m.retrieved_phase]
+               for res in results for m in res.matches))
     txt = Path(str(out) + ".txt")
-    agreement_text = "n/a" if agreement is None else _fnum(agreement)
+    agreement_text = "n/a" if agreement is None else fnum(agreement)
     atomic_write_text(txt, (
         f"queries: {len(results)}\n"
         f"corpus videos: {len(corpus)}\n"
@@ -335,15 +302,20 @@ _REQUIRED_TYPES = {
 }
 
 
-def _check_run_ranges(command: str, run: dict) -> None:
-    """Raise a ValueError for a run value out of range: a `seed` below 0, a
-    `synth` with fewer than 4 videos, a `pretrain` with an unknown method, a
-    `compare` with `seeds` below 1 or `methods` empty, naming an unknown
-    method or naming one twice, or a `retrieve` with a `query_split` letter
-    that is not a split. The values already have the types
-    `_REQUIRED_TYPES` names."""
+def _check_ranges(command: str, resolved: dict, run: dict) -> None:
+    """The one check before a run starts: a ValueError for a run value out
+    of range, then for a config value out of its stage's range
+    (`config.check_ranges`). A run value is out of range for a `seed`
+    below 0, a `synth` with fewer than 4 videos, a `pretrain` with an
+    unknown method, a `finetune` or `compare` with `labeled_sets` that are
+    not a label budget, a `compare` with `seeds` below 1 or `methods` empty,
+    naming an unknown method or naming one twice, or a `retrieve` with a
+    `query_split` that is empty or holds a letter that is not a split. The
+    values already have the types `_REQUIRED_TYPES` names."""
     if "seed" in _RUNNERS[command][1] and run["seed"] < 0:
         raise ValueError(f"seed must be at least 0, got {run['seed']}")
+    if "labeled_sets" in _RUNNERS[command][1]:
+        check_label_budget(tuple(run["labeled_sets"]))
     if command == "synth":
         if run["videos"] < 4:
             raise ValueError(f"videos must be at least 4 (A/B/C/D split), "
@@ -360,9 +332,12 @@ def _check_run_ranges(command: str, run: dict) -> None:
             if m in run["methods"][:i]:
                 raise ValueError(f"methods name {m!r} twice")
     elif command == "retrieve":
+        if not run["query_split"]:
+            raise ValueError("query_split must name at least one split")
         for letter in run["query_split"]:
             if letter not in SPLIT_NAMES:
                 raise ValueError(f"query_split: unknown split {letter!r}")
+    check_ranges(resolved)
 
 
 def _check_methods(methods: list[str]) -> None:
@@ -397,7 +372,6 @@ def _execute(command: str, resolved: dict, run: dict, paths: dict,
         "duration_seconds": time.perf_counter() - started,
         "replay_argv": ["tempcoh", "replay", str(manifest_path)],
     }
-    _mkparent(Path(manifest_path))
     atomic_write_text(manifest_path,
                       json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(outputs)} output file(s); manifest: {manifest_path}")
@@ -412,8 +386,7 @@ def _run_command(args) -> int:
     resolved = (resolve_config(args.preset, args.config, args.set)
                 if "preset" in args else resolve_config())
     try:
-        _check_run_ranges(command, run)
-        check_ranges(resolved)
+        _check_ranges(command, resolved, run)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     paths = {key: str(Path(value).resolve()) if value else None
@@ -458,8 +431,7 @@ def cmd_replay(args) -> int:
                               f"is not a string or null")
     check_resolved_config(manifest["resolved_config"], str(manifest_path))
     try:
-        _check_run_ranges(command, manifest["run"])
-        check_ranges(manifest["resolved_config"])
+        _check_ranges(command, manifest["resolved_config"], manifest["run"])
         return _execute(command, manifest["resolved_config"], manifest["run"],
                         manifest["paths"], manifest_path)
     except ValueError as exc:

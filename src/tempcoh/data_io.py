@@ -24,9 +24,10 @@ place after construction.
 
 All writers go through a temp file of their own in the target's directory
 plus os.replace, so a crash never leaves a half-written file under the final
-name. Readers reject truncated input (reporting the byte offset) and
-non-finite values, and paths named in a dataset manifest that leave its
-directory.
+name; the target's directory is created when it does not exist yet. Every
+CSV, the label sidecars among them, is written by `write_csv`. Readers
+reject truncated input (reporting the byte offset) and non-finite values,
+and paths named in a dataset manifest that leave its directory.
 """
 
 from __future__ import annotations
@@ -111,10 +112,17 @@ class Dataset:
         return self.videos[0].feature_dim
 
     def split(self, *names: str) -> list[FrameSequence]:
+        """The videos assigned to any of the splits `names`, in dataset
+        order; a DataFormatError naming the dataset's manifest and the
+        split letters when they hold none."""
         for n in names:
             if n not in SPLIT_NAMES:
                 raise ValueError(f"unknown split name {n!r}")
-        return [v for v in self.videos if self.splits[v.video_id] in names]
+        videos = [v for v in self.videos if self.splits[v.video_id] in names]
+        if not videos:
+            raise DataFormatError(f"{self.manifest_path or 'dataset'}: split "
+                                  f"{''.join(names)!r} holds no videos")
+        return videos
 
     def by_id(self, video_id: str) -> FrameSequence:
         for v in self.videos:
@@ -125,6 +133,10 @@ class Dataset:
 
 def _atomic_write(path, write_fn) -> None:
     path = Path(path)
+    # A stat when the directory exists, as it does for all but the first
+    # write into it, costs less than mkdir's FileExistsError.
+    if not path.parent.is_dir():
+        path.parent.mkdir(parents=True, exist_ok=True)
     # A random name per writer, so concurrent writers of one path never share
     # a temp file. Exclusive creation (unlike mkstemp's mode 0600) gives the
     # file the same umask-derived permissions as a plain open().
@@ -145,6 +157,25 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
 def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def fnum(x) -> str:
+    """Full-precision, round-trippable float formatting for machine output."""
+    return repr(float(x))
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """The one CSV writer: a float cell in full precision, None as an empty
+    cell, anything else as its `str`."""
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, (float, np.floating)):
+            return fnum(value)
+        return str(value)
+
+    lines = [",".join(header), *(",".join(map(cell, row)) for row in rows)]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 class _Reader:
@@ -262,8 +293,7 @@ def save_labels(path, labels: np.ndarray) -> None:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1:
         raise ValueError("labels must be one-dimensional")
-    lines = [LABELS_HEADER, *(f"{i},{int(p)}" for i, p in enumerate(labels))]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, LABELS_HEADER.split(","), enumerate(labels.tolist()))
 
 
 def _clip(text: str, limit: int = 80) -> str:
@@ -415,7 +445,6 @@ def save_dataset(directory, dataset: Dataset) -> list[Path]:
                               f"finite positive number that float32 holds to "
                               f"within {FPS_TOLERANCE:g}, got {dataset.fps!r}")
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     entries = []
     video_files = []
     for seq in dataset.videos:

@@ -36,7 +36,7 @@ TEST_SPLIT = "D"
 LABEL_BUDGETS = ("A", "AB", "ABC")
 
 
-def _check_label_budget(labeled_sets: tuple[str, ...]) -> None:
+def check_label_budget(labeled_sets: tuple[str, ...]) -> None:
     if tuple(labeled_sets) not in map(tuple, LABEL_BUDGETS):
         raise ValueError(f"labeled sets {''.join(labeled_sets)!r} are not a "
                          f"label budget; expected one of {list(LABEL_BUDGETS)}")
@@ -84,7 +84,8 @@ def pretrain_stage(dataset: Dataset, resolved: dict, seed: int,
                    method: str) -> tuple[EncoderModel, PretrainResult | None]:
     """The encoder that goes into fine-tuning: for BASELINE only initialized
     from lane 0, otherwise initialized from lane 1 and pretrained on splits
-    A+B+C with that same stream."""
+    A+B+C with that same stream; a DataFormatError when A+B+C hold no
+    videos."""
     encoder = build_encoder(resolved, dataset.feature_dim)
     if method == BASELINE:
         encoder.init_uniform_fan(np.random.default_rng([seed, 0]))
@@ -100,9 +101,10 @@ def finetune_stage(dataset: Dataset, resolved: dict, encoder: EncoderModel,
                    seed: int) -> tuple[PhaseModel, FinetuneResult]:
     """A phase model on a copy of `encoder`, which stays as it was, its
     head initialized from lane 2 and trained on the labeled splits with
-    that same stream; a ValueError for labeled sets outside LABEL_BUDGETS.
-    A MemoryError from building the model names the dataset's num_phases."""
-    _check_label_budget(labeled_sets)
+    that same stream; a ValueError for labeled sets outside LABEL_BUDGETS,
+    and a DataFormatError when they hold no videos. A MemoryError from
+    building the model names the dataset's num_phases."""
+    check_label_budget(labeled_sets)
     encoder = encoder.copy()
     with allocating(f"{dataset.manifest_path or 'dataset'}: num_phases "
                     f"{dataset.num_phases} with model.lstm_hidden "
@@ -118,7 +120,7 @@ def finetune_stage(dataset: Dataset, resolved: dict, encoder: EncoderModel,
 def run_arm(dataset: Dataset, resolved: dict, labeled_sets: tuple[str, ...],
             seed: int, method: str) -> ArmResult:
     """Train one arm end to end and evaluate it on the test split."""
-    _check_label_budget(labeled_sets)
+    check_label_budget(labeled_sets)
     encoder, pretrain_log = pretrain_stage(dataset, resolved, seed, method)
     model, finetune_log = finetune_stage(dataset, resolved, encoder,
                                          labeled_sets, seed)

@@ -430,6 +430,10 @@ def softmax_cross_entropy_batch(logits, labels):
     return losses, grads
 
 
+# Adam's moment decay rates and denominator guard, fixed for every stage.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -440,9 +444,6 @@ class AdamState:
     `names` order."""
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     names: tuple[str, ...] = ()
     m: np.ndarray | None = None
@@ -480,14 +481,14 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                          "and dtype of its first step")
     state.step_count += 1
     t = state.step_count
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * g * g
-    step = state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    step = state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     start = 0
     for name in names:
         p = params[name]

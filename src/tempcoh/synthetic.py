@@ -11,7 +11,9 @@ similar for reasons beyond the phase label.
 `generate_dataset` names the `SynthConfig` fields behind a failure as keys
 of the `synth` config section: the sizes for an allocation that cannot be
 made, the scales for features beyond float32. `SynthConfig` itself refuses a
-`num_phases * max_duration` beyond int64, naming both keys as an overflow.
+`num_phases * max_duration` beyond int64, naming both keys as an overflow,
+and a `skip_probability` at which a video keeps at least two of its
+`num_phases` phases with probability below MIN_KEEP_TWO, naming both keys.
 """
 
 from __future__ import annotations
@@ -59,10 +61,21 @@ class SynthConfig:
             raise ValueError("fps must be finite and positive")
         if not 0.0 <= self.skip_probability < 1.0:
             raise ValueError("skip_probability must be in [0, 1)")
+        # `generate_procedure` redraws a video's phases until it keeps two,
+        # which takes 1 / keep_two draws on average.
+        p, n = self.skip_probability, self.num_phases
+        keep_two = 1.0 - p**n - n * p**(n - 1) * (1.0 - p)
+        if keep_two < MIN_KEEP_TWO:
+            raise ValueError(f"{_named(self, ('skip_probability', 'num_phases'))} "
+                             f"keep at least two of a video's phases with "
+                             f"probability below {MIN_KEEP_TWO:g}")
 
 
 SIZE_KEYS = ("num_phases", "feature_dim", "max_duration")
 SCALE_KEYS = ("prototype_scale", "drift_step", "noise_std")
+# The least chance per draw that a video keeps two phases: a million draws
+# per video on average at most.
+MIN_KEEP_TWO = 1e-6
 
 
 def _named(cfg: SynthConfig, keys: tuple[str, ...]) -> str:

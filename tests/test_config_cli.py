@@ -784,15 +784,34 @@ def sparse_data(work, tmp_path_factory):
     return data
 
 
+@pytest.fixture(scope="module")
+def d_only_data(work, tmp_path_factory):
+    """A copy of the shared dataset whose every video is in split D."""
+    data = tmp_path_factory.mktemp("test-only") / "data"
+    shutil.copytree(work / "data", data)
+    splits = data / "splits.txt"
+    splits.write_text(re.sub(",[ABC]\n", ",D\n", splits.read_text()))
+    assert set(load_dataset(data).splits.values()) == {"D"}
+    return data
+
+
 @pytest.mark.parametrize("command,message", [
-    ("finetune", "labeled sets A contain no videos"),
-    ("eval", "split D is empty"),
-    ("retrieve", "split D is empty"),
-    ("retrieve-random", "query splits AD contain no videos"),
+    ("finetune", "split 'A' holds no videos"),
+    ("eval", "split 'D' holds no videos"),
+    ("retrieve", "split 'D' holds no videos"),
+    ("retrieve-random", "split 'AD' holds no videos"),
+    ("compare-A", "split 'A' holds no videos"),
+    ("compare-AB", "split 'D' holds no videos"),
+    ("pretrain", "split 'ABC' holds no videos"),
 ])
 def test_splits_holding_no_videos_exit_2_naming_them(work, sparse_data,
-                                                     tmp_path, capsys,
+                                                     d_only_data, tmp_path,
+                                                     capsys, monkeypatch,
                                                      command, message):
+    def no_arm(*args):
+        raise AssertionError("an arm trained on a split holding no videos")
+
+    monkeypatch.setattr(cli, "run_arm", no_arm)
     argv = {
         "finetune": ["finetune", "--labeled-sets", "A"],
         "eval": ["eval", "--model", str(work / "model.ckpt")],
@@ -801,10 +820,19 @@ def test_splits_holding_no_videos_exit_2_naming_them(work, sparse_data,
         "retrieve-random": ["retrieve", "--model", str(work / "enc.ckpt"),
                             "--queries", "random:2", "--split", "B",
                             "--query-split", "AD"],
+        "compare-A": ["compare", "--seeds", "1", "--methods", "contrastive",
+                      "--labeled-sets", "A"],
+        "compare-AB": ["compare", "--seeds", "1", "--methods", "contrastive",
+                       "--labeled-sets", "AB"],
+        "pretrain": ["pretrain", "--method", "contrastive"],
     }[command]
+    # Splits A, B and C hold no videos of `d_only_data`, and splits A and D
+    # none of `sparse_data`.
+    data = d_only_data if command == "pretrain" else sparse_data
     out = tmp_path / "out"
-    assert main([*argv, "--data", str(sparse_data), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main([*argv, "--data", str(data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: {data / 'dataset.json'}: "
+                                       f"{message}\n")
     assert not out.exists()
 
 
@@ -1096,7 +1124,11 @@ def test_replay_rejects_run_value_of_the_wrong_type(work, tmp_path, capsys,
 @pytest.mark.parametrize("key,value,message", [
     ("num_phases", 1, "[synth] num_phases must be >= 2"),
     ("skip_probability", 1.0, "[synth] skip_probability must be in [0, 1)"),
-], ids=["num-phases", "skip-probability"])
+    # `synth` would redraw each video's phases about 1.7e7 times.
+    ("skip_probability", 0.9999, "[synth] synth.skip_probability 0.9999 and "
+     "synth.num_phases 4 keep at least two of a video's phases with "
+     "probability below 1e-06"),
+], ids=["num-phases", "skip-probability", "skip-probability-near-1"])
 def test_replay_names_the_manifest_for_out_of_range_config(work, tmp_path, capsys,
                                                            key, value, message):
     def edit(manifest):
@@ -1129,6 +1161,11 @@ OUT_OF_RANGE = [
     ("finetune", "lr", -1.0),
 ]
 OUT_OF_RANGE_IDS = [f"{section}.{key}" for section, key, _ in OUT_OF_RANGE]
+# Values in range alone that another key of their stage puts out of range:
+# at 7 phases (the default) or 4 (the shared dataset's), a video keeps at
+# least two with probability 2.1e-7 or 6.0e-8.
+JOINTLY_OUT_OF_RANGE = [("synth", "skip_probability", 0.9999)]
+JOINTLY_OUT_OF_RANGE_IDS = ["synth.skip_probability-near-1"]
 
 
 def test_out_of_range_table_covers_every_stage_key():
@@ -1136,8 +1173,9 @@ def test_out_of_range_table_covers_every_stage_key():
         f"{section}.{key}" for section in STAGES for key in SCHEMA[section])
 
 
-@pytest.mark.parametrize("section,key,value", OUT_OF_RANGE,
-                         ids=OUT_OF_RANGE_IDS)
+@pytest.mark.parametrize("section,key,value",
+                         OUT_OF_RANGE + JOINTLY_OUT_OF_RANGE,
+                         ids=OUT_OF_RANGE_IDS + JOINTLY_OUT_OF_RANGE_IDS)
 def test_out_of_range_value_exits_1_before_the_runner(tmp_path, capsys,
                                                       section, key, value):
     # `synth` reads only its own section, yet refuses every section's ranges.
@@ -1149,8 +1187,9 @@ def test_out_of_range_value_exits_1_before_the_runner(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("section,key,value", OUT_OF_RANGE,
-                         ids=OUT_OF_RANGE_IDS)
+@pytest.mark.parametrize("section,key,value",
+                         OUT_OF_RANGE + JOINTLY_OUT_OF_RANGE,
+                         ids=OUT_OF_RANGE_IDS + JOINTLY_OUT_OF_RANGE_IDS)
 def test_out_of_range_value_fails_the_replay_naming_the_manifest(
         work, tmp_path, capsys, section, key, value):
     def edit(manifest):
@@ -1196,8 +1235,10 @@ def compare_manifest(work, tmp_path_factory):
     ("methods", ["contrastive", "contrastive"],
      "methods name 'contrastive' twice"),
     ("seed", -1, "seed must be at least 0, got -1"),
+    # The budget is checked before `compare` selects the labeled videos.
+    ("labeled_sets", "", "labeled sets '' are not a label budget"),
 ], ids=["zero-seeds", "no-methods", "unknown-method", "test-split-labels",
-        "all-split-labels", "repeated-method", "negative-seed"])
+        "all-split-labels", "repeated-method", "negative-seed", "no-labels"])
 def test_replay_names_the_manifest_for_out_of_range_compare_run(
         compare_manifest, tmp_path, capsys, key, value, message):
     manifest = read_manifest(compare_manifest)
@@ -1243,21 +1284,28 @@ def test_replay_names_the_manifest_for_unknown_pretrain_method(work, tmp_path,
 
 
 def test_replay_names_the_manifest_for_unknown_query_split(work, tmp_path, capsys):
-    out = tmp_path / "hits.csv"
-    base = ["retrieve", "--data", str(work / "data"),
-            "--model", str(work / "enc.ckpt"), "--queries", "random:2",
-            "--out", str(out)]
-    assert main([*base, "--query-split", "AZ"]) == 1
-    assert "query_split: unknown split 'Z'" in capsys.readouterr().err
-    assert main(base) == 0
-    manifest = read_manifest(str(out) + ".manifest.json")
-    manifest["run"]["query_split"] = "AZ"
-    before = out.read_bytes()
-    path = tmp_path / "edited.json"
-    path.write_text(json.dumps(manifest))
-    assert main(["replay", str(path)]) == 2
-    assert f"{path}: query_split: unknown split 'Z'" in capsys.readouterr().err
-    assert out.read_bytes() == before
+    # An empty query_split selects no videos, whether or not the queries
+    # are drawn from it.
+    for i, (queries, query_split, message) in enumerate([
+            ("random:2", "AZ", "query_split: unknown split 'Z'"),
+            ("random:3", "", "query_split must name at least one split"),
+            ("video_001:3", "", "query_split must name at least one split")]):
+        out = tmp_path / f"hits{i}.csv"
+        base = ["retrieve", "--data", str(work / "data"),
+                "--model", str(work / "enc.ckpt"), "--queries", queries,
+                "--out", str(out)]
+        assert main([*base, "--query-split", query_split]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        assert main(base) == 0
+        manifest = read_manifest(str(out) + ".manifest.json")
+        manifest["run"]["query_split"] = query_split
+        before = out.read_bytes()
+        path = tmp_path / f"edited{i}.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["replay", str(path)]) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert out.read_bytes() == before
 
 
 # The replay fuzzer: real manifests of every command with one to three

@@ -572,7 +572,9 @@ def test_dataset_type_validation():
         Dataset([seq], {"a": "Z"}, 2, 5.0)
     data = Dataset([seq], {"a": "B"}, 2, 5.0)
     assert data.split("B") == [seq]
-    assert data.split("A") == []
+    with pytest.raises(DataFormatError, match="^dataset: split 'A' holds no "
+                       "videos$"):
+        data.split("A")
     with pytest.raises(ValueError):
         data.split("Q")
     with pytest.raises(KeyError):

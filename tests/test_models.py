@@ -729,23 +729,23 @@ def test_copies_are_independent(rng):
 
 def _reference_adam_step(params, grads, hyper: AdamState, state: dict):
     """The per-parameter Adam loop the flat update replaced. `state` holds
-    the step count and per-name moments; `hyper` only the constants."""
+    the step count and per-name moments; `hyper` only the learning rate."""
     if not grads:
         return
     state["step"] += 1
     t = state["step"]
-    c1 = 1.0 - hyper.beta1 ** t
-    c2 = 1.0 - hyper.beta2 ** t
+    c1 = 1.0 - 0.9 ** t
+    c2 = 1.0 - 0.999 ** t
     for name in sorted(grads):
         p = params[name]
         g = grads[name].astype(p.dtype, copy=False)
         m = state["m"].setdefault(name, np.zeros_like(p))
         v = state["v"].setdefault(name, np.zeros_like(p))
-        m *= hyper.beta1
-        m += (1.0 - hyper.beta1) * g
-        v *= hyper.beta2
-        v += (1.0 - hyper.beta2) * g * g
-        p -= hyper.lr * (m / c1) / (np.sqrt(v / c2) + hyper.eps)
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * g * g
+        p -= hyper.lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
 
 
 @pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])

@@ -34,6 +34,9 @@ SMALL = SynthConfig(min_duration=5, max_duration=12, feature_dim=6)
     {"noise_std": float("inf")},
     {"fps": float("inf")},
     {"fps": float("nan")},
+    # A video would keep two phases with probability below 1e-6.
+    {"skip_probability": 0.999, "num_phases": 2},
+    {"skip_probability": 0.99999},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
