@@ -3,7 +3,10 @@
 Subcommands: synth, pretrain, finetune, eval, compare, retrieve, replay.
 Every run writes its outputs plus a JSON run manifest holding the fully
 resolved configuration; `tempcoh replay MANIFEST` re-executes a run from
-that manifest and reproduces its outputs byte for byte.
+that manifest and reproduces its outputs byte for byte. Replay checks the
+manifest's `version` and each `run`, `paths` and `resolved_config` value it
+reads through `data_io.json_value`, then makes the same pre-run range check
+(`_check_ranges`) as a fresh run, before anything runs.
 
 Exit codes: 0 success, 1 usage error, 2 data or contract error.
 """
@@ -21,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (PRESETS, check_ranges, check_resolved_config, is_int,
+from .config import (PRESETS, check_ranges, check_resolved_config,
                      resolve_config, resolve_delta_seconds)
 # The runners train through `experiments` and read checkpoints through
 # `load_model`. `pretrain`, `finetune`, `load_checkpoint`, `load_encoder`
@@ -29,9 +32,10 @@ from .config import (PRESETS, check_ranges, check_resolved_config, is_int,
 # (perfbench/layers.py) patches the training stages and wraps every
 # `data_io` loader and saver by name in this module.
 from .data_io import (SPLIT_NAMES, atomic_write_text, fnum,  # noqa: F401
-                      load_checkpoint, load_dataset, load_encoder, load_model,
-                      load_phase_model, read_json, save_dataset, save_encoder,
-                      save_phase_model, write_csv)
+                      is_int, is_object, json_value, load_checkpoint,
+                      load_dataset, load_encoder, load_model, load_phase_model,
+                      read_json, save_dataset, save_encoder, save_phase_model,
+                      write_csv)
 from .errors import CheckpointError, DataFormatError, TempcohError, UsageError
 from .experiments import (BASELINE, LABEL_BUDGETS, PRETRAIN_SPLITS, TEST_SPLIT,
                           check_label_budget, finetune_stage,
@@ -44,6 +48,7 @@ from .training import (PRETRAIN_METHODS, evaluate, finetune,  # noqa: F401
                        pretrain)
 
 MANIFEST_FORMAT = "tempcoh-run"
+MANIFEST_VERSION = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,7 +114,7 @@ def _run_pretrain(resolved, run, paths) -> list[Path]:
 
 def _run_finetune(resolved, run, paths) -> list[Path]:
     dataset = load_dataset(paths["data"])
-    init_path = paths.get("init")
+    init_path = paths["init"]
     if init_path:
         encoder, _ = _load_checked(init_path, ("encoder",), dataset)
     else:
@@ -145,7 +150,7 @@ def _run_eval(resolved, run, paths) -> list[Path]:
     if model.num_phases != dataset.num_phases:
         raise CheckpointError(f"{paths['model']}: model has {model.num_phases} "
                               f"phases but the dataset has {dataset.num_phases}")
-    videos = dataset.split(run["split"])
+    videos = dataset.labeled_split(run["split"])
     result = evaluate(model, videos)
     summaries = _report_rows(result.report, model.num_phases)
     out = Path(paths["out"])
@@ -172,9 +177,10 @@ def _run_compare(resolved, run, paths) -> list[Path]:
     run["delta_seconds_by_method"] = {
         m: cfg.sampler.delta_seconds for m, cfg in configs.items()}
     # So are the labeled sets every arm fine-tunes on and the test split
-    # every arm is scored on: `split` refuses a selection of no videos.
-    dataset.split(*run["labeled_sets"])
-    dataset.split(TEST_SPLIT)
+    # every arm is scored on: `labeled_split` refuses a selection of no
+    # videos or one holding a video without labels.
+    dataset.labeled_split(*run["labeled_sets"])
+    dataset.labeled_split(TEST_SPLIT)
     seeds = [run["seed"] + i for i in range(run["seeds"])]
     values = {}
     for seed in seeds:
@@ -213,35 +219,49 @@ def _run_compare(resolved, run, paths) -> list[Path]:
     return [per_seed_csv, summary_csv, summary_txt]
 
 
-def _parse_queries(spec: str, dataset, query_split: str, seed: int):
+def _parse_queries(spec: str) -> int | list[tuple[str, int]]:
+    """The syntax of a `queries` value: N for `random:N`, otherwise its
+    (video id, frame) pairs; a ValueError for a value of neither form."""
     if spec.startswith("random:"):
         try:
             count = int(spec.split(":", 1)[1])
         except ValueError as exc:
-            raise UsageError(f"--queries {spec!r}: expected random:N") from exc
+            raise ValueError(f"queries {spec!r}: expected random:N") from exc
         if count < 1:
-            raise UsageError("--queries random:N needs N >= 1")
+            raise ValueError("queries random:N needs N >= 1")
+        return count
+    pairs = []
+    for part in spec.split(","):
+        if ":" not in part:
+            raise ValueError(f"queries: expected VIDEO_ID:FRAME, got {part!r}")
+        vid, frame_text = part.rsplit(":", 1)
+        try:
+            pairs.append((vid, int(frame_text)))
+        except ValueError as exc:
+            raise ValueError(f"queries: bad frame index {frame_text!r}") from exc
+    return pairs
+
+
+def _queries(spec: str, dataset, query_split: str, seed: int):
+    """(video, frame) of each query of `spec`: drawn from the videos of
+    `query_split` for `random:N`, otherwise looked up by id; a ValueError
+    naming `dataset.json` for an id it does not hold."""
+    parsed = _parse_queries(spec)
+    if isinstance(parsed, int):
         pool = dataset.split(*query_split)
         rng = np.random.default_rng(seed)
         queries = []
-        for _ in range(count):
+        for _ in range(parsed):
             video = pool[int(rng.integers(len(pool)))]
             queries.append((video, int(rng.integers(video.num_frames))))
         return queries
     queries = []
-    for part in spec.split(","):
-        if ":" not in part:
-            raise UsageError(f"--queries: expected VIDEO_ID:FRAME, got {part!r}")
-        vid, frame_text = part.rsplit(":", 1)
+    for vid, frame in parsed:
         try:
-            frame = int(frame_text)
-        except ValueError as exc:
-            raise UsageError(f"--queries: bad frame index {frame_text!r}") from exc
-        try:
-            video = dataset.by_id(vid)
-        except KeyError as exc:
-            raise DataFormatError(f"unknown video id {vid!r}") from exc
-        queries.append((video, frame))
+            queries.append((dataset.by_id(vid), frame))
+        except KeyError:
+            raise ValueError(f"{dataset.manifest_path}: unknown video id "
+                             f"{vid!r}") from None
     return queries
 
 
@@ -250,8 +270,7 @@ def _run_retrieve(resolved, run, paths) -> list[Path]:
     _, encoder = _load_checked(paths["model"], ("encoder", "phase_model"),
                                dataset)
     corpus = dataset.split(run["split"])
-    queries = _parse_queries(run["queries"], dataset, run["query_split"],
-                             run["seed"])
+    queries = _queries(run["queries"], dataset, run["query_split"], run["seed"])
     results = retrieval_report(encoder, queries, corpus)
     agreement = phase_agreement(results)
     out = Path(paths["out"])
@@ -279,8 +298,8 @@ _RUNNERS = {
     "synth": (_run_synth, ("seed", "videos"), ("out",), "/run_manifest.json"),
     "pretrain": (_run_pretrain, ("seed", "method"), ("data", "out"),
                  ".manifest.json"),
-    "finetune": (_run_finetune, ("seed", "labeled_sets"), ("data", "out"),
-                 ".manifest.json"),
+    "finetune": (_run_finetune, ("seed", "labeled_sets"),
+                 ("data", "init", "out"), ".manifest.json"),
     "eval": (_run_eval, ("split",), ("data", "model", "out"), ".manifest.json"),
     "compare": (_run_compare, ("seed", "seeds", "methods", "labeled_sets"),
                 ("data", "out"), "/run_manifest.json"),
@@ -290,8 +309,8 @@ _RUNNERS = {
 # Path arguments, made absolute in `paths`; `init` is finetune's optional one.
 _PATH_ARGS = ("data", "model", "init", "out")
 
-# (test, name) of the type of each `run` value a runner requires; every
-# other required `run` or `paths` value is a string.
+# (test, what) of each `run` or `paths` value a runner requires, for
+# `json_value`; every other one is a string.
 _STRING = (lambda v: isinstance(v, str), "a string")
 _REQUIRED_TYPES = {
     "seed": (is_int, "an integer"),
@@ -299,6 +318,7 @@ _REQUIRED_TYPES = {
     "seeds": (is_int, "an integer"),
     "methods": (lambda v: isinstance(v, list)
                 and all(isinstance(m, str) for m in v), "a list of strings"),
+    "init": (lambda v: v is None or isinstance(v, str), "a string or null"),
 }
 
 
@@ -309,9 +329,10 @@ def _check_ranges(command: str, resolved: dict, run: dict) -> None:
     below 0, a `synth` with fewer than 4 videos, a `pretrain` with an
     unknown method, a `finetune` or `compare` with `labeled_sets` that are
     not a label budget, a `compare` with `seeds` below 1 or `methods` empty,
-    naming an unknown method or naming one twice, or a `retrieve` with a
-    `query_split` that is empty or holds a letter that is not a split. The
-    values already have the types `_REQUIRED_TYPES` names."""
+    naming an unknown method or naming one twice, or a `retrieve` with
+    `queries` of neither form `_parse_queries` reads or a `query_split`
+    that is empty or holds a letter that is not a split. The values
+    already have the types `_REQUIRED_TYPES` names."""
     if "seed" in _RUNNERS[command][1] and run["seed"] < 0:
         raise ValueError(f"seed must be at least 0, got {run['seed']}")
     if "labeled_sets" in _RUNNERS[command][1]:
@@ -332,6 +353,7 @@ def _check_ranges(command: str, resolved: dict, run: dict) -> None:
             if m in run["methods"][:i]:
                 raise ValueError(f"methods name {m!r} twice")
     elif command == "retrieve":
+        _parse_queries(run["queries"])
         if not run["query_split"]:
             raise ValueError("query_split must name at least one split")
         for letter in run["query_split"]:
@@ -361,7 +383,7 @@ def _execute(command: str, resolved: dict, run: dict, paths: dict,
     outputs = _RUNNERS[command][0](resolved, run, paths)
     manifest = {
         "format": MANIFEST_FORMAT,
-        "version": 1,
+        "version": MANIFEST_VERSION,
         "package_version": __version__,
         "command": command,
         "run": run,
@@ -409,27 +431,18 @@ def cmd_replay(args) -> int:
     command = manifest.get("command")
     if not isinstance(command, str) or command not in _RUNNERS:
         raise DataFormatError(f"{manifest_path}: unknown command {command!r}")
-    for field in ("run", "paths", "resolved_config"):
-        if not isinstance(manifest.get(field), dict):
-            raise DataFormatError(f"{manifest_path}: {field!r} is missing or "
-                                  f"not an object")
+    json_value(manifest, "version", manifest_path,
+               lambda v: is_int(v) and v == MANIFEST_VERSION,
+               str(MANIFEST_VERSION))
     _, run_keys, path_keys, _ = _RUNNERS[command]
-    for field, keys in (("run", run_keys), ("paths", path_keys)):
-        missing = [key for key in keys if key not in manifest[field]]
-        if missing:
-            raise DataFormatError(f"{manifest_path}: {field!r} lacks {missing} "
-                                  f"needed by {command!r}")
+    for field, keys in (("run", run_keys), ("paths", path_keys),
+                        ("resolved_config", ())):
+        values = json_value(manifest, field, manifest_path, is_object,
+                            "an object")
         for key in keys:
-            value = manifest[field][key]
-            has_type, type_name = _REQUIRED_TYPES.get(key, _STRING)
-            if not has_type(value):
-                raise DataFormatError(f"{manifest_path}: {field} value {key} "
-                                      f"= {value!r} is not {type_name}")
-    init = manifest["paths"].get("init")
-    if not (init is None or isinstance(init, str)):
-        raise DataFormatError(f"{manifest_path}: paths value init = {init!r} "
-                              f"is not a string or null")
-    check_resolved_config(manifest["resolved_config"], str(manifest_path))
+            json_value(values, key, manifest_path,
+                       *_REQUIRED_TYPES.get(key, _STRING), field)
+    check_resolved_config(manifest["resolved_config"], manifest_path)
     try:
         _check_ranges(command, manifest["resolved_config"], manifest["run"])
         return _execute(command, manifest["resolved_config"], manifest["run"],

@@ -15,7 +15,9 @@ pretraining method's own value (`training.PRETRAIN_METHODS`) and therefore
 resolves to None until a method is known. `check_ranges` builds every stage
 that needs no dataset, so a command refuses an out-of-range value before
 it runs; the sampler needs the dataset's frame rate and is checked when
-its stage builds it.
+its stage builds it. `check_resolved_config` checks a run manifest's
+`resolved_config` through `data_io.json_value`: each key present, with a
+value its converter could have returned.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import math
 import typing
 from pathlib import Path
 
+from .data_io import is_int, is_number, is_object, json_value
 from .errors import DataFormatError, UsageError
 from .losses import LossConfig
 from .models import ModelConfig
@@ -34,16 +37,19 @@ from .synthetic import SynthConfig
 from .training import PRETRAIN_METHODS, FinetuneConfig, PretrainConfig
 
 
-def _to_int(s) -> int:
-    """`int(s)`, refused outside int64. Also checks an int's range."""
+_INT64 = range(-2**63, 2**63)
+
+
+def _to_int(s: str) -> int:
+    """`int(s)`, refused outside int64."""
     value = int(s)
-    if not -2**63 <= value < 2**63:
+    if value not in _INT64:
         raise ValueError("outside the int64 range")
     return value
 
 
 def _to_float(s) -> float:
-    """`float(s)`, refused unless finite. Also checks a number's range."""
+    """`float(s)`, refused unless finite; `s` is a string or a number."""
     try:
         value = float(s)
     except OverflowError:
@@ -171,54 +177,47 @@ def resolve_config(preset: str = "desk", config_file=None,
     return resolved
 
 
-def is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_float(value) -> bool:
+    """Whether `value` is a JSON number that `_to_float` takes."""
+    if not is_number(value):
+        return False
+    try:
+        _to_float(value)
+    except ValueError:
+        return False
+    return True
 
 
-def _is_number(value) -> bool:
-    return is_int(value) or isinstance(value, float)
+def _is_int64(value) -> bool:
+    return is_int(value) and value in _INT64
 
 
-# converter -> (test that a resolved value has the converter's type, its
-# name, the converter that checks the range of each number in the value).
+# converter -> (test that a resolved value is one the converter returns,
+# what such a value is), for `json_value`.
 _VALUE_TYPES = {
-    _to_int: (is_int, "an integer", _to_int),
-    _to_float: (_is_number, "a number", _to_float),
-    _to_optional_float: (lambda v: v is None or _is_number(v),
-                         "a number or null", _to_float),
-    _to_int_list: (lambda v: isinstance(v, list) and all(map(is_int, v)),
-                   "a list of integers", _to_int),
+    _to_int: (_is_int64, "an integer within int64"),
+    _to_float: (_is_float, "a finite float"),
+    _to_optional_float: (lambda v: v is None or _is_float(v),
+                         "a finite float or null"),
+    _to_int_list: (lambda v: isinstance(v, list) and all(map(_is_int64, v)),
+                   "a list of integers within int64"),
 }
 
 
-def check_resolved_config(resolved: dict, where: str) -> None:
-    """Raise DataFormatError unless `resolved` holds exactly SCHEMA's keys,
-    each with a value of its converter's type that numpy can hold."""
-    for section, keys in resolved.items():
-        if not isinstance(keys, dict):
-            raise DataFormatError(f"{where}: config section [{section}] is "
-                                  f"not an object")
-        for key, value in keys.items():
-            _check_key(section, key, where, DataFormatError)
-            has_type, type_name, check = _VALUE_TYPES[SCHEMA[section][key][0]]
-            if not has_type(value):
-                raise DataFormatError(f"{where}: config value {section}.{key} "
-                                      f"= {value!r} is not {type_name}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise DataFormatError(f"{where}: config value {section}.{key} "
-                                      f"= {value!r} is not finite")
-            try:
-                for number in value if isinstance(value, list) else [value]:
-                    if number is not None:
-                        check(number)
-            except ValueError as exc:
-                raise DataFormatError(f"{where}: config value {section}.{key} "
-                                      f"= {value!r} is {exc}") from exc
+def check_resolved_config(resolved: dict, where) -> None:
+    """Raise DataFormatError unless `resolved`, the `resolved_config` of the
+    run manifest `where`, holds exactly SCHEMA's sections and keys, each
+    value one its key's converter returns."""
     for section, keys in SCHEMA.items():
-        missing = sorted(set(keys) - set(resolved.get(section, {})))
-        if missing:
-            raise DataFormatError(f"{where}: config section [{section}] "
-                                  f"lacks {missing}")
+        values = json_value(resolved, section, where, is_object, "an object",
+                            "resolved_config")
+        for key, (convert, _) in keys.items():
+            json_value(values, key, where, *_VALUE_TYPES[convert],
+                       f"resolved_config.{section}")
+    for section, values in resolved.items():
+        # `_check_key` refuses an unknown section before it reads the key.
+        for key in values if section in SCHEMA else [""]:
+            _check_key(section, key, where, DataFormatError)
 
 
 def build_stage(section: str, cls, **values):

@@ -22,6 +22,14 @@ here owns the sizes its metadata records, which both savers write and
 `save_features` checks finiteness again, since features can be edited in
 place after construction.
 
+`json_value` is the one checker of a value read from a JSON document,
+`dataset.json` and checkpoint metadata here and the run manifest in
+`cli.py`/`config.py`: a key that is absent, or a value that fails its test,
+raises an error naming the file and the value's JSON path, in the form
+`<file>: <path> is missing` or `<file>: <path> must be <what>, got <value>`.
+`Dataset.split` and `Dataset.labeled_split` own the refusal of a split
+selection that holds no videos or, for the second, a video without labels.
+
 All writers go through a temp file of their own in the target's directory
 plus os.replace, so a crash never leaves a half-written file under the final
 name; the target's directory is created when it does not exist yet. Every
@@ -122,6 +130,18 @@ class Dataset:
         if not videos:
             raise DataFormatError(f"{self.manifest_path or 'dataset'}: split "
                                   f"{''.join(names)!r} holds no videos")
+        return videos
+
+    def labeled_split(self, *names: str) -> list[FrameSequence]:
+        """`split(*names)`, all of whose videos have labels; a
+        DataFormatError naming the dataset's manifest and the first video
+        without them."""
+        videos = self.split(*names)
+        for v in videos:
+            if v.labels is None:
+                raise DataFormatError(
+                    f"{self.manifest_path or 'dataset'}: video {v.video_id!r} "
+                    f"in split {''.join(names)!r} has no labels")
         return videos
 
     def by_id(self, video_id: str) -> FrameSequence:
@@ -239,6 +259,49 @@ def parse_json(text: str, path, what: str = "invalid JSON"):
 def read_json(path):
     """The JSON document in the UTF-8 file `path`; see `parse_json`."""
     return parse_json(_read_text(path), path)
+
+
+def is_int(value) -> bool:
+    """Whether `value` is a JSON integer: an int, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """Whether `value` is a JSON number: an int or float, not a bool."""
+    return is_int(value) or isinstance(value, float)
+
+
+def is_object(value) -> bool:
+    return isinstance(value, dict)
+
+
+def _int_at_least(minimum: int):
+    """(test, expected) for `json_value`: an integer of at least `minimum`."""
+    return lambda v: is_int(v) and v >= minimum, f"an integer >= {minimum}"
+
+
+def _json_path(at: str, key) -> str:
+    """The JSON path of `key` in the value at JSON path `at`."""
+    if isinstance(key, int):
+        return f"{at}[{key}]"
+    return f"{at}.{key}" if at else key
+
+
+def json_value(doc, key, path, test, expected: str, at: str = "",
+               error=DataFormatError):
+    """`doc[key]`, where `doc` is the object or list at JSON path `at` of
+    the file `path`, if it is there and passes `test`. Otherwise `error`
+    names the file, the value's JSON path and, as `expected`, what the
+    value must be: `<file>: videos[3].num_frames is missing`, or
+    `<file>: metadata.hidden_size must be an integer >= 1, got 0`."""
+    where = _json_path(at, key)
+    try:
+        value = doc[key]
+    except LookupError:
+        raise error(f"{path}: {where} is missing") from None
+    if not test(value):
+        raise error(f"{path}: {where} must be {expected}, got {_clip(repr(value))}")
+    return value
 
 
 def _pack_string(s: str) -> bytes:
@@ -476,19 +539,13 @@ def save_dataset(directory, dataset: Dataset) -> list[Path]:
     return [path, splits_path, *video_files]
 
 
-def _json_int(value, what: str, minimum: int, path, error=DataFormatError) -> int:
-    """`value` if it is a JSON integer (not a bool) of at least `minimum`."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise error(f"{path}: {what} must be an integer >= {minimum}, "
-                    f"got {_clip(repr(value))}")
-    return value
-
-
-def _member_path(directory: Path, name, what: str, manifest_path) -> Path:
-    """`directory / name` for a relative path to a file inside `directory`."""
-    if not isinstance(name, str) or not name:
-        raise DataFormatError(f"{manifest_path}: {what} must be a non-empty "
-                              f"path string, got {name!r}")
+def _member_path(directory: Path, doc: dict, key: str, manifest_path,
+                 at: str = "") -> Path:
+    """`directory / doc[key]` for a relative path to a file inside
+    `directory`; `at` is the JSON path of `doc`, as for `json_value`."""
+    name = json_value(doc, key, manifest_path, lambda v: isinstance(v, str) and v,
+                      "a non-empty path string", at)
+    what = _json_path(at, key)
     rel = PurePath(name)
     if rel.is_absolute() or ".." in rel.parts:
         raise DataFormatError(f"{manifest_path}: {what} {name!r} points "
@@ -500,18 +557,10 @@ def _member_path(directory: Path, name, what: str, manifest_path) -> Path:
     return path
 
 
-def _check_video_entry(entry, index: int, manifest_path) -> None:
-    if not isinstance(entry, dict):
-        raise DataFormatError(f"{manifest_path}: videos[{index}] is not an object")
-    for key, kind in (("video_id", str), ("num_frames", int), ("features", str)):
-        if key not in entry:
-            raise DataFormatError(f"{manifest_path}: videos[{index}] lacks {key!r}")
-        if not isinstance(entry[key], kind) or isinstance(entry[key], bool):
-            raise DataFormatError(f"{manifest_path}: videos[{index}].{key} must "
-                                  f"be {kind.__name__}, got {entry[key]!r}")
-
-
 def load_dataset(directory) -> Dataset:
+    """The dataset in `directory`. Every top-level value of its
+    `dataset.json` is checked, and its splits file read, before the first
+    feature file is opened."""
     directory = Path(directory)
     manifest_path = directory / "dataset.json"
     if not manifest_path.exists():
@@ -519,44 +568,39 @@ def load_dataset(directory) -> Dataset:
     manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
         raise DataFormatError(f"{manifest_path}: not a dataset manifest")
-    for key in ("format", "version", "fps", "num_phases", "feature_dim",
-                "splits_file", "videos"):
-        if key not in manifest:
-            raise DataFormatError(f"{manifest_path}: missing key {key!r}")
-    if manifest["format"] != "tempcoh-dataset":
-        raise DataFormatError(f"{manifest_path}: not a dataset manifest "
-                              f"(format={manifest['format']!r})")
-    if manifest["version"] != FORMAT_VERSION:
-        raise DataFormatError(f"{manifest_path}: unsupported version "
-                              f"{manifest['version']}")
-    num_phases = _json_int(manifest["num_phases"], "num_phases", 2, manifest_path)
-    if num_phases > PHASE_ID_MAX + 1:
-        raise DataFormatError(f"{manifest_path}: num_phases must be at most "
-                              f"{PHASE_ID_MAX + 1} (int32 labels), got "
-                              f"{_clip(repr(num_phases))}")
-    feature_dim = _json_int(manifest["feature_dim"], "feature_dim", 1, manifest_path)
-    fps = manifest["fps"]
-    if isinstance(fps, bool) or not isinstance(fps, (int, float)) \
-            or not 0 < fps <= sys.float_info.max:
-        raise DataFormatError(f"{manifest_path}: fps must be a finite positive "
-                              f"number, got {_clip(repr(fps))}")
-    fps = float(fps)
-    if not isinstance(manifest["videos"], list):
-        raise DataFormatError(f"{manifest_path}: videos must be a list")
+
+    def value(key, test, expected):
+        return json_value(manifest, key, manifest_path, test, expected)
+
+    value("format", lambda v: v == "tempcoh-dataset", "'tempcoh-dataset'")
+    value("version", lambda v: is_int(v) and v == FORMAT_VERSION,
+          str(FORMAT_VERSION))
+    num_phases = value("num_phases", lambda v: is_int(v) and 2 <= v <= PHASE_ID_MAX + 1,
+                       f"an integer in [2, {PHASE_ID_MAX + 1}]")
+    feature_dim = value("feature_dim", *_int_at_least(1))
+    fps = float(value("fps", lambda v: is_number(v) and 0 < v <= sys.float_info.max,
+                      "a finite positive number"))
+    entries = value("videos", lambda v: isinstance(v, list), "a list")
+    splits = load_splits(_member_path(directory, manifest, "splits_file",
+                                      manifest_path))
     videos = []
-    for index, entry in enumerate(manifest["videos"]):
-        _check_video_entry(entry, index, manifest_path)
-        features_path = _member_path(directory, entry["features"],
-                                     f"videos[{index}].features", manifest_path)
+    for index, entry in enumerate(entries):
+        at = f"videos[{index}]"
+        json_value(entries, index, manifest_path, is_object, "an object", "videos")
+        video_id = json_value(entry, "video_id", manifest_path,
+                              lambda v: isinstance(v, str), "a string", at)
+        num_frames = json_value(entry, "num_frames", manifest_path, is_int,
+                                "an integer", at)
+        features_path = _member_path(directory, entry, "features", manifest_path, at)
         seq = load_features(features_path)
-        if seq.video_id != entry["video_id"]:
+        if seq.video_id != video_id:
             raise DataFormatError(
                 f"{features_path}: holds video "
-                f"{seq.video_id!r} but manifest names {entry['video_id']!r}")
-        if seq.num_frames != entry["num_frames"]:
+                f"{seq.video_id!r} but manifest names {video_id!r}")
+        if seq.num_frames != num_frames:
             raise DataFormatError(
                 f"{features_path}: {seq.num_frames} frames, "
-                f"manifest says {entry['num_frames']}")
+                f"manifest says {num_frames}")
         if seq.feature_dim != feature_dim:
             raise DataFormatError(
                 f"{features_path}: feature dim "
@@ -566,8 +610,7 @@ def load_dataset(directory) -> Dataset:
                 f"{features_path}: fps {seq.fps}, "
                 f"manifest says {fps}")
         if "labels" in entry:
-            labels_path = _member_path(directory, entry["labels"],
-                                       f"videos[{index}].labels", manifest_path)
+            labels_path = _member_path(directory, entry, "labels", manifest_path, at)
             labels = load_labels(labels_path, seq.num_frames)
             if labels is not None and labels.size and labels.max() >= num_phases:
                 raise DataFormatError(
@@ -575,8 +618,6 @@ def load_dataset(directory) -> Dataset:
                     f">= num_phases {num_phases}")
             seq.labels = labels
         videos.append(seq)
-    splits = load_splits(_member_path(directory, manifest["splits_file"],
-                                      "splits_file", manifest_path))
     try:
         return Dataset(videos, splits, num_phases, fps, manifest_path)
     except ValueError as exc:
@@ -639,17 +680,6 @@ def load_checkpoint(path):
     return kind, params, metadata
 
 
-def _meta_layer_sizes(metadata, key: str, path) -> list[int]:
-    """The encoder's layer sizes from checkpoint metadata, validated."""
-    if not isinstance(metadata, dict):
-        raise CheckpointError(f"{path}: metadata is not a JSON object")
-    sizes = metadata.get(key)
-    if not isinstance(sizes, list) or len(sizes) < 2:
-        raise CheckpointError(f"{path}: metadata lacks a valid {key} list")
-    return [_json_int(s, f"metadata {key}[{i}]", 1, path, CheckpointError)
-            for i, s in enumerate(sizes)]
-
-
 def _recorded_sizes(model: EncoderModel | PhaseModel) -> dict:
     """The sizes that a checkpoint of `model` records in its metadata."""
     if isinstance(model, PhaseModel):
@@ -677,15 +707,23 @@ def load_model(path, kinds: tuple[str, ...]) -> tuple[EncoderModel | PhaseModel,
     if kind not in kinds:
         raise CheckpointError(f"{path}: checkpoint kind {kind!r}, expected "
                               + " or ".join(map(repr, kinds)))
+    if not isinstance(metadata, dict):
+        raise CheckpointError(f"{path}: metadata is not a JSON object")
+
+    def value(key, test, expected):
+        return json_value(metadata, key, path, test, expected, "metadata",
+                          CheckpointError)
+
     phase = kind == "phase_model"
-    sizes_key = "encoder_layer_sizes" if phase else "layer_sizes"
-    sizes = _meta_layer_sizes(metadata, sizes_key, path)
+    sizes = value("encoder_layer_sizes" if phase else "layer_sizes",
+                  lambda v: isinstance(v, list) and len(v) >= 2
+                  and all(is_int(n) and n >= 1 for n in v),
+                  "a list of at least two integers >= 1")
     encoder_names = EncoderModel.parameter_names(len(sizes) - 1)
     names = encoder_names + list(PhaseModel.HEAD) if phase else encoder_names
     if phase:
-        for key, minimum in (("hidden_size", 1), ("num_phases", 2)):
-            _json_int(metadata.get(key), f"metadata {key}", minimum, path,
-                      CheckpointError)
+        value("hidden_size", *_int_at_least(1))
+        value("num_phases", *_int_at_least(2))
     if set(params) != set(names):
         raise CheckpointError(f"{path}: parameter names do not match model "
                               f"(missing {sorted(set(names) - set(params))}, "

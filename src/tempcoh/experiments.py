@@ -102,7 +102,8 @@ def finetune_stage(dataset: Dataset, resolved: dict, encoder: EncoderModel,
     """A phase model on a copy of `encoder`, which stays as it was, its
     head initialized from lane 2 and trained on the labeled splits with
     that same stream; a ValueError for labeled sets outside LABEL_BUDGETS,
-    and a DataFormatError when they hold no videos. A MemoryError from
+    and a DataFormatError when they hold no videos or a video without
+    labels. A MemoryError from
     building the model names the dataset's num_phases."""
     check_label_budget(labeled_sets)
     encoder = encoder.copy()
@@ -112,7 +113,7 @@ def finetune_stage(dataset: Dataset, resolved: dict, encoder: EncoderModel,
         model = build_phase_model(resolved, encoder, dataset.num_phases)
     rng = np.random.default_rng([seed, 2])
     model.init_head_uniform_fan(rng)
-    result = finetune(model, dataset.split(*labeled_sets),
+    result = finetune(model, dataset.labeled_split(*labeled_sets),
                       FinetuneConfig(**resolved["finetune"]), rng)
     return model, result
 
@@ -124,5 +125,5 @@ def run_arm(dataset: Dataset, resolved: dict, labeled_sets: tuple[str, ...],
     encoder, pretrain_log = pretrain_stage(dataset, resolved, seed, method)
     model, finetune_log = finetune_stage(dataset, resolved, encoder,
                                          labeled_sets, seed)
-    report = evaluate(model, dataset.split(TEST_SPLIT)).report
+    report = evaluate(model, dataset.labeled_split(TEST_SPLIT)).report
     return ArmResult(seed, method, encoder, report, finetune_log, pretrain_log)

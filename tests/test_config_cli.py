@@ -703,9 +703,25 @@ def test_retrieve_query_errors(work, tmp_path, capsys):
     assert main([*base, "--queries", "random:joe"]) == 1
     assert main([*base, "--queries", "video_000"]) == 1
     assert main([*base, "--queries", "video_000:one"]) == 1
-    assert main([*base, "--queries", "ghost:0"]) == 2
     assert main([*base, "--queries", "video_000:99999"]) == 2
     capsys.readouterr()
+    # An id the dataset does not hold names its dataset.json, and on replay
+    # the manifest too.
+    dataset_json = work / "data" / "dataset.json"
+    assert main([*base, "--queries", "ghost:0"]) == 2
+    assert capsys.readouterr().err == (f"error: {dataset_json}: unknown video "
+                                       f"id 'ghost'\n")
+    assert main([*base, "--queries", "video_000:0"]) == 0
+    manifest = read_manifest(tmp_path / "x.csv.manifest.json")
+    manifest["run"]["queries"] = "nosuch:3"
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(manifest))
+    before = (tmp_path / "x.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["replay", str(path)]) == 2
+    assert capsys.readouterr().err == (f"error: {path}: {dataset_json}: unknown "
+                                       f"video id 'nosuch'\n")
+    assert (tmp_path / "x.csv").read_bytes() == before
 
 
 # ------------------------------------------------------------------- flags
@@ -795,6 +811,22 @@ def d_only_data(work, tmp_path_factory):
     return data
 
 
+@pytest.fixture(scope="module")
+def unlabeled_data(work, tmp_path_factory):
+    """(directory, {split: id}) of a copy of the shared dataset whose first
+    video in split B and first in split D have no labels."""
+    data = tmp_path_factory.mktemp("unlabeled") / "data"
+    shutil.copytree(work / "data", data)
+    dataset = load_dataset(data)
+    unlabeled = {name: dataset.split(name)[0].video_id for name in "BD"}
+    manifest = json.loads((data / "dataset.json").read_text())
+    for entry in manifest["videos"]:
+        if entry["video_id"] in unlabeled.values():
+            (data / entry.pop("labels")).unlink()
+    (data / "dataset.json").write_text(json.dumps(manifest))
+    return data, unlabeled
+
+
 @pytest.mark.parametrize("command,message", [
     ("finetune", "split 'A' holds no videos"),
     ("eval", "split 'D' holds no videos"),
@@ -803,17 +835,23 @@ def d_only_data(work, tmp_path_factory):
     ("compare-A", "split 'A' holds no videos"),
     ("compare-AB", "split 'D' holds no videos"),
     ("pretrain", "split 'ABC' holds no videos"),
+    ("finetune-AB-unlabeled", "video {B!r} in split 'AB' has no labels"),
+    ("eval-unlabeled", "video {D!r} in split 'D' has no labels"),
+    ("compare-A-unlabeled", "video {D!r} in split 'D' has no labels"),
+    ("compare-AB-unlabeled", "video {B!r} in split 'AB' has no labels"),
 ])
 def test_splits_holding_no_videos_exit_2_naming_them(work, sparse_data,
-                                                     d_only_data, tmp_path,
-                                                     capsys, monkeypatch,
-                                                     command, message):
+                                                     d_only_data, unlabeled_data,
+                                                     tmp_path, capsys,
+                                                     monkeypatch, command,
+                                                     message):
     def no_arm(*args):
-        raise AssertionError("an arm trained on a split holding no videos")
+        raise AssertionError("an arm trained on a split it cannot use")
 
     monkeypatch.setattr(cli, "run_arm", no_arm)
     argv = {
         "finetune": ["finetune", "--labeled-sets", "A"],
+        "finetune-AB": ["finetune", "--labeled-sets", "AB"],
         "eval": ["eval", "--model", str(work / "model.ckpt")],
         "retrieve": ["retrieve", "--model", str(work / "enc.ckpt"),
                      "--queries", "video_000:0"],
@@ -825,10 +863,15 @@ def test_splits_holding_no_videos_exit_2_naming_them(work, sparse_data,
         "compare-AB": ["compare", "--seeds", "1", "--methods", "contrastive",
                        "--labeled-sets", "AB"],
         "pretrain": ["pretrain", "--method", "contrastive"],
-    }[command]
+    }[command.removesuffix("-unlabeled")]
     # Splits A, B and C hold no videos of `d_only_data`, and splits A and D
-    # none of `sparse_data`.
-    data = d_only_data if command == "pretrain" else sparse_data
+    # none of `sparse_data`; a video in each of splits B and D of
+    # `unlabeled_data` has no labels.
+    if command.endswith("-unlabeled"):
+        data, unlabeled = unlabeled_data
+        message = message.format(**unlabeled)
+    else:
+        data = d_only_data if command == "pretrain" else sparse_data
     out = tmp_path / "out"
     assert main([*argv, "--data", str(data), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (f"error: {data / 'dataset.json'}: "
@@ -1006,7 +1049,7 @@ def test_replay_rejects_manifest_without_resolved_config(work, tmp_path, capsys)
         return manifest
 
     err = replay_malformed(work, tmp_path, capsys, drop)
-    assert "'resolved_config' is missing or not an object" in err
+    assert f"{tmp_path / 'edited.json'}: resolved_config is missing" in err
 
 
 def test_replay_rejects_manifest_that_is_not_an_object(work, tmp_path, capsys):
@@ -1019,8 +1062,9 @@ def test_replay_rejects_manifest_that_is_not_an_object(work, tmp_path, capsys):
      "unknown key 'bogus' in section [synth]"),
     (lambda c: c.update(weights={"x": 1}), "unknown config section [weights]"),
     (lambda c: c["loss"].pop("margin_ranking"),
-     "[loss] lacks ['margin_ranking']"),
-    (lambda c: c.update(model=[1]), "[model] is not an object"),
+     "resolved_config.loss.margin_ranking is missing"),
+    (lambda c: c.update(model=[1]),
+     "resolved_config.model must be an object, got [1]"),
 ], ids=["unknown-key", "unknown-section", "missing-key", "section-not-object"])
 def test_replay_rejects_config_unlike_the_schema(work, tmp_path, capsys,
                                                  edit, message):
@@ -1040,15 +1084,15 @@ def test_replay_rejects_manifest_without_a_runner_key(work, tmp_path, capsys,
         return manifest
 
     err = replay_malformed(work, tmp_path, capsys, drop)
-    assert f"{field!r} lacks [{key!r}] needed by 'synth'" in err
+    assert f"{tmp_path / 'edited.json'}: {field}.{key} is missing" in err
 
 
 @pytest.mark.parametrize("section,key,value,type_name", [
-    ("synth", "num_phases", "x", "an integer"),
-    ("synth", "num_phases", True, "an integer"),
-    ("synth", "noise_std", "0.5", "a number"),
-    ("sampler", "delta_seconds", "15", "a number or null"),
-    ("model", "hidden_sizes", [64.0], "a list of integers"),
+    ("synth", "num_phases", "x", "an integer within int64"),
+    ("synth", "num_phases", True, "an integer within int64"),
+    ("synth", "noise_std", "0.5", "a finite float"),
+    ("sampler", "delta_seconds", "15", "a finite float or null"),
+    ("model", "hidden_sizes", [64.0], "a list of integers within int64"),
 ], ids=["str-for-int", "bool-for-int", "str-for-float", "str-for-optional-float",
         "float-in-int-list"])
 def test_replay_rejects_config_value_of_the_wrong_type(work, tmp_path, capsys,
@@ -1059,15 +1103,17 @@ def test_replay_rejects_config_value_of_the_wrong_type(work, tmp_path, capsys,
         return manifest
 
     err = replay_malformed(work, tmp_path, capsys, retype)
-    assert f"config value {section}.{key} = {value!r} is not {type_name}" in err
+    assert (f"resolved_config.{section}.{key} must be {type_name}, "
+            f"got {value!r}") in err
 
 
-@pytest.mark.parametrize("section,key,value", [
-    ("synth", "fps", float("nan")), ("synth", "noise_std", float("inf")),
-    ("sampler", "delta_seconds", float("-inf")),
+@pytest.mark.parametrize("section,key,value,what", [
+    ("synth", "fps", float("nan"), "a finite float"),
+    ("synth", "noise_std", float("inf"), "a finite float"),
+    ("sampler", "delta_seconds", float("-inf"), "a finite float or null"),
 ], ids=["nan", "inf", "optional-minus-inf"])
 def test_replay_rejects_non_finite_config_value(work, tmp_path, capsys,
-                                                section, key, value):
+                                                section, key, value, what):
     def edit(manifest):
         manifest["resolved_config"][section][key] = value
         return manifest
@@ -1075,26 +1121,29 @@ def test_replay_rejects_non_finite_config_value(work, tmp_path, capsys,
     out = work / "data"
     before = {p: p.read_bytes() for p in out.iterdir()}
     err = replay_malformed(work, tmp_path, capsys, edit)
-    assert f"config value {section}.{key} = {value!r} is not finite" in err
+    assert (f"resolved_config.{section}.{key} must be {what}, "
+            f"got {value!r}") in err
     assert {p: p.read_bytes() for p in out.iterdir()} == before
 
 
-@pytest.mark.parametrize("section,key,value,reason", [
-    ("sampler", "gamma_seconds", 10**400, "too large for a float"),
-    ("sampler", "delta_seconds", -10**400, "too large for a float"),
-    ("sampler", "tuples_per_video", 10**30, "outside the int64 range"),
-    ("model", "hidden_sizes", [8, 2**63], "outside the int64 range"),
+@pytest.mark.parametrize("section,key,value,what", [
+    ("sampler", "gamma_seconds", 10**400, "a finite float"),
+    ("sampler", "delta_seconds", -10**400, "a finite float or null"),
+    ("sampler", "tuples_per_video", 10**30, "an integer within int64"),
+    ("model", "hidden_sizes", [8, 2**63], "a list of integers within int64"),
 ], ids=["float-key-10**400", "optional-float-key", "int-key-10**30",
         "int-list-2**63"])
 def test_replay_names_the_manifest_for_a_number_numpy_cannot_hold(
-        work, tmp_path, capsys, section, key, value, reason):
+        work, tmp_path, capsys, section, key, value, what):
     def edit(manifest):
         manifest["resolved_config"][section][key] = value
         return manifest
 
     err = replay_malformed(work, tmp_path, capsys, edit,
                            source="enc.ckpt.manifest.json")
-    assert f"config value {section}.{key} = {value!r} is {reason}" in err
+    # A value's repr is cut to 80 characters.
+    got = repr(value) if len(repr(value)) <= 80 else repr(value)[:80] + "..."
+    assert f"resolved_config.{section}.{key} must be {what}, got {got}\n" in err
     assert err.count("\n") == 1
 
 
@@ -1106,19 +1155,95 @@ def test_replay_names_the_manifest_for_a_number_numpy_cannot_hold(
     (SYNTH_MANIFEST, "paths", "out", 7, "a string"),
     (FINETUNE_MANIFEST, "paths", "init", 5, "a string or null"),
     (FINETUNE_MANIFEST, "paths", "init", ["x"], "a string or null"),
+    # The manifest's own version; `field` None is the top level.
+    (FINETUNE_MANIFEST, None, "version", 99, "1"),
+    (FINETUNE_MANIFEST, None, "version", "1", "1"),
+    (FINETUNE_MANIFEST, None, "version", True, "1"),
 ], ids=["str-seed", "bool-seed", "float-seed", "str-videos", "int-out",
-        "int-init", "list-init"])
+        "int-init", "list-init", "version-99", "str-version", "bool-version"])
 def test_replay_rejects_run_value_of_the_wrong_type(work, tmp_path, capsys,
                                                     source, field, key, value,
                                                     type_name):
     def retype(manifest):
-        manifest[field][key] = value
+        (manifest[field] if field else manifest)[key] = value
         return manifest
 
     before = (work / "model.ckpt").read_bytes()
     err = replay_malformed(work, tmp_path, capsys, retype, source)
-    assert f"{field} value {key} = {value!r} is not {type_name}" in err
+    where = f"{field}.{key}" if field else key
+    assert f"{where} must be {type_name}, got {value!r}" in err
     assert (work / "model.ckpt").read_bytes() == before
+    # The refused manifest is not rewritten either.
+    assert read_manifest(tmp_path / "edited.json") == retype(
+        read_manifest(work / source))
+
+
+def _edited_document(work, tmp_path, document, keys, value):
+    """(file, read) for a copy of `document` under `work` with the value at
+    JSON path `keys` set to `value` or deleted; `read` reads the file
+    through its reader."""
+    if document == "dataset.json":
+        data = tmp_path / "data"
+        shutil.copytree(work / "data", data)
+        path = data / document
+        doc = json.loads(path.read_text())
+    elif document.endswith(".ckpt"):
+        path = tmp_path / document
+        kind, params, doc = load_checkpoint(work / document)
+    else:
+        path = tmp_path / "edited.json"
+        doc = read_manifest(work / document)
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = value
+    if document == "dataset.json":
+        path.write_text(json.dumps(doc))
+        return path, lambda: load_dataset(data)
+    if document.endswith(".ckpt"):
+        save_checkpoint(path, kind, params, doc)
+        return path, lambda: data_io.load_model(path, (kind,))
+    path.write_text(json.dumps(doc))
+    return path, lambda: cli.cmd_replay(argparse.Namespace(manifest=str(path)))
+
+
+# The value at a JSON path of each document, one of the three JSON readers
+# reads, and the message form of a refusal: `<file>: <json path> is missing`
+# or `<file>: <json path> must be <what>, got <value>`.
+MESSAGE_FORM = [
+    ("dataset.json", ["feature_dim"], "4", "an integer >= 1"),
+    ("dataset.json", ["videos", 0, "num_frames"], 6.0, "an integer"),
+    ("enc.ckpt", ["layer_sizes"], "x", "a list of at least two integers >= 1"),
+    ("model.ckpt", ["hidden_size"], 0, "an integer >= 1"),
+    (SYNTH_MANIFEST, ["version"], 2, "1"),
+    (SYNTH_MANIFEST, ["run", "seed"], "x", "an integer"),
+    (SYNTH_MANIFEST, ["paths", "out"], 7, "a string"),
+    (SYNTH_MANIFEST, ["resolved_config", "model", "lstm_hidden"], 1.5,
+     "an integer within int64"),
+]
+
+
+@pytest.mark.parametrize("document,keys,value,what", MESSAGE_FORM,
+                         ids=["dataset", "video-entry", "encoder-metadata",
+                              "phase-model-metadata", "manifest-version",
+                              "run", "paths", "resolved-config"])
+@pytest.mark.parametrize("edit", ["missing", "mistyped"])
+def test_json_readers_refuse_in_one_message_form(work, tmp_path, document,
+                                                 keys, value, what, edit):
+    path, read = _edited_document(work, tmp_path, document, keys,
+                                  DELETE if edit == "missing" else value)
+    json_path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                        for k in keys).lstrip(".")
+    if document.endswith(".ckpt"):
+        json_path = f"metadata.{json_path}"
+    with pytest.raises(TempcohError) as err:
+        read()
+    assert str(err.value) == (f"{path}: {json_path} is missing" if edit == "missing"
+                              else f"{path}: {json_path} must be {what}, "
+                                   f"got {value!r}")
 
 
 @pytest.mark.parametrize("key,value,message", [
@@ -1283,29 +1408,45 @@ def test_replay_names_the_manifest_for_unknown_pretrain_method(work, tmp_path,
     assert {p: Path(p).read_bytes() for p in manifest["outputs"]} == before
 
 
-def test_replay_names_the_manifest_for_unknown_query_split(work, tmp_path, capsys):
+def _no_dataset(*args):
+    raise AssertionError("the dataset was read before the queries were checked")
+
+
+@pytest.mark.parametrize("queries,query_split,message", [
+    ("random:2", "AZ", "query_split: unknown split 'Z'"),
     # An empty query_split selects no videos, whether or not the queries
     # are drawn from it.
-    for i, (queries, query_split, message) in enumerate([
-            ("random:2", "AZ", "query_split: unknown split 'Z'"),
-            ("random:3", "", "query_split must name at least one split"),
-            ("video_001:3", "", "query_split must name at least one split")]):
-        out = tmp_path / f"hits{i}.csv"
-        base = ["retrieve", "--data", str(work / "data"),
-                "--model", str(work / "enc.ckpt"), "--queries", queries,
-                "--out", str(out)]
-        assert main([*base, "--query-split", query_split]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
-        assert main(base) == 0
-        manifest = read_manifest(str(out) + ".manifest.json")
-        manifest["run"]["query_split"] = query_split
-        before = out.read_bytes()
-        path = tmp_path / f"edited{i}.json"
-        path.write_text(json.dumps(manifest))
+    ("random:3", "", "query_split must name at least one split"),
+    ("video_001:3", "", "query_split must name at least one split"),
+    ("bogus", "ABC", "queries: expected VIDEO_ID:FRAME, got 'bogus'"),
+    ("random:0", "ABC", "queries random:N needs N >= 1"),
+    ("random:x", "ABC", "queries 'random:x': expected random:N"),
+    ("video_001:x", "ABC", "queries: bad frame index 'x'"),
+], ids=["unknown-split", "random-empty-split", "explicit-empty-split",
+        "no-frame", "random-0", "random-not-a-number", "frame-not-a-number"])
+def test_replay_names_the_manifest_for_bad_queries_or_query_split(
+        work, tmp_path, capsys, queries, query_split, message):
+    # Both are refused before the dataset is read: exit 1 from the flags,
+    # exit 2 naming the manifest on replay.
+    out = tmp_path / "hits.csv"
+    base = ["retrieve", "--data", str(work / "data"),
+            "--model", str(work / "enc.ckpt"), "--out", str(out)]
+    with mock.patch.object(cli, "load_dataset", _no_dataset):
+        assert main([*base, "--queries", queries,
+                     "--query-split", query_split]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    assert main([*base, "--queries", "random:2"]) == 0
+    manifest = read_manifest(str(out) + ".manifest.json")
+    manifest["run"].update(queries=queries, query_split=query_split)
+    before = out.read_bytes()
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    with mock.patch.object(cli, "load_dataset", _no_dataset):
         assert main(["replay", str(path)]) == 2
-        assert f"{path}: {message}" in capsys.readouterr().err
-        assert out.read_bytes() == before
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert out.read_bytes() == before
 
 
 # The replay fuzzer: real manifests of every command with one to three

@@ -426,9 +426,12 @@ def test_dataset_manifest_cross_checks(tmp_path, rng):
             load_dataset(root)
         manifest_path.write_text(json.dumps(good))
 
-    corrupt(lambda m: m.__setitem__("format", "other"), "not a dataset")
+    corrupt(lambda m: m.__setitem__("format", "other"),
+            "format must be 'tempcoh-dataset', got 'other'")
     corrupt(lambda m: m.__setitem__("version", 2), "version")
-    corrupt(lambda m: m.pop("fps"), "missing key")
+    corrupt(lambda m: m.__setitem__("version", True),
+            "version must be 1, got True")
+    corrupt(lambda m: m.pop("fps"), "fps is missing")
     corrupt(lambda m: m["videos"][0].__setitem__("num_frames", 1), "frames")
     corrupt(lambda m: m.__setitem__("feature_dim", 9), "feature dim")
     corrupt(lambda m: m.__setitem__("fps", 30.0), "fps")
@@ -447,7 +450,8 @@ def _outside_features(root, manifest):
 
 @pytest.mark.parametrize("edit,problem", [
     (lambda root, m: m.__setitem__("num_phases", "seven"), "num_phases must be"),
-    (lambda root, m: m["videos"][0].pop("video_id"), "lacks 'video_id'"),
+    (lambda root, m: m["videos"][0].pop("video_id"),
+     r"videos\[0\]\.video_id is missing"),
     (_outside_features, "outside the dataset directory"),
     (lambda root, m: m["videos"][1].__setitem__(
         "labels", str(root / m["videos"][1]["labels"])),
@@ -579,6 +583,17 @@ def test_dataset_type_validation():
         data.split("Q")
     with pytest.raises(KeyError):
         data.by_id("missing")
+    # `labeled_split` refuses what `split` refuses, and a video without labels.
+    with pytest.raises(DataFormatError, match="^dataset: split 'A' holds no "
+                       "videos$"):
+        data.labeled_split("A")
+    with pytest.raises(DataFormatError, match="^dataset: video 'a' in split "
+                       "'AB' has no labels$"):
+        data.labeled_split("A", "B")
+    labeled = FrameSequence("c", np.zeros((2, 2), dtype=np.float32), 5.0,
+                            np.zeros(2, dtype=np.int32))
+    data = Dataset([seq, labeled], {"a": "B", "c": "D"}, 2, 5.0)
+    assert data.labeled_split("D") == [labeled]
 
 
 def _dataset_with_id(rng, video_id):
@@ -891,14 +906,17 @@ def test_checkpoint_metadata_not_an_object_names_the_file(tmp_path, rng, loader)
 def test_checkpoint_non_integer_layer_size_names_the_file(tmp_path, rng, loader, size):
     path = tmp_path / "ck.ckpt"
     _edited_checkpoint(path, rng, loader, _set_first_size(size))
-    with pytest.raises(CheckpointError, match="must be an integer") as err:
+    with pytest.raises(CheckpointError, match="layer_sizes must be a list of "
+                       "at least two integers >= 1") as err:
         loader(path)
     assert str(path) in str(err.value)
 
 
 @pytest.mark.parametrize("loader,edit,what", [
-    (load_encoder, _set_first_size(0), r"layer_sizes\[0\]"),
-    (load_phase_model, _set_first_size(0), r"encoder_layer_sizes\[0\]"),
+    (load_encoder, _set_first_size(0), r"metadata\.layer_sizes must be a list "
+     r"of at least two integers >= 1, got \[0, 6, 3\]"),
+    (load_phase_model, _set_first_size(0), r"metadata\.encoder_layer_sizes must "
+     r"be a list of at least two integers >= 1, got \[0, 6, 3\]"),
     (load_phase_model, _set("hidden_size", 0), "hidden_size"),
     (load_phase_model, _set("num_phases", 1), "num_phases")],
     ids=["encoder-layer", "phase-layer", "hidden", "phases"])
