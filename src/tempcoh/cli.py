@@ -39,7 +39,8 @@ from .data_io import (SPLIT_NAMES, atomic_write_text, fnum,  # noqa: F401
 from .errors import CheckpointError, DataFormatError, TempcohError, UsageError
 from .experiments import (BASELINE, LABEL_BUDGETS, PRETRAIN_SPLITS, TEST_SPLIT,
                           check_label_budget, finetune_stage,
-                          make_pretrain_config, pretrain_stage, run_arm)
+                          make_pretrain_config, pretrain_stage,
+                          pretrain_videos, run_arm)
 from .metrics import HEADLINE, MetricSummary
 from .models import PhaseModel
 from .retrieval import phase_agreement, retrieval_report
@@ -170,10 +171,13 @@ def _run_eval(resolved, run, paths) -> list[Path]:
 def _run_compare(resolved, run, paths) -> list[Path]:
     dataset = load_dataset(paths["data"])
     methods = list(run["methods"])
-    # The sampler, the one stage that needs the dataset, is checked for
-    # every method before the first arm trains.
+    # The sampler, the one stage that needs the dataset, and the lengths of
+    # the videos it samples are checked for every method before the first
+    # arm trains.
     configs = {m: make_pretrain_config(resolved, m, dataset.fps)
                for m in methods}
+    for cfg in configs.values():
+        pretrain_videos(dataset, cfg)
     run["delta_seconds_by_method"] = {
         m: cfg.sampler.delta_seconds for m, cfg in configs.items()}
     # So are the labeled sets every arm fine-tunes on and the test split
@@ -221,7 +225,8 @@ def _run_compare(resolved, run, paths) -> list[Path]:
 
 def _parse_queries(spec: str) -> int | list[tuple[str, int]]:
     """The syntax of a `queries` value: N for `random:N`, otherwise its
-    (video id, frame) pairs; a ValueError for a value of neither form."""
+    (video id, frame) pairs; a ValueError for a value of neither form or a
+    negative frame."""
     if spec.startswith("random:"):
         try:
             count = int(spec.split(":", 1)[1])
@@ -236,16 +241,21 @@ def _parse_queries(spec: str) -> int | list[tuple[str, int]]:
             raise ValueError(f"queries: expected VIDEO_ID:FRAME, got {part!r}")
         vid, frame_text = part.rsplit(":", 1)
         try:
-            pairs.append((vid, int(frame_text)))
+            frame = int(frame_text)
         except ValueError as exc:
             raise ValueError(f"queries: bad frame index {frame_text!r}") from exc
+        if frame < 0:
+            raise ValueError(f"queries: frame index {frame} of {vid!r} must "
+                             f"be >= 0")
+        pairs.append((vid, frame))
     return pairs
 
 
 def _queries(spec: str, dataset, query_split: str, seed: int):
     """(video, frame) of each query of `spec`: drawn from the videos of
     `query_split` for `random:N`, otherwise looked up by id; a ValueError
-    naming `dataset.json` for an id it does not hold."""
+    naming `dataset.json` for an id it does not hold or a frame past the
+    end of its video."""
     parsed = _parse_queries(spec)
     if isinstance(parsed, int):
         pool = dataset.split(*query_split)
@@ -258,19 +268,26 @@ def _queries(spec: str, dataset, query_split: str, seed: int):
     queries = []
     for vid, frame in parsed:
         try:
-            queries.append((dataset.by_id(vid), frame))
+            video = dataset.by_id(vid)
         except KeyError:
             raise ValueError(f"{dataset.manifest_path}: unknown video id "
                              f"{vid!r}") from None
+        if frame >= video.num_frames:
+            raise ValueError(f"{dataset.manifest_path}: query frame {frame} "
+                             f"out of range for video {vid!r} with "
+                             f"{video.num_frames} frames")
+        queries.append((video, frame))
     return queries
 
 
 def _run_retrieve(resolved, run, paths) -> list[Path]:
     dataset = load_dataset(paths["data"])
+    # A query the dataset cannot answer is refused before the checkpoint
+    # is read.
+    queries = _queries(run["queries"], dataset, run["query_split"], run["seed"])
     _, encoder = _load_checked(paths["model"], ("encoder", "phase_model"),
                                dataset)
     corpus = dataset.split(run["split"])
-    queries = _queries(run["queries"], dataset, run["query_split"], run["seed"])
     results = retrieval_report(encoder, queries, corpus)
     agreement = phase_agreement(results)
     out = Path(paths["out"])
@@ -330,7 +347,7 @@ def _check_ranges(command: str, resolved: dict, run: dict) -> None:
     unknown method, a `finetune` or `compare` with `labeled_sets` that are
     not a label budget, a `compare` with `seeds` below 1 or `methods` empty,
     naming an unknown method or naming one twice, or a `retrieve` with
-    `queries` of neither form `_parse_queries` reads or a `query_split`
+    `queries` that `_parse_queries` refuses or a `query_split`
     that is empty or holds a letter that is not a split. The values
     already have the types `_REQUIRED_TYPES` names."""
     if "seed" in _RUNNERS[command][1] and run["seed"] < 0:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import build_stage, resolve_delta_seconds
-from .data_io import Dataset
-from .errors import allocating
+from .data_io import Dataset, FrameSequence
+from .errors import DataFormatError, allocating
 from .losses import LossConfig
 from .metrics import AggregateReport
 from .models import EncoderModel, ModelConfig, PhaseModel
@@ -68,6 +68,25 @@ def make_pretrain_config(resolved: dict, method: str, fps: float) -> PretrainCon
                           sampler=sampler, **resolved["pretrain"])
 
 
+def pretrain_videos(dataset: Dataset,
+                    cfg: PretrainConfig) -> list[FrameSequence]:
+    """The videos of splits A+B+C, which pretraining samples; a
+    DataFormatError naming the dataset's manifest when they hold none, or
+    naming the first video too short for a frame at the distant offset
+    that `sampler.gamma_seconds` sets."""
+    sampler = cfg.sampler
+    videos = dataset.split(*PRETRAIN_SPLITS)
+    for seq in videos:
+        if seq.num_frames <= sampler.gamma_frames:
+            raise DataFormatError(
+                f"{dataset.manifest_path or 'dataset'}: video "
+                f"{seq.video_id!r} has {seq.num_frames} frames, fewer than "
+                f"the {sampler.gamma_frames + 1} that sampler.gamma_seconds "
+                f"{sampler.gamma_seconds} needs ({sampler.gamma_frames} "
+                f"frames at {dataset.fps} fps)")
+    return videos
+
+
 @dataclass
 class ArmResult:
     """One trained and evaluated arm of the comparison."""
@@ -84,8 +103,8 @@ def pretrain_stage(dataset: Dataset, resolved: dict, seed: int,
                    method: str) -> tuple[EncoderModel, PretrainResult | None]:
     """The encoder that goes into fine-tuning: for BASELINE only initialized
     from lane 0, otherwise initialized from lane 1 and pretrained on splits
-    A+B+C with that same stream; a DataFormatError when A+B+C hold no
-    videos."""
+    A+B+C with that same stream; a DataFormatError from `pretrain_videos`
+    before training."""
     encoder = build_encoder(resolved, dataset.feature_dim)
     if method == BASELINE:
         encoder.init_uniform_fan(np.random.default_rng([seed, 0]))
@@ -93,7 +112,7 @@ def pretrain_stage(dataset: Dataset, resolved: dict, seed: int,
     rng = np.random.default_rng([seed, 1])
     encoder.init_uniform_fan(rng)
     cfg = make_pretrain_config(resolved, method, dataset.fps)
-    return encoder, pretrain(encoder, dataset.split(*PRETRAIN_SPLITS), cfg, rng)
+    return encoder, pretrain(encoder, pretrain_videos(dataset, cfg), cfg, rng)
 
 
 def finetune_stage(dataset: Dataset, resolved: dict, encoder: EncoderModel,

@@ -18,8 +18,10 @@ constants as prebuilt arrays of the model dtype (no float conversion per
 call). A forward step is 10 numpy calls and a backward step 6; see
 `_recurrence` and `_recurrence_backward`. The forward writes the hidden
 and cell states into (T+1)-row histories whose row 0 is the carried-in
-state, so a chunk's cache holds the states before and after each step as
-views of them.
+state. A video's carried state is the plain (h, c) pair of vectors: the
+histories' last rows, copied. A chunk's cache holds only what the backward
+reads, among them the states before each step and the hidden outputs as
+views of the histories.
 
 Adam updates every parameter of a step as one flat array: per element the
 same operations, in the same order, as a per-parameter update. The layout
@@ -196,18 +198,6 @@ class EncoderModel:
                             [b.copy() for b in self.biases])
 
 
-@dataclass
-class LstmState:
-    """Hidden and cell vectors carried between chunks of one video."""
-
-    h: np.ndarray
-    c: np.ndarray
-
-    @classmethod
-    def zeros(cls, hidden_size: int, dtype=DEFAULT_DTYPE) -> "LstmState":
-        return cls(np.zeros(hidden_size, dtype=dtype), np.zeros(hidden_size, dtype=dtype))
-
-
 class PhaseModel:
     """Encoder followed by a single LSTM layer and an affine phase classifier.
 
@@ -288,17 +278,20 @@ class PhaseModel:
         self.encoder.init_uniform_fan(rng)
         return self.init_head_uniform_fan(rng)
 
-    def zero_state(self) -> LstmState:
-        return LstmState.zeros(self.hidden_size, self.dtype)
+    def zero_state(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (h, c) pair a video starts from: two zero vectors."""
+        return (np.zeros(self.hidden_size, dtype=self.dtype),
+                np.zeros(self.hidden_size, dtype=self.dtype))
 
     def parameters(self) -> dict[str, np.ndarray]:
         out = self.encoder.parameters()
         out.update(zip(self.HEAD, self._head()))
         return out
 
-    def _recurrence(self, zx: np.ndarray, state_in: LstmState):
+    def _recurrence(self, zx: np.ndarray, state_in):
         """Run the cell over precomputed input pre-activations zx (T, 4H)
-        from the carried `state_in`, which is read and never written.
+        from the carried (h, c) pair `state_in`, which is read and never
+        written.
 
         Returns (gates, tanh_cs, h_hist, c_hist): row t of the first two and
         row t+1 of the (T+1)-row state histories are the values at step t;
@@ -320,8 +313,7 @@ class PhaseModel:
         tanh_cs = np.empty((n, hs), dtype=dt)
         h_hist = np.empty((n + 1, hs), dtype=dt)
         c_hist = np.empty((n + 1, hs), dtype=dt)
-        h_hist[0] = state_in.h
-        c_hist[0] = state_in.c
+        h_hist[0], c_hist[0] = state_in
         gi, gf = gates[:, :hs], gates[:, hs:2 * hs]
         gg, go = gates[:, 2 * hs:3 * hs], gates[:, 3 * hs:]
         z = np.empty(4 * hs, dtype=dt)
@@ -341,14 +333,15 @@ class PhaseModel:
             np.multiply(go_t, tc_t, h_t)
         return gates, tanh_cs, h_hist, c_hist
 
-    def forward_chunk(self, frames, state_in: LstmState):
-        """Left-to-right pass over consecutive frames of one video.
+    def forward_chunk(self, frames, state_in):
+        """Left-to-right pass over consecutive frames of one video from the
+        (h, c) pair `state_in`.
 
-        Returns (logits of shape (T, num_phases), state after last frame)."""
+        Returns (logits of shape (T, num_phases), (h, c) after last frame)."""
         logits, state, _ = self.forward_chunk_cached(frames, state_in)
         return logits, state
 
-    def forward_chunk_cached(self, frames, state_in: LstmState):
+    def forward_chunk_cached(self, frames, state_in):
         frames = np.asarray(frames, dtype=self.dtype)
         if frames.ndim != 2 or frames.shape[0] == 0:
             raise ValueError("frames must be a non-empty (T, features) array")
@@ -357,10 +350,9 @@ class PhaseModel:
         gates, tanh_cs, h_hist, c_hist = self._recurrence(zx, state_in)
         hs_out = h_hist[1:]
         logits = hs_out @ self.clf_weight.T + self.clf_bias
-        state_out = LstmState(h_hist[-1].copy(), c_hist[-1].copy())
-        cache = (enc_cache, emb, h_hist[:-1], c_hist[:-1], gates, c_hist[1:],
-                 tanh_cs, hs_out)
-        return logits, state_out, cache
+        cache = (enc_cache, emb, h_hist[:-1], c_hist[:-1], gates, tanh_cs,
+                 hs_out)
+        return logits, (h_hist[-1].copy(), c_hist[-1].copy()), cache
 
     def _recurrence_backward(self, dh_seq: np.ndarray, gates: np.ndarray,
                              c_prev: np.ndarray, tanh_cs: np.ndarray) -> np.ndarray:
@@ -401,7 +393,7 @@ class PhaseModel:
 
         The carried-in state is treated as a constant, so no gradient flows
         across chunk boundaries."""
-        enc_cache, emb, h_prev, c_prev, gates, cs, tanh_cs, hs_out = cache
+        enc_cache, emb, h_prev, c_prev, gates, tanh_cs, hs_out = cache
         grad_logits = np.ascontiguousarray(grad_logits)
         clf = (grad_logits.T @ hs_out, grad_logits.sum(axis=0))
         dh_seq = grad_logits @ self.clf_weight

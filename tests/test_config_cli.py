@@ -696,6 +696,10 @@ def test_retrieve_rerun_is_byte_identical(work, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _no_checkpoint(*args):
+    raise AssertionError("the checkpoint was read for a query that is refused")
+
+
 def test_retrieve_query_errors(work, tmp_path, capsys):
     base = ["retrieve", "--data", str(work / "data"),
             "--model", str(work / "enc.ckpt"), "--out", str(tmp_path / "x.csv")]
@@ -703,25 +707,41 @@ def test_retrieve_query_errors(work, tmp_path, capsys):
     assert main([*base, "--queries", "random:joe"]) == 1
     assert main([*base, "--queries", "video_000"]) == 1
     assert main([*base, "--queries", "video_000:one"]) == 1
-    assert main([*base, "--queries", "video_000:99999"]) == 2
     capsys.readouterr()
-    # An id the dataset does not hold names its dataset.json, and on replay
-    # the manifest too.
+    # A negative frame is refused with the syntax. An id the dataset does
+    # not hold, or a frame past the end of its video, names its
+    # dataset.json, and on replay the manifest too. None of them reads the
+    # checkpoint.
     dataset_json = work / "data" / "dataset.json"
-    assert main([*base, "--queries", "ghost:0"]) == 2
-    assert capsys.readouterr().err == (f"error: {dataset_json}: unknown video "
-                                       f"id 'ghost'\n")
-    assert main([*base, "--queries", "video_000:0"]) == 0
+    frames = load_dataset(work / "data").by_id("video_000").num_frames
+    refused = {
+        "video_000:-1": "queries: frame index -1 of 'video_000' must be >= 0",
+        "ghost:0": f"{dataset_json}: unknown video id 'ghost'",
+        "video_000:99999": f"{dataset_json}: query frame 99999 out of range "
+                           f"for video 'video_000' with {frames} frames",
+        f"video_000:{frames}": f"{dataset_json}: query frame {frames} out of "
+                               f"range for video 'video_000' with {frames} "
+                               f"frames",
+    }
+    for queries, message in refused.items():
+        with mock.patch.object(cli, "load_model", _no_checkpoint):
+            code = main([*base, "--queries", queries])
+        assert code == (1 if queries.endswith(":-1") else 2), queries
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
+    assert main([*base, "--queries", f"video_000:0,video_000:{frames - 1}"]) == 0
     manifest = read_manifest(tmp_path / "x.csv.manifest.json")
-    manifest["run"]["queries"] = "nosuch:3"
     path = tmp_path / "edited.json"
-    path.write_text(json.dumps(manifest))
     before = (tmp_path / "x.csv").read_bytes()
     capsys.readouterr()
-    assert main(["replay", str(path)]) == 2
-    assert capsys.readouterr().err == (f"error: {path}: {dataset_json}: unknown "
-                                       f"video id 'nosuch'\n")
-    assert (tmp_path / "x.csv").read_bytes() == before
+    refused["nosuch:3"] = f"{dataset_json}: unknown video id 'nosuch'"
+    for queries, message in refused.items():
+        manifest["run"]["queries"] = queries
+        path.write_text(json.dumps(manifest))
+        with mock.patch.object(cli, "load_model", _no_checkpoint):
+            assert main(["replay", str(path)]) == 2, queries
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert (tmp_path / "x.csv").read_bytes() == before
 
 
 # ------------------------------------------------------------------- flags
@@ -876,6 +896,41 @@ def test_splits_holding_no_videos_exit_2_naming_them(work, sparse_data,
     assert main([*argv, "--data", str(data), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (f"error: {data / 'dataset.json'}: "
                                        f"{message}\n")
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def short_data(tmp_path_factory):
+    """A dataset of videos far shorter than the default distant offset."""
+    data = tmp_path_factory.mktemp("short") / "data"
+    assert main(["synth", "--out", str(data), "--videos", "4",
+                 "--set", "synth.min_duration=1",
+                 "--set", "synth.max_duration=2"]) == 0
+    return data
+
+
+@pytest.mark.parametrize("command", [
+    ["pretrain", "--method", "contrastive"],
+    ["compare", "--seeds", "1", "--methods", "contrastive"],
+], ids=lambda argv: argv[0])
+def test_videos_too_short_for_gamma_exit_2_before_training(
+        short_data, tmp_path, capsys, monkeypatch, command):
+    # The sampler would refuse them too, but only once pretraining starts:
+    # for `compare`, after the baseline arm has trained and been scored.
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained on videos too short for the sampler")
+
+    for stage in ("pretrain", "finetune"):
+        monkeypatch.setattr(experiments, stage, no_training)
+    dataset = load_dataset(short_data)
+    video = dataset.split("A", "B", "C")[0]
+    assert (dataset.fps, DEFAULTS["sampler"]["gamma_seconds"]) == (5.0, 120.0)
+    out = tmp_path / "out"
+    assert main([*command, "--data", str(short_data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {short_data / 'dataset.json'}: video {video.video_id!r} has "
+        f"{video.num_frames} frames, fewer than the 601 that "
+        f"sampler.gamma_seconds 120.0 needs (600 frames at 5.0 fps)\n")
     assert not out.exists()
 
 
@@ -1422,8 +1477,10 @@ def _no_dataset(*args):
     ("random:0", "ABC", "queries random:N needs N >= 1"),
     ("random:x", "ABC", "queries 'random:x': expected random:N"),
     ("video_001:x", "ABC", "queries: bad frame index 'x'"),
+    ("video_001:-1", "ABC", "queries: frame index -1 of 'video_001' must be >= 0"),
 ], ids=["unknown-split", "random-empty-split", "explicit-empty-split",
-        "no-frame", "random-0", "random-not-a-number", "frame-not-a-number"])
+        "no-frame", "random-0", "random-not-a-number", "frame-not-a-number",
+        "frame-negative"])
 def test_replay_names_the_manifest_for_bad_queries_or_query_split(
         work, tmp_path, capsys, queries, query_split, message):
     # Both are refused before the dataset is read: exit 1 from the flags,

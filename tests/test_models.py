@@ -9,7 +9,6 @@ from gradcheck import param_rel_error, rel_error
 from tempcoh.models import (
     AdamState,
     EncoderModel,
-    LstmState,
     PhaseModel,
     adam_step,
     softmax_cross_entropy_batch,
@@ -282,9 +281,12 @@ def test_lstm_zero_weights_zero_state():
     model = PhaseModel.create(EncoderModel.create(3, [], 2), 4, 3)
     logits, state = model.forward_chunk(np.array([[0.7, -0.2, 0.4]]),
                                         model.zero_state())
+    h0, c0 = model.zero_state()
+    assert _same_bits(h0, np.zeros(4, np.float32)) and _same_bits(c0, h0)
     assert np.array_equal(logits, np.zeros((1, 3)))
-    assert np.array_equal(state.h, np.zeros(4))
-    assert np.array_equal(state.c, np.zeros(4))
+    h, c = state
+    assert np.array_equal(h, np.zeros(4))
+    assert np.array_equal(c, np.zeros(4))
 
 
 def test_lstm_zero_weights_carried_cell():
@@ -292,10 +294,10 @@ def test_lstm_zero_weights_carried_cell():
     # is 0, so c' = c/2 and h' = tanh(c/2)/2.
     model = PhaseModel.create(EncoderModel.create(3, [], 2), 4, 3,)
     v = np.array([1.0, -2.0, 0.5, 3.0], dtype=np.float32)
-    _, state = model.forward_chunk(np.zeros((1, 3)),
-                                   LstmState(np.zeros(4, np.float32), v))
-    assert np.allclose(state.c, 0.5 * v, atol=1e-7)
-    assert np.allclose(state.h, 0.5 * np.tanh(0.5 * v), atol=1e-7)
+    _, (h, c) = model.forward_chunk(np.zeros((1, 3)),
+                                    (np.zeros(4, np.float32), v))
+    assert np.allclose(c, 0.5 * v, atol=1e-7)
+    assert np.allclose(h, 0.5 * np.tanh(0.5 * v), atol=1e-7)
 
 
 def test_lstm_step_gradients_match_finite_differences(rng):
@@ -329,8 +331,8 @@ def test_chunked_forward_equals_whole_sequence(rng):
             start += size
         stitched = np.concatenate(parts)
         assert np.max(np.abs(stitched - whole)) <= 1e-5
-        assert np.max(np.abs(state.h - state_whole.h)) <= 1e-5
-        assert np.max(np.abs(state.c - state_whole.c)) <= 1e-5
+        for got, want in zip(state, state_whole):  # h, then c
+            assert np.max(np.abs(got - want)) <= 1e-5
 
 
 def test_carried_state_affects_second_chunk(rng):
@@ -363,11 +365,10 @@ def _reference_forward_chunk(model, frames, state_in):
     n = frames.shape[0]
     hs = model.hidden_size
     zx = emb @ model.lstm_w_input.T + model.lstm_bias
-    h, c = state_in.h.copy(), state_in.c.copy()
+    h, c = state_in[0].copy(), state_in[1].copy()
     h_prev = np.empty((n, hs), dtype=model.dtype)
     c_prev = np.empty((n, hs), dtype=model.dtype)
     gates = np.empty((n, 4 * hs), dtype=model.dtype)
-    cs = np.empty((n, hs), dtype=model.dtype)
     tanh_cs = np.empty((n, hs), dtype=model.dtype)
     hs_out = np.empty((n, hs), dtype=model.dtype)
     for t in range(n):
@@ -383,16 +384,15 @@ def _reference_forward_chunk(model, frames, state_in):
         c = gf * c + gi * gg
         tc = np.tanh(c)
         h = go * tc
-        cs[t] = c
         tanh_cs[t] = tc
         hs_out[t] = h
     logits = hs_out @ model.clf_weight.T + model.clf_bias
-    cache = (enc_cache, emb, h_prev, c_prev, gates, cs, tanh_cs, hs_out)
-    return logits, LstmState(h.copy(), c.copy()), cache
+    cache = (enc_cache, emb, h_prev, c_prev, gates, tanh_cs, hs_out)
+    return logits, (h.copy(), c.copy()), cache
 
 
 def _reference_backward_chunk(model, cache, grad_logits):
-    enc_cache, emb, h_prev, c_prev, gates, cs, tanh_cs, hs_out = cache
+    enc_cache, emb, h_prev, c_prev, gates, tanh_cs, hs_out = cache
     n, hs = hs_out.shape
     grads = {
         "classifier.weight": grad_logits.T @ hs_out,
@@ -438,23 +438,25 @@ def test_lstm_chunk_loops_match_reference_bitwise(rng, n, dtype, grad_dtype):
     model.lstm_w_input *= 8
     model.lstm_w_hidden *= 8
     frames = (3.0 * rng.normal(size=(n, 16))).astype(dtype)
-    state_in = LstmState(rng.normal(size=64).astype(dtype),
-                         rng.normal(size=64).astype(dtype))
-    h_in, c_in = state_in.h.copy(), state_in.c.copy()
+    state_in = (rng.normal(size=64).astype(dtype),
+                rng.normal(size=64).astype(dtype))
+    h_in, c_in = state_in[0].copy(), state_in[1].copy()
 
     logits, state, cache = model.forward_chunk_cached(frames, state_in)
     ref_logits, ref_state, ref_cache = _reference_forward_chunk(
-        model, frames, LstmState(h_in.copy(), c_in.copy()))
+        model, frames, (h_in.copy(), c_in.copy()))
 
     sigmoids = np.delete(ref_cache[4], np.s_[2 * 64:3 * 64], axis=1)  # not tanh
     assert (sigmoids < 0.5).any() and (sigmoids > 0.5).any()
     assert _same_bits(logits, ref_logits)
-    assert _same_bits(state.h, ref_state.h) and _same_bits(state.c, ref_state.c)
+    assert len(state) == len(ref_state) == 2
+    assert all(map(_same_bits, state, ref_state))
+    assert len(cache) == len(ref_cache) == 7
     for (a_in, z), (r_in, r_z) in zip(cache[0], ref_cache[0]):
         assert _same_bits(a_in, r_in) and _same_bits(z, r_z)
     for got, want in zip(cache[1:], ref_cache[1:]):
         assert _same_bits(got, want)
-    assert _same_bits(state_in.h, h_in) and _same_bits(state_in.c, c_in)
+    assert _same_bits(state_in[0], h_in) and _same_bits(state_in[1], c_in)
 
     grad_logits = rng.normal(size=logits.shape).astype(grad_dtype)
     grads = model.backward_chunk(cache, grad_logits)
@@ -474,7 +476,7 @@ def test_gates_equal_logistic_sigmoid_and_tanh_of_pre_activations(rng):
     model.lstm_w_hidden *= 8
     frames = 3.0 * rng.normal(size=(50, 5))
     _, _, cache = model.forward_chunk_cached(frames, model.zero_state())
-    _, emb, h_prev, _, gates, _, _, _ = cache
+    _, emb, h_prev, _, gates, _, _ = cache
     z = emb @ model.lstm_w_input.T + model.lstm_bias + h_prev @ model.lstm_w_hidden.T
     sigmoids, cand = np.r_[0:16, 24:32], slice(16, 24)
     logistic = 1.0 / (1.0 + np.exp(-z[:, sigmoids]))
@@ -488,8 +490,8 @@ def test_forward_chunk_state_out_does_not_alias_cache(rng):
     frames = rng.normal(size=(6, 4))
     _, state, cache = model.forward_chunk_cached(frames, model.zero_state())
     before = [arr.copy() for arr in cache[1:]]
-    state.h += 1.0
-    state.c += 1.0
+    for vector in state:  # h, then c
+        vector += 1.0
     for got, want in zip(cache[1:], before):
         assert _same_bits(got, want)
 
