@@ -31,11 +31,11 @@ from .config import (PRESETS, check_ranges, check_resolved_config,
 # and `load_phase_model` stay bound here, unused, because the benchmark
 # (perfbench/layers.py) patches the training stages and wraps every
 # `data_io` loader and saver by name in this module.
-from .data_io import (SPLIT_NAMES, atomic_write_text, fnum,  # noqa: F401
-                      is_int, is_object, json_value, load_checkpoint,
-                      load_dataset, load_encoder, load_model, load_phase_model,
-                      read_json, save_dataset, save_encoder, save_phase_model,
-                      write_csv)
+from .data_io import (SPLIT_NAMES, atomic_write_text,  # noqa: F401
+                      check_split, fnum, is_int, is_object, json_value,
+                      load_checkpoint, load_dataset, load_encoder, load_model,
+                      load_phase_model, read_json, save_dataset, save_encoder,
+                      save_phase_model, write_csv)
 from .errors import CheckpointError, DataFormatError, TempcohError, UsageError
 from .experiments import (BASELINE, LABEL_BUDGETS, PRETRAIN_SPLITS, TEST_SPLIT,
                           check_label_budget, finetune_stage,
@@ -43,10 +43,10 @@ from .experiments import (BASELINE, LABEL_BUDGETS, PRETRAIN_SPLITS, TEST_SPLIT,
                           pretrain_videos, run_arm)
 from .metrics import HEADLINE, MetricSummary
 from .models import PhaseModel
-from .retrieval import phase_agreement, retrieval_report
-from .synthetic import SynthConfig, generate_dataset
-from .training import (PRETRAIN_METHODS, evaluate, finetune,  # noqa: F401
-                       pretrain)
+from .retrieval import check_query_frame, phase_agreement, retrieval_report
+from .synthetic import SynthConfig, check_video_count, generate_dataset
+from .training import (PRETRAIN_METHODS, check_method,  # noqa: F401
+                       evaluate, finetune, pretrain)
 
 MANIFEST_FORMAT = "tempcoh-run"
 MANIFEST_VERSION = 1
@@ -272,10 +272,7 @@ def _queries(spec: str, dataset, query_split: str, seed: int):
         except KeyError:
             raise ValueError(f"{dataset.manifest_path}: unknown video id "
                              f"{vid!r}") from None
-        if frame >= video.num_frames:
-            raise ValueError(f"{dataset.manifest_path}: query frame {frame} "
-                             f"out of range for video {vid!r} with "
-                             f"{video.num_frames} frames")
+        check_query_frame(video, frame, f"{dataset.manifest_path}: ")
         queries.append((video, frame))
     return queries
 
@@ -323,8 +320,6 @@ _RUNNERS = {
     "retrieve": (_run_retrieve, ("seed", "queries", "split", "query_split"),
                  ("data", "model", "out"), ".manifest.json"),
 }
-# Path arguments, made absolute in `paths`; `init` is finetune's optional one.
-_PATH_ARGS = ("data", "model", "init", "out")
 
 # (test, what) of each `run` or `paths` value a runner requires, for
 # `json_value`; every other one is a string.
@@ -343,30 +338,33 @@ def _check_ranges(command: str, resolved: dict, run: dict) -> None:
     """The one check before a run starts: a ValueError for a run value out
     of range, then for a config value out of its stage's range
     (`config.check_ranges`). A run value is out of range for a `seed`
-    below 0, a `synth` with fewer than 4 videos, a `pretrain` with an
-    unknown method, a `finetune` or `compare` with `labeled_sets` that are
-    not a label budget, a `compare` with `seeds` below 1 or `methods` empty,
-    naming an unknown method or naming one twice, or a `retrieve` with
-    `queries` that `_parse_queries` refuses or a `query_split`
-    that is empty or holds a letter that is not a split. The values
-    already have the types `_REQUIRED_TYPES` names."""
-    if "seed" in _RUNNERS[command][1] and run["seed"] < 0:
+    below 0, `labeled_sets` that are not a label budget, a `split` that is
+    not one split letter (`data_io.check_split`), a `synth` with fewer
+    videos than splits (`synthetic.check_video_count`), an unknown
+    pretraining method (`training.check_method`), a `compare` with `seeds`
+    below 1 or `methods` empty or naming one twice, or a `retrieve` with
+    `queries` that `_parse_queries` refuses or a `query_split` that is
+    empty or holds a letter that is not a split. An owner's message is
+    prefixed with its run key. The values already have the types
+    `_REQUIRED_TYPES` names."""
+    keys = _RUNNERS[command][1]
+    if "seed" in keys and run["seed"] < 0:
         raise ValueError(f"seed must be at least 0, got {run['seed']}")
-    if "labeled_sets" in _RUNNERS[command][1]:
+    if "labeled_sets" in keys:
         check_label_budget(tuple(run["labeled_sets"]))
+    if "split" in keys:
+        check_split(run["split"], "split: ")
     if command == "synth":
-        if run["videos"] < 4:
-            raise ValueError(f"videos must be at least 4 (A/B/C/D split), "
-                             f"got {run['videos']}")
+        check_video_count(run["videos"], "videos: ")
     elif command == "pretrain":
-        _check_methods([run["method"]])
+        check_method(run["method"], "method: ")
     elif command == "compare":
         if run["seeds"] < 1:
             raise ValueError(f"seeds must be at least 1, got {run['seeds']}")
         if not run["methods"]:
             raise ValueError("methods must name at least one method")
-        _check_methods(run["methods"])
         for i, m in enumerate(run["methods"]):
+            check_method(m, "methods: ")
             if m in run["methods"][:i]:
                 raise ValueError(f"methods name {m!r} twice")
     elif command == "retrieve":
@@ -374,16 +372,8 @@ def _check_ranges(command: str, resolved: dict, run: dict) -> None:
         if not run["query_split"]:
             raise ValueError("query_split must name at least one split")
         for letter in run["query_split"]:
-            if letter not in SPLIT_NAMES:
-                raise ValueError(f"query_split: unknown split {letter!r}")
+            check_split(letter, "query_split: ")
     check_ranges(resolved)
-
-
-def _check_methods(methods: list[str]) -> None:
-    for m in methods:
-        if m not in PRETRAIN_METHODS:
-            raise ValueError(f"unknown method {m!r}; expected methods "
-                             f"from {sorted(PRETRAIN_METHODS)}")
 
 
 def _artifact_version(outputs: list[Path]) -> str:
@@ -420,7 +410,7 @@ def _execute(command: str, resolved: dict, run: dict, paths: dict,
 def _run_command(args) -> int:
     """Run `args.command` from its parsed arguments."""
     command = args.command
-    _, run_keys, _, manifest_suffix = _RUNNERS[command]
+    _, run_keys, path_keys, manifest_suffix = _RUNNERS[command]
     run = {key: getattr(args, key) for key in run_keys}
     resolved = (resolve_config(args.preset, args.config, args.set)
                 if "preset" in args else resolve_config())
@@ -428,8 +418,8 @@ def _run_command(args) -> int:
         _check_ranges(command, resolved, run)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    paths = {key: str(Path(value).resolve()) if value else None
-             for key, value in vars(args).items() if key in _PATH_ARGS}
+    paths = {key: str(Path(getattr(args, key)).resolve())
+             if getattr(args, key) else None for key in path_keys}
     return _execute(command, resolved, run, paths,
                     Path(paths["out"] + manifest_suffix))
 
@@ -569,7 +559,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (TempcohError, OSError, ValueError, KeyError) as exc:
+    except (TempcohError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

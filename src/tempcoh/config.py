@@ -34,7 +34,8 @@ from .losses import LossConfig
 from .models import ModelConfig
 from .sampling import SamplerConfig
 from .synthetic import SynthConfig
-from .training import PRETRAIN_METHODS, FinetuneConfig, PretrainConfig
+from .training import (PRETRAIN_METHODS, FinetuneConfig, PretrainConfig,
+                       check_method)
 
 
 _INT64 = range(-2**63, 2**63)
@@ -236,10 +237,10 @@ def check_ranges(resolved: dict) -> None:
 
 
 def resolve_delta_seconds(resolved: dict, method: str) -> float:
-    """Fill in the method-dependent delta default; explicit values win."""
+    """Fill in the method-dependent delta default; explicit values win. A
+    ValueError from `training.check_method` for an unknown method."""
     value = resolved["sampler"]["delta_seconds"]
     if value is not None:
         return float(value)
-    if method not in PRETRAIN_METHODS:
-        raise UsageError(f"unknown pretraining method {method!r}")
+    check_method(method)
     return PRETRAIN_METHODS[method][1]

@@ -27,8 +27,10 @@ place after construction.
 `cli.py`/`config.py`: a key that is absent, or a value that fails its test,
 raises an error naming the file and the value's JSON path, in the form
 `<file>: <path> is missing` or `<file>: <path> must be <what>, got <value>`.
-`Dataset.split` and `Dataset.labeled_split` own the refusal of a split
-selection that holds no videos or, for the second, a video without labels.
+`check_split` owns the split letters, for the splits file, a `Dataset` and
+the CLI alike. `Dataset.split` and `Dataset.labeled_split` own the refusal
+of a split selection that holds no videos or, for the second, a video
+without labels.
 
 All writers go through a temp file of their own in the target's directory
 plus os.replace, so a crash never leaves a half-written file under the final
@@ -61,6 +63,14 @@ LABELS_HEADER = "frame_index,phase_id"
 PHASE_ID_MAX = int(np.iinfo(np.int32).max)  # labels load as int32
 # How far a feature file's float32 fps may lie from its manifest's fps.
 FPS_TOLERANCE = 1e-5
+
+
+def check_split(name: str, where: str = "", error=ValueError) -> None:
+    """Raise `error`, its message prefixed `where`, unless `name` is one of
+    SPLIT_NAMES."""
+    if name not in SPLIT_NAMES:
+        raise error(f"{where}unknown split {name!r}, expected one of "
+                    f"{SPLIT_NAMES}")
 
 
 @dataclass
@@ -106,14 +116,18 @@ class Dataset:
     manifest_path: Path | None = None  # the dataset.json it was loaded from
 
     def __post_init__(self):
-        ids = [v.video_id for v in self.videos]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate video ids")
-        if set(self.splits) != set(ids):
-            raise ValueError("splits must assign exactly the dataset's video ids")
-        bad = sorted(set(self.splits.values()) - set(SPLIT_NAMES))
-        if bad:
-            raise ValueError(f"unknown split name(s) {bad}; expected {SPLIT_NAMES}")
+        ids = {}  # a dict keeps the videos' order
+        for v in self.videos:
+            if v.video_id in ids:
+                raise ValueError(f"duplicate video id {v.video_id!r}")
+            ids[v.video_id] = v
+        for vid in (*ids, *self.splits):
+            if (vid in ids) != (vid in self.splits):
+                problem = "not in splits" if vid in ids else "not a video"
+                raise ValueError(f"splits must assign exactly the dataset's "
+                                 f"video ids; {vid!r} is {problem}")
+        for name in self.splits.values():
+            check_split(name)
 
     @property
     def feature_dim(self) -> int:
@@ -124,8 +138,7 @@ class Dataset:
         order; a DataFormatError naming the dataset's manifest and the
         split letters when they hold none."""
         for n in names:
-            if n not in SPLIT_NAMES:
-                raise ValueError(f"unknown split name {n!r}")
+            check_split(n)
         videos = [v for v in self.videos if self.splits[v.video_id] in names]
         if not videos:
             raise DataFormatError(f"{self.manifest_path or 'dataset'}: split "
@@ -453,9 +466,7 @@ def load_splits(path) -> dict[str, str]:
         if len(parts) != 2:
             raise DataFormatError(f"{path}: line {ln}: expected 'video_id,set'")
         vid, name = parts[0].strip(), parts[1].strip()
-        if name not in SPLIT_NAMES:
-            raise DataFormatError(f"{path}: line {ln}: unknown split {name!r}, "
-                                  f"expected one of {SPLIT_NAMES}")
+        check_split(name, f"{path}: line {ln}: ", DataFormatError)
         if vid in out:
             raise DataFormatError(f"{path}: line {ln}: duplicate video id {vid!r}")
         out[vid] = name

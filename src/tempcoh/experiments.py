@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import build_stage, resolve_delta_seconds
 from .data_io import Dataset, FrameSequence
-from .errors import DataFormatError, allocating
+from .errors import allocating
 from .losses import LossConfig
 from .metrics import AggregateReport
 from .models import EncoderModel, ModelConfig, PhaseModel
@@ -71,19 +71,13 @@ def make_pretrain_config(resolved: dict, method: str, fps: float) -> PretrainCon
 def pretrain_videos(dataset: Dataset,
                     cfg: PretrainConfig) -> list[FrameSequence]:
     """The videos of splits A+B+C, which pretraining samples; a
-    DataFormatError naming the dataset's manifest when they hold none, or
-    naming the first video too short for a frame at the distant offset
-    that `sampler.gamma_seconds` sets."""
-    sampler = cfg.sampler
+    DataFormatError naming the dataset's manifest when they hold none, or a
+    NoValidDistantFrame naming it and the first video too short for a
+    frame at the distant offset (`SamplerConfig.check_length`)."""
     videos = dataset.split(*PRETRAIN_SPLITS)
     for seq in videos:
-        if seq.num_frames <= sampler.gamma_frames:
-            raise DataFormatError(
-                f"{dataset.manifest_path or 'dataset'}: video "
-                f"{seq.video_id!r} has {seq.num_frames} frames, fewer than "
-                f"the {sampler.gamma_frames + 1} that sampler.gamma_seconds "
-                f"{sampler.gamma_seconds} needs ({sampler.gamma_frames} "
-                f"frames at {dataset.fps} fps)")
+        cfg.sampler.check_length(seq.num_frames, seq.video_id,
+                                 f"{dataset.manifest_path or 'dataset'}: ")
     return videos
 
 
@@ -91,8 +85,6 @@ def pretrain_videos(dataset: Dataset,
 class ArmResult:
     """One trained and evaluated arm of the comparison."""
 
-    seed: int
-    method: str  # BASELINE or a pretraining method name
     encoder: EncoderModel  # state going into fine-tuning (pretrained or random)
     report: AggregateReport
     finetune_log: FinetuneResult
@@ -103,8 +95,8 @@ def pretrain_stage(dataset: Dataset, resolved: dict, seed: int,
                    method: str) -> tuple[EncoderModel, PretrainResult | None]:
     """The encoder that goes into fine-tuning: for BASELINE only initialized
     from lane 0, otherwise initialized from lane 1 and pretrained on splits
-    A+B+C with that same stream; a DataFormatError from `pretrain_videos`
-    before training."""
+    A+B+C with that same stream; `pretrain_videos`' refusals come before
+    training."""
     encoder = build_encoder(resolved, dataset.feature_dim)
     if method == BASELINE:
         encoder.init_uniform_fan(np.random.default_rng([seed, 0]))
@@ -145,4 +137,4 @@ def run_arm(dataset: Dataset, resolved: dict, labeled_sets: tuple[str, ...],
     model, finetune_log = finetune_stage(dataset, resolved, encoder,
                                          labeled_sets, seed)
     report = evaluate(model, dataset.labeled_split(TEST_SPLIT)).report
-    return ArmResult(seed, method, encoder, report, finetune_log, pretrain_log)
+    return ArmResult(encoder, report, finetune_log, pretrain_log)

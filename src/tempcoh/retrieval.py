@@ -64,6 +64,14 @@ def embed_corpus(encoder: EncoderModel,
     return [encoder.forward(seq.features).astype(np.float64) for seq in corpus]
 
 
+def check_query_frame(seq: FrameSequence, frame: int, where: str = "") -> None:
+    """A ValueError, its message prefixed `where`, unless `frame` is a
+    frame of `seq`."""
+    if not 0 <= frame < seq.num_frames:
+        raise ValueError(f"{where}query frame {frame} out of range for video "
+                         f"{seq.video_id!r} with {seq.num_frames} frames")
+
+
 def retrieval_report(encoder: EncoderModel,
                      queries: list[tuple[FrameSequence, int]],
                      corpus: list[FrameSequence]) -> list[RetrievalResult]:
@@ -73,9 +81,7 @@ def retrieval_report(encoder: EncoderModel,
     embedded = {id(seq): emb for seq, emb in zip(corpus, corpus_embeddings)}
     results = []
     for seq, frame in queries:
-        if not 0 <= frame < seq.num_frames:
-            raise ValueError(f"query frame {frame} out of range for video "
-                             f"{seq.video_id!r} with {seq.num_frames} frames")
+        check_query_frame(seq, frame)
         if id(seq) not in embedded:
             embedded[id(seq)] = encoder.forward(seq.features).astype(np.float64)
         q = embedded[id(seq)][frame]

@@ -22,6 +22,10 @@ until it lands in range. One generator call draws a value for every row:
 an epoch schedule takes its anchors, near offsets and distant offsets with
 one `integers` call each, then shuffles with one `permutation`, whatever
 its size. A single tuple is a one-row draw through the same kernel.
+
+`SamplerConfig.check_length` owns the rule that a video must hold a frame
+at the distant offset; the sampler and `experiments.pretrain_videos` both
+refuse through it, in its words.
 """
 
 from __future__ import annotations
@@ -69,6 +73,19 @@ class SamplerConfig:
     def gamma_frames(self) -> int:
         return round(self.gamma_seconds * self.fps)
 
+    def check_length(self, num_frames: int, video_id=None,
+                     where: str = "") -> None:
+        """NoValidDistantFrame, its message prefixed `where`, unless a
+        video of `num_frames` frames holds two frames `gamma_frames` apart;
+        the message names the video and `sampler.gamma_seconds`."""
+        if num_frames <= self.gamma_frames:
+            video = "a video" if video_id is None else f"video {video_id!r}"
+            raise NoValidDistantFrame(
+                f"{where}{video} has {num_frames} frames, fewer than the "
+                f"{self.gamma_frames + 1} that sampler.gamma_seconds "
+                f"{self.gamma_seconds} needs ({self.gamma_frames} frames at "
+                f"{self.fps} fps)")
+
 
 @dataclass(frozen=True)
 class SampledTuple:
@@ -88,16 +105,6 @@ class EpochSchedule:
 
     def __len__(self) -> int:
         return len(self.video)
-
-
-def _check_length(num_frames: int, gamma_f: int) -> None:
-    if num_frames < 1:
-        raise ValueError("num_frames must be >= 1")
-    if num_frames - 1 < gamma_f:
-        raise NoValidDistantFrame(
-            f"sequence of {num_frames} frames has no frame at distance "
-            f">= {gamma_f} frames"
-        )
 
 
 def _draw(last, cfg: SamplerConfig, rng, second_order: bool) -> np.ndarray:
@@ -133,7 +140,7 @@ def _draw(last, cfg: SamplerConfig, rng, second_order: bool) -> np.ndarray:
 
 def sample_first_order(num_frames: int, cfg: SamplerConfig, rng) -> SampledTuple:
     """Draw one (t, t+D, t+G) tuple."""
-    _check_length(num_frames, cfg.gamma_frames)
+    cfg.check_length(num_frames)
     row = _draw(num_frames - 1, cfg, rng, second_order=False)
     return SampledTuple("first", tuple(row.tolist()))
 
@@ -155,10 +162,7 @@ def build_epoch_schedule(
     if order not in ("first", "second"):
         raise ValueError(f"order must be 'first' or 'second', got {order!r}")
     for video_id, num_frames in videos:
-        try:
-            _check_length(num_frames, cfg.gamma_frames)
-        except NoValidDistantFrame as exc:
-            raise NoValidDistantFrame(f"video {video_id!r}: {exc}") from exc
+        cfg.check_length(num_frames, video_id)
     per_video = cfg.tuples_per_video
     named = f"sampler.tuples_per_video {per_video} for {len(videos)} videos"
     if len(videos) * per_video >= 2**63:

@@ -14,6 +14,8 @@ made, the scales for features beyond float32. `SynthConfig` itself refuses a
 `num_phases * max_duration` beyond int64, naming both keys as an overflow,
 and a `skip_probability` at which a video keeps at least two of its
 `num_phases` phases with probability below MIN_KEEP_TWO, naming both keys.
+`check_video_count` owns the least number of videos a dataset is generated
+with, one per split, for `generate_dataset` and the CLI's `synth` alike.
 """
 
 from __future__ import annotations
@@ -78,6 +80,14 @@ SCALE_KEYS = ("prototype_scale", "drift_step", "noise_std")
 MIN_KEEP_TWO = 1e-6
 
 
+def check_video_count(n_videos: int, where: str = "") -> None:
+    """A ValueError, its message prefixed `where`, unless `n_videos` gives
+    every split of SPLIT_NAMES a video."""
+    if n_videos < len(SPLIT_NAMES):
+        raise ValueError(f"{where}need at least {len(SPLIT_NAMES)} videos for "
+                         f"an {'/'.join(SPLIT_NAMES)} split, got {n_videos}")
+
+
 def _named(cfg: SynthConfig, keys: tuple[str, ...]) -> str:
     """`keys` with their values in `cfg`, as the `synth` config section names them."""
     *head, last = (f"synth.{key} {getattr(cfg, key)!r}" for key in keys)
@@ -127,11 +137,10 @@ def generate_dataset(cfg: SynthConfig, n_videos: int, rng) -> Dataset:
     with a larger n_videos reproduces the smaller dataset's videos as a
     prefix.
 
-    A float overflow raises a ValueError naming SCALE_KEYS, and a size that
-    cannot be allocated a MemoryError naming SIZE_KEYS."""
-    if n_videos < 4:
-        raise ValueError(f"need at least 4 videos for an A/B/C/D split, "
-                         f"got {n_videos}")
+    Fewer videos than splits raise a ValueError (`check_video_count`), a
+    float overflow a ValueError naming SCALE_KEYS, and a size that cannot
+    be allocated a MemoryError naming SIZE_KEYS."""
+    check_video_count(n_videos)
     rng = np.random.default_rng(rng)
     try:
         # numpy's overflow warning, raised as an error here, stops generation

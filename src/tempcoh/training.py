@@ -35,6 +35,14 @@ PRETRAIN_METHODS = {
 }
 
 
+def check_method(method: str, where: str = "") -> None:
+    """A ValueError, its message prefixed `where`, unless `method` names a
+    pretraining method."""
+    if method not in PRETRAIN_METHODS:
+        raise ValueError(f"{where}unknown pretraining method {method!r}; "
+                         f"expected one of {sorted(PRETRAIN_METHODS)}")
+
+
 @dataclass(frozen=True)
 class PretrainConfig:
     """Self-supervised pretraining settings.
@@ -52,9 +60,7 @@ class PretrainConfig:
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
 
     def __post_init__(self):
-        if self.method not in PRETRAIN_METHODS:
-            raise ValueError(f"unknown pretraining method {self.method!r}; "
-                             f"expected one of {sorted(PRETRAIN_METHODS)}")
+        check_method(self.method)
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
@@ -73,7 +79,6 @@ class PretrainConfig:
 
 @dataclass
 class PretrainResult:
-    method: str
     epoch_losses: list[float]
     tuples_per_epoch: int
 
@@ -129,7 +134,7 @@ def pretrain(encoder: EncoderModel, videos: list[FrameSequence],
             total = encoder.backward(cache, upstream)
             adam_step(encoder.parameters(), total, adam)
         history.append(loss_sum / len(schedule))
-    return PretrainResult(cfg.method, history, tuples_per_epoch)
+    return PretrainResult(history, tuples_per_epoch)
 
 
 @dataclass(frozen=True)

@@ -161,7 +161,8 @@ def test_delta_default_depends_on_method():
     explicit = resolve_config(set_flags=["sampler.delta_seconds=7.5"])
     for method in ("contrastive", "ranking", "contrastive2"):
         assert resolve_delta_seconds(explicit, method) == 7.5
-    with pytest.raises(UsageError, match="unknown pretraining method"):
+    with pytest.raises(ValueError, match="^unknown pretraining method "
+                       "'triplet'; expected one of "):
         resolve_delta_seconds(resolved, "triplet")
 
 
@@ -1392,7 +1393,8 @@ def test_replay_names_the_manifest_for_too_few_synth_videos(work, tmp_path,
     out = work / "data"
     before = {p: p.read_bytes() for p in out.iterdir()}
     err = replay_malformed(work, tmp_path, capsys, edit)
-    assert f"{tmp_path / 'edited.json'}: videos must be at least 4" in err
+    assert (f"{tmp_path / 'edited.json'}: videos: need at least 4 videos "
+            f"for an A/B/C/D split, got 3") in err
     assert {p: p.read_bytes() for p in out.iterdir()} == before
 
 
@@ -1409,7 +1411,7 @@ def compare_manifest(work, tmp_path_factory):
 @pytest.mark.parametrize("key,value,message", [
     ("seeds", 0, "seeds must be at least 1, got 0"),
     ("methods", [], "methods must name at least one method"),
-    ("methods", ["nope"], "unknown method 'nope'"),
+    ("methods", ["nope"], "methods: unknown pretraining method 'nope'"),
     ("labeled_sets", "D", "labeled sets 'D' are not a label budget"),
     ("labeled_sets", "ABCD", "labeled sets 'ABCD' are not a label budget"),
     ("methods", ["contrastive", "contrastive"],
@@ -1459,7 +1461,8 @@ def test_replay_names_the_manifest_for_unknown_pretrain_method(work, tmp_path,
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(manifest))
     assert main(["replay", str(path)]) == 2
-    assert f"{path}: unknown method {method!r}" in capsys.readouterr().err
+    assert (f"{path}: method: unknown pretraining method {method!r}"
+            in capsys.readouterr().err)
     assert {p: Path(p).read_bytes() for p in manifest["outputs"]} == before
 
 
@@ -1468,7 +1471,8 @@ def _no_dataset(*args):
 
 
 @pytest.mark.parametrize("queries,query_split,message", [
-    ("random:2", "AZ", "query_split: unknown split 'Z'"),
+    ("random:2", "AZ", "query_split: unknown split 'Z', expected one of "
+                       "('A', 'B', 'C', 'D')"),
     # An empty query_split selects no videos, whether or not the queries
     # are drawn from it.
     ("random:3", "", "query_split must name at least one split"),
@@ -1504,6 +1508,26 @@ def test_replay_names_the_manifest_for_bad_queries_or_query_split(
         assert main(["replay", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
     assert out.read_bytes() == before
+
+
+@pytest.mark.parametrize("split", ["Z", "", "AB"])
+@pytest.mark.parametrize("command", ["eval", "retrieve"])
+def test_replay_names_the_manifest_for_a_split_that_is_not_a_split_letter(
+        replay_sources, tmp_path, capsys, command, split):
+    # `--split` takes only a split letter; a replayed `split` is refused by
+    # the pre-run check, before the dataset or the checkpoint is read.
+    manifest = copy.deepcopy(replay_sources[command])
+    manifest["run"]["split"] = split
+    before = {p: Path(p).read_bytes() for p in manifest["outputs"]}
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(manifest))
+    with mock.patch.object(cli, "load_dataset", _no_dataset):
+        assert main(["replay", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: split: unknown split {split!r}, expected one of "
+        f"('A', 'B', 'C', 'D')\n")
+    assert {p: Path(p).read_bytes() for p in manifest["outputs"]} == before
+    assert path.read_text() == json.dumps(manifest)
 
 
 # The replay fuzzer: real manifests of every command with one to three

@@ -436,6 +436,18 @@ def test_dataset_manifest_cross_checks(tmp_path, rng):
     corrupt(lambda m: m.__setitem__("feature_dim", 9), "feature dim")
     corrupt(lambda m: m.__setitem__("fps", 30.0), "fps")
     corrupt(lambda m: m.__setitem__("num_phases", 1), "num_phases")
+    # The dataset's ids against each other and against the splits file.
+    corrupt(lambda m: m["videos"].__setitem__(1, m["videos"][0]),
+            f"^{manifest_path}: duplicate video id 'video_000'$")
+    corrupt(lambda m: m["videos"].pop(),
+            f"^{manifest_path}: splits must assign exactly the dataset's "
+            f"video ids; 'video_003' is not a video$")
+    splits_path = root / good["splits_file"]
+    splits = splits_path.read_text()
+    splits_path.write_text(splits.replace("video_001,", "video_099,"))
+    corrupt(lambda m: None, f"^{manifest_path}: splits must assign exactly "
+            f"the dataset's video ids; 'video_001' is not in splits$")
+    splits_path.write_text(splits)
     manifest_path.unlink()
     with pytest.raises(DataFormatError, match="not found"):
         load_dataset(root)
