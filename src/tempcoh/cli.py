@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -40,7 +41,7 @@ from .errors import CheckpointError, DataFormatError, TempcohError, UsageError
 from .experiments import (BASELINE, LABEL_BUDGETS, PRETRAIN_SPLITS, TEST_SPLIT,
                           check_label_budget, finetune_stage,
                           make_pretrain_config, pretrain_stage,
-                          pretrain_videos, run_arm)
+                          pretrain_videos, run_arms)
 from .metrics import HEADLINE, MetricSummary
 from .models import PhaseModel
 from .retrieval import check_query_frame, phase_agreement, retrieval_report
@@ -171,54 +172,55 @@ def _run_eval(resolved, run, paths) -> list[Path]:
 def _run_compare(resolved, run, paths) -> list[Path]:
     dataset = load_dataset(paths["data"])
     methods = list(run["methods"])
+    budgets = _label_budgets(run["labeled_sets"])
     # The sampler, the one stage that needs the dataset, and the lengths of
     # the videos it samples are checked for every method before the first
-    # arm trains.
+    # arm trains. `run_arms` checks the labeled sets and the test split.
     configs = {m: make_pretrain_config(resolved, m, dataset.fps)
                for m in methods}
     for cfg in configs.values():
         pretrain_videos(dataset, cfg)
     run["delta_seconds_by_method"] = {
         m: cfg.sampler.delta_seconds for m, cfg in configs.items()}
-    # So are the labeled sets every arm fine-tunes on and the test split
-    # every arm is scored on: `labeled_split` refuses a selection of no
-    # videos or one holding a video without labels.
-    dataset.labeled_split(*run["labeled_sets"])
-    dataset.labeled_split(TEST_SPLIT)
     seeds = [run["seed"] + i for i in range(run["seeds"])]
+    arm_names = [BASELINE, *methods]
     values = {}
     for seed in seeds:
-        for method in [BASELINE, *methods]:
-            report = run_arm(dataset, resolved, tuple(run["labeled_sets"]),
-                             seed, method).report
-            values[(method, seed)] = {m: getattr(report, m).mean
-                                      for m in HEADLINE}
+        for method in arm_names:
+            arms = run_arms(dataset, resolved, [tuple(b) for b in budgets],
+                            seed, method)
+            for budget, arm in zip(budgets, arms):
+                values[(budget, seed, method)] = {
+                    **{m: getattr(arm.report, m).mean for m in HEADLINE},
+                    "epochs_run": arm.finetune_log.epochs_run,
+                    "stopped_early": arm.finetune_log.stopped_early}
     out_dir = Path(paths["out"])
 
     per_seed_csv = out_dir / "per_seed.csv"
-    write_csv(per_seed_csv, ["seed", "method", *HEADLINE],
-              ([seed, method, *row.values()]
-               for (method, seed), row in values.items()))
+    write_csv(per_seed_csv, ["budget", "seed", "method", *HEADLINE,
+                             "epochs_run", "stopped_early"],
+              ([*key, *values[key].values()]
+               for key in itertools.product(budgets, seeds, arm_names)))
 
     summary_rows = []
-    table = [["method", *HEADLINE, "Δf1"]]
-    for method in [BASELINE, *methods]:
-        summaries = {m: MetricSummary.of([values[(method, s)][m] for s in seeds])
-                     for m in HEADLINE}
+    table = [["budget", "method", *HEADLINE, "Δf1"]]
+    for budget, method in itertools.product(budgets, arm_names):
+        summaries = {m: MetricSummary.of(
+            [values[(budget, s, method)][m] for s in seeds]) for m in HEADLINE}
         improvement = float(np.mean(
-            [values[(method, s)]["f1"] - values[(BASELINE, s)]["f1"]
+            [values[(budget, s, method)]["f1"] - values[(budget, s, BASELINE)]["f1"]
              for s in seeds]))
-        summary_rows.append([method, *(x for m in HEADLINE for x in (
+        summary_rows.append([budget, method, *(x for m in HEADLINE for x in (
             summaries[m].mean, summaries[m].std)), improvement])
-        table.append([method, *(_cell(summaries[m]) for m in HEADLINE),
+        table.append([budget, method, *(_cell(summaries[m]) for m in HEADLINE),
                       f"{improvement:+.1f}"])
     summary_csv = out_dir / "summary.csv"
-    write_csv(summary_csv, ["method", *(f"{m}_{stat}" for m in HEADLINE
-                                        for stat in ("mean", "std")),
+    write_csv(summary_csv, ["budget", "method",
+                            *(f"{m}_{stat}" for m in HEADLINE
+                              for stat in ("mean", "std")),
                             "f1_improvement"], summary_rows)
     summary_txt = out_dir / "summary.txt"
-    _write_table(summary_txt, f"label budget {run['labeled_sets']}, "
-                              f"{len(seeds)} seed(s), test split {TEST_SPLIT}",
+    _write_table(summary_txt, f"{len(seeds)} seed(s), test split {TEST_SPLIT}",
                  table)
     return [per_seed_csv, summary_csv, summary_txt]
 
@@ -334,12 +336,25 @@ _REQUIRED_TYPES = {
 }
 
 
+def _label_budgets(text: str) -> list[str]:
+    """The label budgets of a `labeled_sets` comma list such as `A,AB,ABC`,
+    in its order; a ValueError for an element that is not a label budget
+    (`experiments.check_label_budget`) or one named twice."""
+    budgets = text.split(",")
+    for i, budget in enumerate(budgets):
+        check_label_budget(tuple(budget))
+        if budget in budgets[:i]:
+            raise ValueError(f"labeled_sets name {budget!r} twice")
+    return budgets
+
+
 def _check_ranges(command: str, resolved: dict, run: dict) -> None:
     """The one check before a run starts: a ValueError for a run value out
     of range, then for a config value out of its stage's range
     (`config.check_ranges`). A run value is out of range for a `seed`
-    below 0, `labeled_sets` that are not a label budget, a `split` that is
-    not one split letter (`data_io.check_split`), a `synth` with fewer
+    below 0, a `finetune` whose `labeled_sets` are not a label budget or a
+    `compare` whose `labeled_sets` `_label_budgets` refuses, a `split` that
+    is not one split letter (`data_io.check_split`), a `synth` with fewer
     videos than splits (`synthetic.check_video_count`), an unknown
     pretraining method (`training.check_method`), a `compare` with `seeds`
     below 1 or `methods` empty or naming one twice, or a `retrieve` with
@@ -350,7 +365,7 @@ def _check_ranges(command: str, resolved: dict, run: dict) -> None:
     keys = _RUNNERS[command][1]
     if "seed" in keys and run["seed"] < 0:
         raise ValueError(f"seed must be at least 0, got {run['seed']}")
-    if "labeled_sets" in keys:
+    if command == "finetune":
         check_label_budget(tuple(run["labeled_sets"]))
     if "split" in keys:
         check_split(run["split"], "split: ")
@@ -359,6 +374,7 @@ def _check_ranges(command: str, resolved: dict, run: dict) -> None:
     elif command == "pretrain":
         check_method(run["method"], "method: ")
     elif command == "compare":
+        _label_budgets(run["labeled_sets"])
         if run["seeds"] < 1:
             raise ValueError(f"seeds must be at least 1, got {run['seeds']}")
         if not run["methods"]:
@@ -498,14 +514,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain", help="self-supervised encoder pretraining")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--method", required=True,
-                   choices=sorted(PRETRAIN_METHODS))
+                   help=f"pretraining method: "
+                        f"{'|'.join(sorted(PRETRAIN_METHODS))}")
     p.add_argument("--out", required=True, help="encoder checkpoint path")
     _add_config(p)
 
     p = sub.add_parser("finetune", help="supervised phase-model training")
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--labeled-sets", required=True, choices=LABEL_BUDGETS,
-                   dest="labeled_sets", help="label budget")
+    p.add_argument("--labeled-sets", required=True, dest="labeled_sets",
+                   help=f"label budget: {'|'.join(LABEL_BUDGETS)}")
     p.add_argument("--init", default=None,
                    help="encoder checkpoint to start from (omit for the "
                         "no-pretraining baseline)")
@@ -515,7 +532,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a phase model on one split")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--model", required=True, help="phase-model checkpoint")
-    p.add_argument("--split", default=TEST_SPLIT, choices=SPLIT_NAMES)
+    p.add_argument("--split", default=TEST_SPLIT,
+                   help=f"split to score: {'|'.join(SPLIT_NAMES)} "
+                        f"(default: %(default)s)")
     p.add_argument("--out", required=True,
                    help="report CSV path (text table at PATH.txt)")
 
@@ -524,8 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--seeds", type=int, required=True,
                    help="number of seeds (base seed from --seed)")
-    p.add_argument("--labeled-sets", default="A", choices=LABEL_BUDGETS,
-                   dest="labeled_sets", help="label budget (default: A)")
+    p.add_argument("--labeled-sets", default="A", dest="labeled_sets",
+                   help=f"comma list of label budgets, each "
+                        f"{'|'.join(LABEL_BUDGETS)} (default: %(default)s)")
     p.add_argument("--methods", required=True, type=_method_list,
                    help="comma list of pretraining methods")
     p.add_argument("--out", required=True, help="output directory")
@@ -537,8 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="encoder or phase-model checkpoint")
     p.add_argument("--queries", required=True,
                    help="'VIDEO_ID:FRAME,...' or 'random:N'")
-    p.add_argument("--split", default=TEST_SPLIT, choices=SPLIT_NAMES,
-                   help="corpus split (default: %(default)s)")
+    p.add_argument("--split", default=TEST_SPLIT,
+                   help=f"corpus split: {'|'.join(SPLIT_NAMES)} "
+                        f"(default: %(default)s)")
     p.add_argument("--query-split", default="".join(PRETRAIN_SPLITS),
                    dest="query_split", help="splits random queries are drawn "
                                             "from (default: %(default)s)")

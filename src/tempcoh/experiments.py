@@ -7,11 +7,13 @@ was obtained: freshly initialized (baseline) or initialized and pretrained.
 RNG streams are derived as default_rng([seed, lane]) with lane 0 for the
 baseline encoder, 1 for pretraining, 2 for fine-tuning. The single-step
 `pretrain` and `finetune` commands run the same two stages, so one seed
-trains one model whichever entry point runs it.
+trains one model whichever entry point runs it. Fine-tuning reads a copy of
+the encoder, so one pretrained encoder serves every label budget.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,12 +131,31 @@ def finetune_stage(dataset: Dataset, resolved: dict, encoder: EncoderModel,
     return model, result
 
 
+def run_arms(dataset: Dataset, resolved: dict,
+             budgets: Sequence[tuple[str, ...]], seed: int,
+             method: str) -> list[ArmResult]:
+    """One arm per label budget, in the order of `budgets`, each evaluated
+    on the test split. Every budget and the test split are checked before
+    any training: a ValueError for labeled sets outside LABEL_BUDGETS, a
+    DataFormatError for a selection of no videos or one holding a video
+    without labels. The encoder is pretrained once and each budget
+    fine-tunes a copy of it, so each arm is bit for bit the arm of a run
+    of its budget alone."""
+    for labeled_sets in budgets:
+        check_label_budget(labeled_sets)
+        dataset.labeled_split(*labeled_sets)
+    test = dataset.labeled_split(TEST_SPLIT)
+    encoder, pretrain_log = pretrain_stage(dataset, resolved, seed, method)
+    arms = []
+    for labeled_sets in budgets:
+        model, finetune_log = finetune_stage(dataset, resolved, encoder,
+                                             labeled_sets, seed)
+        arms.append(ArmResult(encoder, evaluate(model, test).report,
+                              finetune_log, pretrain_log))
+    return arms
+
+
 def run_arm(dataset: Dataset, resolved: dict, labeled_sets: tuple[str, ...],
             seed: int, method: str) -> ArmResult:
     """Train one arm end to end and evaluate it on the test split."""
-    check_label_budget(labeled_sets)
-    encoder, pretrain_log = pretrain_stage(dataset, resolved, seed, method)
-    model, finetune_log = finetune_stage(dataset, resolved, encoder,
-                                         labeled_sets, seed)
-    report = evaluate(model, dataset.labeled_split(TEST_SPLIT)).report
-    return ArmResult(encoder, report, finetune_log, pretrain_log)
+    return run_arms(dataset, resolved, (labeled_sets,), seed, method)[0]

@@ -166,8 +166,11 @@ class FinetuneConfig:
 @dataclass
 class FinetuneResult:
     epoch_accuracies: list[float]  # fractions, collected while training
-    epochs_run: int
     stopped_early: bool
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.epoch_accuracies)
 
 
 def finetune(model: PhaseModel, videos: list[FrameSequence],
@@ -200,9 +203,7 @@ def finetune(model: PhaseModel, videos: list[FrameSequence],
     epoch_frames = sum(v.num_frames for v in videos)
     history: list[float] = []
     stopped = False
-    epochs_run = 0
     for epoch in range(cfg.max_epochs):
-        epochs_run = epoch + 1
         visit = [videos[int(vi)] for vi in rng.permutation(len(videos))]
         chunks = [(seq, start) for seq in visit
                   for start in range(0, seq.num_frames, cfg.batch_frames)]
@@ -236,7 +237,7 @@ def finetune(model: PhaseModel, videos: list[FrameSequence],
         if accuracy > cfg.stop_train_accuracy:
             stopped = True
             break
-    return FinetuneResult(history, epochs_run, stopped)
+    return FinetuneResult(history, stopped)
 
 
 def predict_sequence(model: PhaseModel, seq: FrameSequence) -> np.ndarray:

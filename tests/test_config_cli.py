@@ -441,7 +441,10 @@ def test_pretrain_unknown_method_exit_1(work, tmp_path, capsys):
     code = main(["pretrain", "--data", str(work / "data"),
                  "--method", "triplet", "--out", str(tmp_path / "e.ckpt")])
     assert code == 1
-    assert "invalid choice" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: method: unknown pretraining method 'triplet'; expected one "
+        "of ['contrastive', 'contrastive2', 'ranking']\n")
+    assert not (tmp_path / "e.ckpt").exists()
 
 
 # ---------------------------------------------------------------- finetune
@@ -498,7 +501,10 @@ def test_finetune_bad_labeled_sets_exit_1(work, tmp_path, capsys):
     code = main(["finetune", "--data", str(work / "data"),
                  "--labeled-sets", "Q", "--out", str(tmp_path / "x.ckpt")])
     assert code == 1
-    assert "invalid choice" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: labeled sets 'Q' are not a label budget; expected one of "
+        "['A', 'AB', 'ABC']\n")
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 # -------------------------------------------------------------------- eval
@@ -546,7 +552,10 @@ def test_eval_bad_split_exit_1(work, tmp_path, capsys):
                  "--model", str(work / "model.ckpt"), "--split", "E",
                  "--out", str(tmp_path / "r.csv")])
     assert code == 1
-    capsys.readouterr()
+    assert capsys.readouterr().err == (
+        "error: split: unknown split 'E', expected one of "
+        "('A', 'B', 'C', 'D')\n")
+    assert not (tmp_path / "r.csv").exists()
 
 
 # ----------------------------------------------------------------- compare
@@ -559,29 +568,40 @@ def test_compare_summarizes_baseline_and_methods(work, tmp_path):
                  "--set", "pretrain.epochs=1",
                  "--set", "finetune.max_epochs=2"]) == 0
     per_seed = (out / "per_seed.csv").read_text().splitlines()
-    assert per_seed[0] == "seed,method,accuracy,macro_recall,macro_precision,f1"
+    assert per_seed[0] == ("budget,seed,method,accuracy,macro_recall,"
+                           "macro_precision,f1,epochs_run,stopped_early")
     assert len(per_seed) == 1 + 2 * 2  # (baseline + 1 method) x 2 seeds
     f1 = {}
     for row in per_seed[1:]:
         cells = row.split(",")
-        f1[(cells[1], int(cells[0]))] = float(cells[5])
+        assert cells[0] == "A"
+        # Two epochs at most; a run that stopped early ran fewer.
+        assert (cells[7], cells[8]) in {("2", "False"), ("1", "True"),
+                                        ("2", "True")}
+        f1[(cells[2], int(cells[1]))] = float(cells[6])
     assert set(m for m, _ in f1) == {"baseline", "contrastive2"}
     assert set(s for _, s in f1) == {11, 12}
 
     summary = (out / "summary.csv").read_text().splitlines()
-    assert summary[0] == ("method,accuracy_mean,accuracy_std,"
+    assert summary[0] == ("budget,method,accuracy_mean,accuracy_std,"
                           "macro_recall_mean,macro_recall_std,"
                           "macro_precision_mean,macro_precision_std,"
                           "f1_mean,f1_std,f1_improvement")
     assert len(summary) == 1 + 2  # baseline row + one method row
-    rows = {line.split(",")[0]: line.split(",") for line in summary[1:]}
+    rows = {line.split(",")[1]: line.split(",") for line in summary[1:]}
+    assert {row[0] for row in rows.values()} == {"A"}
     assert float(rows["baseline"][-1]) == 0.0
     expected = np.mean([f1[("contrastive2", s)] - f1[("baseline", s)]
                         for s in (11, 12)])
     assert float(rows["contrastive2"][-1]) == expected
     mean_f1 = np.mean([f1[("contrastive2", s)] for s in (11, 12)])
-    assert float(rows["contrastive2"][7]) == mean_f1
-    assert (out / "summary.txt").read_text().startswith("label budget A")
+    assert float(rows["contrastive2"][8]) == mean_f1
+    text = (out / "summary.txt").read_text().splitlines()
+    assert text[0] == "2 seed(s), test split D"
+    assert text[1].split() == ["budget", "method", "accuracy", "macro_recall",
+                               "macro_precision", "f1", "Δf1"]
+    assert [line.split()[:2] for line in text[2:]] == [
+        ["A", "baseline"], ["A", "contrastive2"]]
     run = read_manifest(out / "run_manifest.json")["run"]
     assert run["delta_seconds_by_method"] == {"contrastive2": 15.0}
 
@@ -600,7 +620,10 @@ def test_compare_checks_every_stage_before_the_first_arm(work, tmp_path, capsys,
     def no_arm(*args):
         raise AssertionError("an arm trained before the settings were checked")
 
-    monkeypatch.setattr(cli, "run_arm", no_arm)
+    # `compare` trains each arm through `experiments.run_arms`, which starts
+    # every arm at these two stages.
+    for stage in ("pretrain_stage", "finetune_stage"):
+        monkeypatch.setattr(experiments, stage, no_arm)
     out = tmp_path / "cmp"
     assert main(["compare", "--data", str(work / "data"), "--seeds", "1",
                  "--methods", "contrastive2", "--out", str(out),
@@ -622,6 +645,113 @@ def test_compare_usage_errors(work, tmp_path, capsys):
                  "--out", str(tmp_path / "x")]) == 1
     assert "methods name 'contrastive2' twice" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+# A short sweep: 2 seeds at base seed 11, one pretraining epoch and at most
+# two fine-tuning epochs per arm.
+SWEEP = ["--seeds", "2", "--seed", "11", "--set", "pretrain.epochs=1",
+         "--set", "finetune.max_epochs=2"]
+COMPARE_OUTPUTS = ("per_seed.csv", "summary.csv", "summary.txt")
+
+
+@pytest.fixture(scope="module")
+def sweep(work, tmp_path_factory):
+    """The output directories of a `compare` sweep over budgets A and AB
+    (`sweep`) and of a plain run of each budget (`A`, `AB`)."""
+    root = tmp_path_factory.mktemp("sweep")
+    for name, budgets in (("sweep", "A,AB"), ("A", "A"), ("AB", "AB")):
+        assert main(["compare", "--data", str(work / "data"), *SWEEP,
+                     "--methods", "contrastive2", "--labeled-sets", budgets,
+                     "--out", str(root / name)]) == 0
+    return root
+
+
+def test_compare_sweep_rows_are_the_rows_of_each_budget_alone(sweep, work,
+                                                              tmp_path):
+    for name in ("per_seed.csv", "summary.csv"):
+        header, *rows = (sweep / "sweep" / name).read_text().splitlines()
+        alone = {b: (sweep / b / name).read_text().splitlines()
+                 for b in ("A", "AB")}
+        assert alone["A"][0] == alone["AB"][0] == header
+        # Ordered by budget, then seed, then method.
+        assert rows == alone["A"][1:] + alone["AB"][1:]
+    per_seed = [row.split(",") for row in
+                (sweep / "sweep" / "per_seed.csv").read_text().splitlines()[1:]]
+    assert [row[:3] for row in per_seed] == [
+        [b, s, m] for b in ("A", "AB") for s in ("11", "12")
+        for m in ("baseline", "contrastive2")]
+    # The table's cells are those of the two plain runs, under one title.
+    tables = {b: (sweep / b / "summary.txt").read_text().splitlines()
+              for b in ("sweep", "A", "AB")}
+    assert [line.split() for line in tables["sweep"]] == [
+        line.split() for line in tables["A"] + tables["AB"][2:]]
+    manifest = read_manifest(sweep / "sweep" / "run_manifest.json")
+    assert manifest["run"]["labeled_sets"] == "A,AB"
+    # A baseline row records the fine-tuning outcome that `finetune`
+    # records for the same seed and budget.
+    out = tmp_path / "model.ckpt"
+    assert main(["finetune", "--data", str(work / "data"), "--seed", "12",
+                 "--labeled-sets", "AB", "--set", "finetune.max_epochs=2",
+                 "--out", str(out)]) == 0
+    run = read_manifest(str(out) + ".manifest.json")["run"]
+    row = next(r for r in per_seed if r[:3] == ["AB", "12", "baseline"])
+    assert row[7:] == [str(run["epochs_run"]), str(run["stopped_early"])]
+
+
+@pytest.mark.parametrize("budgets", ["A", "A,AB,ABC"])
+def test_compare_pretrains_once_per_seed_and_method(work, tmp_path,
+                                                    monkeypatch, budgets):
+    calls = []
+    real_pretrain = experiments.pretrain
+
+    def counting(encoder, videos, cfg, rng):
+        calls.append(cfg.method)
+        return real_pretrain(encoder, videos, cfg, rng)
+
+    monkeypatch.setattr(experiments, "pretrain", counting)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--data", str(work / "data"), *SWEEP,
+                 "--methods", "contrastive,contrastive2",
+                 "--labeled-sets", budgets, "--out", str(out)]) == 0
+    assert calls == ["contrastive", "contrastive2"] * 2
+    rows = (out / "per_seed.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(budgets.split(",")) * 2 * 3
+
+
+def test_compare_sweep_replays_byte_identically(sweep):
+    out = sweep / "sweep"
+    before = {name: (out / name).read_bytes() for name in COMPARE_OUTPUTS}
+    version = read_manifest(out / "run_manifest.json")["artifact_version"]
+    for name in COMPARE_OUTPUTS:
+        (out / name).unlink()
+    assert main(["replay", str(out / "run_manifest.json")]) == 0
+    assert {name: (out / name).read_bytes()
+            for name in COMPARE_OUTPUTS} == before
+    assert read_manifest(out / "run_manifest.json")["artifact_version"] == \
+        version
+
+
+@pytest.mark.parametrize("budgets,message", [
+    ("A,D", "labeled sets 'D' are not a label budget; expected one of "
+            "['A', 'AB', 'ABC']"),
+    ("A,A", "labeled_sets name 'A' twice"),
+    ("A,", "labeled sets '' are not a label budget; expected one of "
+           "['A', 'AB', 'ABC']"),
+], ids=["test-split", "repeated", "empty"])
+def test_compare_refuses_a_bad_budget_list_exit_1(work, tmp_path, capsys,
+                                                  monkeypatch, budgets,
+                                                  message):
+    def no_dataset(*args):
+        raise AssertionError("the dataset was read before the budgets were "
+                             "checked")
+
+    monkeypatch.setattr(cli, "load_dataset", no_dataset)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--data", str(work / "data"), "--seeds", "1",
+                 "--methods", "contrastive", "--labeled-sets", budgets,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- retrieve
@@ -855,11 +985,15 @@ def unlabeled_data(work, tmp_path_factory):
     ("retrieve-random", "split 'AD' holds no videos"),
     ("compare-A", "split 'A' holds no videos"),
     ("compare-AB", "split 'D' holds no videos"),
+    ("compare-A,AB", "split 'A' holds no videos"),
     ("pretrain", "split 'ABC' holds no videos"),
     ("finetune-AB-unlabeled", "video {B!r} in split 'AB' has no labels"),
     ("eval-unlabeled", "video {D!r} in split 'D' has no labels"),
     ("compare-A-unlabeled", "video {D!r} in split 'D' has no labels"),
     ("compare-AB-unlabeled", "video {B!r} in split 'AB' has no labels"),
+    # Budget A holds only labeled videos: the sweep's second budget is
+    # checked before the first budget's arm trains.
+    ("compare-A,AB-unlabeled", "video {B!r} in split 'AB' has no labels"),
 ])
 def test_splits_holding_no_videos_exit_2_naming_them(work, sparse_data,
                                                      d_only_data, unlabeled_data,
@@ -869,7 +1003,8 @@ def test_splits_holding_no_videos_exit_2_naming_them(work, sparse_data,
     def no_arm(*args):
         raise AssertionError("an arm trained on a split it cannot use")
 
-    monkeypatch.setattr(cli, "run_arm", no_arm)
+    for stage in ("pretrain_stage", "finetune_stage"):
+        monkeypatch.setattr(experiments, stage, no_arm)
     argv = {
         "finetune": ["finetune", "--labeled-sets", "A"],
         "finetune-AB": ["finetune", "--labeled-sets", "AB"],
@@ -883,6 +1018,8 @@ def test_splits_holding_no_videos_exit_2_naming_them(work, sparse_data,
                       "--labeled-sets", "A"],
         "compare-AB": ["compare", "--seeds", "1", "--methods", "contrastive",
                        "--labeled-sets", "AB"],
+        "compare-A,AB": ["compare", "--seeds", "1", "--methods", "contrastive",
+                         "--labeled-sets", "A,AB"],
         "pretrain": ["pretrain", "--method", "contrastive"],
     }[command.removesuffix("-unlabeled")]
     # Splits A, B and C hold no videos of `d_only_data`, and splits A and D
@@ -1419,8 +1556,14 @@ def compare_manifest(work, tmp_path_factory):
     ("seed", -1, "seed must be at least 0, got -1"),
     # The budget is checked before `compare` selects the labeled videos.
     ("labeled_sets", "", "labeled sets '' are not a label budget"),
+    # Each budget of a sweep is checked, and none may repeat.
+    ("labeled_sets", "A,D", "labeled sets 'D' are not a label budget"),
+    ("labeled_sets", "A,A", "labeled_sets name 'A' twice"),
+    ("labeled_sets", "A,", "labeled sets '' are not a label budget"),
 ], ids=["zero-seeds", "no-methods", "unknown-method", "test-split-labels",
-        "all-split-labels", "repeated-method", "negative-seed", "no-labels"])
+        "all-split-labels", "repeated-method", "negative-seed", "no-labels",
+        "sweep-test-split-labels", "sweep-repeated-budget",
+        "sweep-empty-budget"])
 def test_replay_names_the_manifest_for_out_of_range_compare_run(
         compare_manifest, tmp_path, capsys, key, value, message):
     manifest = read_manifest(compare_manifest)

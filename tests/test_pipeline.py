@@ -1,6 +1,6 @@
 """One training pipeline, pinned to the bit.
 
-`compare` (through `experiments.run_arm`) and the single-step CLI commands
+`compare` (through `experiments.run_arms`) and the single-step CLI commands
 run the same stage functions on the same random streams, so a CLI chain
 trains, bit for bit, the model of the `compare` arm with its seed.
 
