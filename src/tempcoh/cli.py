@@ -39,9 +39,8 @@ from .data_io import (SPLIT_NAMES, atomic_write_text,  # noqa: F401
                       save_phase_model, write_csv)
 from .errors import CheckpointError, DataFormatError, TempcohError, UsageError
 from .experiments import (BASELINE, LABEL_BUDGETS, PRETRAIN_SPLITS, TEST_SPLIT,
-                          check_label_budget, finetune_stage,
-                          make_pretrain_config, pretrain_stage,
-                          pretrain_videos, run_arms)
+                          check_label_budget, finetune_stage, pretrain_stage,
+                          run_arms)
 from .metrics import HEADLINE, MetricSummary
 from .models import PhaseModel
 from .retrieval import check_query_frame, phase_agreement, retrieval_report
@@ -171,44 +170,33 @@ def _run_eval(resolved, run, paths) -> list[Path]:
 
 def _run_compare(resolved, run, paths) -> list[Path]:
     dataset = load_dataset(paths["data"])
-    methods = list(run["methods"])
     budgets = _label_budgets(run["labeled_sets"])
-    # The sampler, the one stage that needs the dataset, and the lengths of
-    # the videos it samples are checked for every method before the first
-    # arm trains. `run_arms` checks the labeled sets and the test split.
-    configs = {m: make_pretrain_config(resolved, m, dataset.fps)
-               for m in methods}
-    for cfg in configs.values():
-        pretrain_videos(dataset, cfg)
-    run["delta_seconds_by_method"] = {
-        m: cfg.sampler.delta_seconds for m, cfg in configs.items()}
     seeds = [run["seed"] + i for i in range(run["seeds"])]
-    arm_names = [BASELINE, *methods]
-    values = {}
-    for seed in seeds:
-        for method in arm_names:
-            arms = run_arms(dataset, resolved, [tuple(b) for b in budgets],
-                            seed, method)
-            for budget, arm in zip(budgets, arms):
-                values[(budget, seed, method)] = {
-                    **{m: getattr(arm.report, m).mean for m in HEADLINE},
-                    "epochs_run": arm.finetune_log.epochs_run,
-                    "stopped_early": arm.finetune_log.stopped_early}
+    arm_names = [BASELINE, *run["methods"]]
+    arms = run_arms(dataset, resolved, budgets, seeds, arm_names)
+    run["delta_seconds_by_method"] = {
+        m: resolve_delta_seconds(resolved, m) for m in run["methods"]}
+
+    def mean(key, metric):
+        return getattr(arms[key].report, metric).mean
+
     out_dir = Path(paths["out"])
 
     per_seed_csv = out_dir / "per_seed.csv"
     write_csv(per_seed_csv, ["budget", "seed", "method", *HEADLINE,
                              "epochs_run", "stopped_early"],
-              ([*key, *values[key].values()]
+              ([*key, *(mean(key, m) for m in HEADLINE),
+                arms[key].finetune_log.epochs_run,
+                arms[key].finetune_log.stopped_early]
                for key in itertools.product(budgets, seeds, arm_names)))
 
     summary_rows = []
     table = [["budget", "method", *HEADLINE, "Δf1"]]
     for budget, method in itertools.product(budgets, arm_names):
         summaries = {m: MetricSummary.of(
-            [values[(budget, s, method)][m] for s in seeds]) for m in HEADLINE}
+            [mean((budget, s, method), m) for s in seeds]) for m in HEADLINE}
         improvement = float(np.mean(
-            [values[(budget, s, method)]["f1"] - values[(budget, s, BASELINE)]["f1"]
+            [mean((budget, s, method), "f1") - mean((budget, s, BASELINE), "f1")
              for s in seeds]))
         summary_rows.append([budget, method, *(x for m in HEADLINE for x in (
             summaries[m].mean, summaries[m].std)), improvement])
@@ -402,6 +390,17 @@ def _artifact_version(outputs: list[Path]) -> str:
 
 def _execute(command: str, resolved: dict, run: dict, paths: dict,
              manifest_path: Path) -> int:
+    # A command whose manifest goes inside `out` writes a directory there,
+    # the others a file; an `out` of the other kind is refused before any
+    # work.
+    out = Path(paths["out"])
+    if _RUNNERS[command][3].startswith("/"):
+        if out.exists() and not out.is_dir():
+            raise NotADirectoryError(f"{out}: not a directory, but {command} "
+                                     f"writes a directory there")
+    elif out.is_dir():
+        raise IsADirectoryError(f"{out}: a directory, but {command} writes "
+                                f"a file there")
     started = time.perf_counter()
     outputs = _RUNNERS[command][0](resolved, run, paths)
     manifest = {

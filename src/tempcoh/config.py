@@ -126,7 +126,9 @@ def _convert(section: str, key: str, raw: str, where: str):
 
 
 def parse_config_file(path) -> dict[tuple[str, str], object]:
-    """Read and type-check a config file into {(section, key): value}."""
+    """Read and type-check a config file into {(section, key): value}; a
+    UsageError naming the file for one that cannot be read, is not UTF-8 or
+    does not parse."""
     path = Path(path)
     if not path.exists():
         raise UsageError(f"config file {path} not found")
@@ -134,7 +136,7 @@ def parse_config_file(path) -> dict[tuple[str, str], object]:
                                        interpolation=None)
     try:
         parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
-    except configparser.Error as exc:
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise UsageError(f"config file {path}: {exc}") from exc
     out: dict[tuple[str, str], object] = {}
     # `parser.items()` yields `[DEFAULT]` first, so its keys are refused as

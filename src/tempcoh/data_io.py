@@ -550,18 +550,21 @@ def save_dataset(directory, dataset: Dataset) -> list[Path]:
     return [path, splits_path, *video_files]
 
 
-def _member_path(directory: Path, doc: dict, key: str, manifest_path,
-                 at: str = "") -> Path:
+def _member_path(directory: Path, root: Path, doc: dict, key: str,
+                 manifest_path, at: str = "") -> Path:
     """`directory / doc[key]` for a relative path to a file inside
-    `directory`; `at` is the JSON path of `doc`, as for `json_value`."""
+    `directory`, also once its symlinks are followed: its resolved path
+    lies under `root`, the resolved `directory`. `at` is the JSON path of
+    `doc`, as for `json_value`."""
     name = json_value(doc, key, manifest_path, lambda v: isinstance(v, str) and v,
                       "a non-empty path string", at)
     what = _json_path(at, key)
     rel = PurePath(name)
-    if rel.is_absolute() or ".." in rel.parts:
+    path = directory / rel
+    if (rel.is_absolute() or ".." in rel.parts
+            or path.is_file() and not path.resolve().is_relative_to(root)):
         raise DataFormatError(f"{manifest_path}: {what} {name!r} points "
                               f"outside the dataset directory")
-    path = directory / rel
     if not path.is_file():
         raise DataFormatError(f"{manifest_path}: {what} {name!r} is not a "
                               f"file in the dataset directory")
@@ -592,7 +595,8 @@ def load_dataset(directory) -> Dataset:
     fps = float(value("fps", lambda v: is_number(v) and 0 < v <= sys.float_info.max,
                       "a finite positive number"))
     entries = value("videos", lambda v: isinstance(v, list), "a list")
-    splits = load_splits(_member_path(directory, manifest, "splits_file",
+    root = directory.resolve()
+    splits = load_splits(_member_path(directory, root, manifest, "splits_file",
                                       manifest_path))
     videos = []
     for index, entry in enumerate(entries):
@@ -602,7 +606,8 @@ def load_dataset(directory) -> Dataset:
                               lambda v: isinstance(v, str), "a string", at)
         num_frames = json_value(entry, "num_frames", manifest_path, is_int,
                                 "an integer", at)
-        features_path = _member_path(directory, entry, "features", manifest_path, at)
+        features_path = _member_path(directory, root, entry, "features",
+                                     manifest_path, at)
         seq = load_features(features_path)
         if seq.video_id != video_id:
             raise DataFormatError(
@@ -621,7 +626,8 @@ def load_dataset(directory) -> Dataset:
                 f"{features_path}: fps {seq.fps}, "
                 f"manifest says {fps}")
         if "labels" in entry:
-            labels_path = _member_path(directory, entry, "labels", manifest_path, at)
+            labels_path = _member_path(directory, root, entry, "labels",
+                                       manifest_path, at)
             labels = load_labels(labels_path, seq.num_frames)
             if labels is not None and labels.size and labels.max() >= num_phases:
                 raise DataFormatError(

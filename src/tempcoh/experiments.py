@@ -38,7 +38,7 @@ TEST_SPLIT = "D"
 LABEL_BUDGETS = ("A", "AB", "ABC")
 
 
-def check_label_budget(labeled_sets: tuple[str, ...]) -> None:
+def check_label_budget(labeled_sets: Sequence[str]) -> None:
     if tuple(labeled_sets) not in map(tuple, LABEL_BUDGETS):
         raise ValueError(f"labeled sets {''.join(labeled_sets)!r} are not a "
                          f"label budget; expected one of {list(LABEL_BUDGETS)}")
@@ -110,7 +110,7 @@ def pretrain_stage(dataset: Dataset, resolved: dict, seed: int,
 
 
 def finetune_stage(dataset: Dataset, resolved: dict, encoder: EncoderModel,
-                   labeled_sets: tuple[str, ...],
+                   labeled_sets: Sequence[str],
                    seed: int) -> tuple[PhaseModel, FinetuneResult]:
     """A phase model on a copy of `encoder`, which stays as it was, its
     head initialized from lane 2 and trained on the labeled splits with
@@ -132,30 +132,43 @@ def finetune_stage(dataset: Dataset, resolved: dict, encoder: EncoderModel,
 
 
 def run_arms(dataset: Dataset, resolved: dict,
-             budgets: Sequence[tuple[str, ...]], seed: int,
-             method: str) -> list[ArmResult]:
-    """One arm per label budget, in the order of `budgets`, each evaluated
-    on the test split. Every budget and the test split are checked before
-    any training: a ValueError for labeled sets outside LABEL_BUDGETS, a
+             budgets: Sequence[Sequence[str]], seeds: Sequence[int],
+             methods: Sequence[str]) -> dict[tuple, ArmResult]:
+    """The comparison grid: (budget, seed, method) -> that arm, evaluated on
+    the test split, for each budget as given, seed and method (BASELINE
+    among them or not). Every input is checked once before any training,
+    in this order: each pretraining method's sampler at the dataset's fps
+    (`make_pretrain_config`), then the videos it samples
+    (`pretrain_videos`), then each budget (a ValueError outside
+    LABEL_BUDGETS) and its labeled videos, then the test split (a
     DataFormatError for a selection of no videos or one holding a video
-    without labels. The encoder is pretrained once and each budget
-    fine-tunes a copy of it, so each arm is bit for bit the arm of a run
-    of its budget alone."""
+    without labels). Each (seed, method) encoder is pretrained once and
+    each budget fine-tunes a copy of it, so each arm is bit for bit the
+    arm of a run of its cell alone."""
+    for cfg in [make_pretrain_config(resolved, m, dataset.fps)
+                for m in methods if m != BASELINE]:
+        pretrain_videos(dataset, cfg)
     for labeled_sets in budgets:
         check_label_budget(labeled_sets)
         dataset.labeled_split(*labeled_sets)
     test = dataset.labeled_split(TEST_SPLIT)
-    encoder, pretrain_log = pretrain_stage(dataset, resolved, seed, method)
-    arms = []
-    for labeled_sets in budgets:
-        model, finetune_log = finetune_stage(dataset, resolved, encoder,
-                                             labeled_sets, seed)
-        arms.append(ArmResult(encoder, evaluate(model, test).report,
-                              finetune_log, pretrain_log))
+    arms = {}
+    for seed in seeds:
+        for method in methods:
+            encoder, pretrain_log = pretrain_stage(dataset, resolved, seed,
+                                                   method)
+            for labeled_sets in budgets:
+                model, finetune_log = finetune_stage(dataset, resolved, encoder,
+                                                     labeled_sets, seed)
+                arms[(labeled_sets, seed, method)] = ArmResult(
+                    encoder, evaluate(model, test).report, finetune_log,
+                    pretrain_log)
     return arms
 
 
 def run_arm(dataset: Dataset, resolved: dict, labeled_sets: tuple[str, ...],
             seed: int, method: str) -> ArmResult:
-    """Train one arm end to end and evaluate it on the test split."""
-    return run_arms(dataset, resolved, (labeled_sets,), seed, method)[0]
+    """Train one arm end to end and evaluate it on the test split: the
+    one-cell grid of `run_arms`."""
+    return run_arms(dataset, resolved, [labeled_sets], [seed],
+                    [method])[(labeled_sets, seed, method)]

@@ -114,6 +114,15 @@ def test_config_file_errors(tmp_path):
     not_ini.write_text("epochs = 3\n")  # key before any [section]
     with pytest.raises(UsageError, match="config file"):
         parse_config_file(not_ini)
+    # A file that is not UTF-8 and a directory are refused by name too.
+    binary = tmp_path / "enc.ckpt"
+    binary.write_bytes(b"[pretrain]\nepochs = 3\n\xff\xfe\n")
+    with pytest.raises(UsageError,
+                       match=f"^{re.escape(f'config file {binary}: ')}'utf-8'"):
+        parse_config_file(binary)
+    with pytest.raises(UsageError,
+                       match=f"^{re.escape(f'config file {tmp_path}: ')}"):
+        parse_config_file(tmp_path)
 
 
 @pytest.mark.parametrize("text,message", [
@@ -620,8 +629,8 @@ def test_compare_checks_every_stage_before_the_first_arm(work, tmp_path, capsys,
     def no_arm(*args):
         raise AssertionError("an arm trained before the settings were checked")
 
-    # `compare` trains each arm through `experiments.run_arms`, which starts
-    # every arm at these two stages.
+    # `compare` trains its whole grid through `experiments.run_arms`, which
+    # checks every input once and then starts each arm at these two stages.
     for stage in ("pretrain_stage", "finetune_stage"):
         monkeypatch.setattr(experiments, stage, no_arm)
     out = tmp_path / "cmp"
@@ -645,6 +654,45 @@ def test_compare_usage_errors(work, tmp_path, capsys):
                  "--out", str(tmp_path / "x")]) == 1
     assert "methods name 'contrastive2' twice" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command,args", [
+    ("synth", ["--videos", "4"]),
+    ("compare", ["--seeds", "1", "--methods", "contrastive2"]),
+    ("pretrain", ["--method", "contrastive2"]),
+    ("finetune", ["--labeled-sets", "A"]),
+    ("eval", ["--model", "model.ckpt"]),
+    ("retrieve", ["--model", "model.ckpt", "--queries", "random:2"]),
+], ids=["synth", "compare", "pretrain", "finetune", "eval", "retrieve"])
+def test_an_out_of_the_wrong_kind_is_refused_before_the_run(work, tmp_path,
+                                                           capsys, monkeypatch,
+                                                           command, args):
+    def no_run(*args):
+        raise AssertionError("the run started before --out was checked")
+
+    _, *rest = cli._RUNNERS[command]
+    suffix = rest[-1]
+    if command != "synth":
+        args = ["--data", str(work / "data"), *args]
+    out = tmp_path / "out"
+    # A run whose runner does nothing leaves a manifest to replay.
+    monkeypatch.setitem(cli._RUNNERS, command, (lambda *a: [], *rest))
+    assert main([command, *args, "--out", str(out)]) == 0
+    manifest = tmp_path / "run.json"
+    Path(str(out) + suffix).rename(manifest)
+    # synth and compare write a directory, the others a file.
+    if suffix.startswith("/"):
+        out.rmdir()
+        out.write_text("kept")
+    else:
+        out.mkdir()
+    monkeypatch.setitem(cli._RUNNERS, command, (no_run, *rest))
+    capsys.readouterr()
+    for argv in ([command, *args, "--out", str(out)], ["replay", str(manifest)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {out}: ")
+    assert (out.read_text() == "kept" if suffix.startswith("/")
+            else not any(out.iterdir()))
 
 
 # A short sweep: 2 seeds at base seed 11, one pretraining epoch and at most

@@ -460,6 +460,18 @@ def _outside_features(root, manifest):
     manifest["videos"][0]["features"] = f"../ds/{manifest['videos'][0]['features']}"
 
 
+def _symlinked_member(doc_of, key):
+    """An edit that points `doc_of(manifest)[key]` at a symlink inside the
+    dataset directory to that member's file in a valid copy next to it."""
+    def edit(root, manifest):
+        save_dataset(root.parent / "ds", load_dataset(root))
+        doc = doc_of(manifest)
+        link = root / f"link-{key}"
+        link.symlink_to(root.parent / "ds" / doc[key])
+        doc[key] = link.name
+    return edit
+
+
 @pytest.mark.parametrize("edit,problem", [
     (lambda root, m: m.__setitem__("num_phases", "seven"), "num_phases must be"),
     (lambda root, m: m["videos"][0].pop("video_id"),
@@ -468,9 +480,15 @@ def _outside_features(root, manifest):
     (lambda root, m: m["videos"][1].__setitem__(
         "labels", str(root / m["videos"][1]["labels"])),
      "outside the dataset directory"),
+    (_symlinked_member(lambda m: m["videos"][0], "features"),
+     r"videos\[0\]\.features 'link-features' points outside the dataset "
+     r"directory"),
+    (_symlinked_member(lambda m: m, "splits_file"),
+     "splits_file 'link-splits_file' points outside the dataset directory"),
     (lambda root, m: m["videos"].append(dict(m["videos"][0])), "duplicate video"),
 ], ids=["non-numeric-num_phases", "video-without-id", "features-outside",
-        "absolute-labels-path", "duplicate-video"])
+        "absolute-labels-path", "symlinked-features", "symlinked-splits-file",
+        "duplicate-video"])
 def test_dataset_manifest_errors_name_the_manifest(tmp_path, rng, edit, problem):
     dataset = generate_dataset(SynthConfig(min_duration=5, max_duration=9,
                                            feature_dim=4), 4, rng)

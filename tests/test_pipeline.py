@@ -1,8 +1,9 @@
 """One training pipeline, pinned to the bit.
 
-`compare` (through `experiments.run_arms`) and the single-step CLI commands
-run the same stage functions on the same random streams, so a CLI chain
-trains, bit for bit, the model of the `compare` arm with its seed.
+`compare` (through `experiments.run_arms`, whose one-cell grid is
+`run_arm`) and the single-step CLI commands run the same stage functions on
+the same random streams, so a CLI chain trains, bit for bit, the model of
+the `compare` arm with its seed.
 
 The regression guard hashes the outputs of a short `run_arm` pair and of
 the criterion-8 CLI chain and compares them with the digests in
