@@ -109,7 +109,8 @@ def _run_pretrain(resolved, run, paths) -> list[Path]:
     save_encoder(out, encoder, {"method": method, "seed": run["seed"],
                                 "epochs": resolved["pretrain"]["epochs"]})
     losses_csv = Path(str(out) + ".losses.csv")
-    write_csv(losses_csv, ["epoch", "mean_loss"], enumerate(result.epoch_losses))
+    write_csv(losses_csv, ["epoch", "mean_loss"],
+              ((r.epoch, r.value) for r in result.epochs))
     return [out, losses_csv]
 
 
@@ -134,7 +135,7 @@ def _run_finetune(resolved, run, paths) -> list[Path]:
     })
     log_csv = Path(str(out) + ".log.csv")
     write_csv(log_csv, ["epoch", "train_accuracy"],
-              enumerate(result.epoch_accuracies))
+              ((r.epoch, r.value) for r in result.epochs))
     return [out, log_csv]
 
 

@@ -77,19 +77,35 @@ class PretrainConfig:
         return "second" if LOSS_ARITY[self.loss_kind] == 4 else "first"
 
 
+@dataclass(frozen=True)
+class EpochRecord:
+    """One finished training epoch: its index from 0; its mean tuple loss
+    (pretraining) or training frame accuracy as a fraction (fine-tuning);
+    and the tuples or frames it trained on."""
+
+    epoch: int
+    value: float
+    work: int
+
+
 @dataclass
 class PretrainResult:
-    epoch_losses: list[float]
+    epochs: list[EpochRecord]
     tuples_per_epoch: int
+
+    @property
+    def epoch_losses(self) -> list[float]:
+        return [record.value for record in self.epochs]
 
 
 def pretrain(encoder: EncoderModel, videos: list[FrameSequence],
-             cfg: PretrainConfig, rng) -> PretrainResult:
+             cfg: PretrainConfig, rng, on_epoch=None) -> PretrainResult:
     """Train the encoder in place on temporal-coherence tuples.
 
     Labels on the videos, if any, are never read. `rng` is a
-    numpy Generator or an integer seed. Returns the per-epoch mean tuple
-    loss history.
+    numpy Generator or an integer seed. Returns one record per epoch,
+    each also passed to `on_epoch(record)`, if given, after the epoch's
+    last Adam step.
     """
     if not videos:
         raise ValueError("need at least one video to pretrain on")
@@ -105,7 +121,7 @@ def pretrain(encoder: EncoderModel, videos: list[FrameSequence],
     arity = LOSS_ARITY[kind]
     rng = np.random.default_rng(rng)
     adam = AdamState(lr=cfg.lr)
-    history: list[float] = []
+    records: list[EpochRecord] = []
     tuples_per_epoch = cfg.sampler.tuples_per_video * len(videos)
     for epoch in range(cfg.epochs):
         schedule = build_epoch_schedule(lengths, cfg.sampler, rng,
@@ -127,14 +143,24 @@ def pretrain(encoder: EncoderModel, videos: list[FrameSequence],
                     f"starting at tuple {start}, video "
                     f"{videos[schedule.video[bad]].video_id!r}, "
                     f"frames {tuple(schedule.indices[bad].tolist())}")
-            loss_sum += float(losses.sum())
+            # Finite tuple losses can still sum past the float64 range; the
+            # epoch mean below refuses that.
+            with np.errstate(over="ignore"):
+                loss_sum += float(losses.sum())
             # One backward over the whole stack sums the parameter gradients
             # of every tuple position.
             upstream = (grads.reshape(arity * n, -1) / n).astype(encoder.dtype)
             total = encoder.backward(cache, upstream)
             adam_step(encoder.parameters(), total, adam)
-        history.append(loss_sum / len(schedule))
-    return PretrainResult(history, tuples_per_epoch)
+        mean_loss = loss_sum / len(schedule)
+        if not np.isfinite(mean_loss):
+            raise NonFiniteLossError(
+                f"non-finite {cfg.method} mean loss at epoch {epoch}: the "
+                f"tuple losses sum past the float64 range")
+        records.append(EpochRecord(epoch, mean_loss, tuples_per_epoch))
+        if on_epoch is not None:
+            on_epoch(records[-1])
+    return PretrainResult(records, tuples_per_epoch)
 
 
 @dataclass(frozen=True)
@@ -165,16 +191,20 @@ class FinetuneConfig:
 
 @dataclass
 class FinetuneResult:
-    epoch_accuracies: list[float]  # fractions, collected while training
+    epochs: list[EpochRecord]
     stopped_early: bool
 
     @property
+    def epoch_accuracies(self) -> list[float]:
+        return [record.value for record in self.epochs]
+
+    @property
     def epochs_run(self) -> int:
-        return len(self.epoch_accuracies)
+        return len(self.epochs)
 
 
 def finetune(model: PhaseModel, videos: list[FrameSequence],
-             cfg: FinetuneConfig, rng) -> FinetuneResult:
+             cfg: FinetuneConfig, rng, on_epoch=None) -> FinetuneResult:
     """Train the phase model in place on labeled videos.
 
     Videos are visited in a fresh random order each epoch (`rng` is a numpy
@@ -183,7 +213,9 @@ def finetune(model: PhaseModel, videos: list[FrameSequence],
     (detached) across the rest. Chunk gradients of the mean cross entropy
     are summed until an Adam step: every `accumulate_batches`-th chunk of
     an epoch, counted across video boundaries, and the epoch's last chunk
-    end a step.
+    end a step. Returns one record per epoch, each also passed to
+    `on_epoch(record)`, if given, after the epoch's last Adam step and
+    before the stopping check.
     """
     if not videos:
         raise ValueError("need at least one video to fine-tune on")
@@ -201,7 +233,7 @@ def finetune(model: PhaseModel, videos: list[FrameSequence],
     adam = AdamState(lr=cfg.lr)
     params = model.parameters()
     epoch_frames = sum(v.num_frames for v in videos)
-    history: list[float] = []
+    records: list[EpochRecord] = []
     stopped = False
     for epoch in range(cfg.max_epochs):
         visit = [videos[int(vi)] for vi in rng.permutation(len(videos))]
@@ -233,11 +265,13 @@ def finetune(model: PhaseModel, videos: list[FrameSequence],
                 pending = {}
             correct += int((np.argmax(logits, axis=1) == labels).sum())
         accuracy = correct / epoch_frames
-        history.append(accuracy)
+        records.append(EpochRecord(epoch, accuracy, epoch_frames))
+        if on_epoch is not None:
+            on_epoch(records[-1])
         if accuracy > cfg.stop_train_accuracy:
             stopped = True
             break
-    return FinetuneResult(history, stopped)
+    return FinetuneResult(records, stopped)
 
 
 def predict_sequence(model: PhaseModel, seq: FrameSequence) -> np.ndarray:

@@ -446,6 +446,22 @@ def test_pretrain_missing_dataset_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["contrastive", "ranking"])
+def test_pretrain_loss_sum_overflow_exit_2_naming_method_and_epoch(
+        work, tmp_path, capsys, method):
+    # Each tuple loss is finite, but their sum is not: no loss row may read
+    # inf, so the run writes nothing.
+    out = tmp_path / "e.ckpt"
+    code = main(["pretrain", "--data", str(work / "data"), "--method", method,
+                 "--out", str(out), "--set", f"loss.margin_{method}=1e307",
+                 "--set", "pretrain.epochs=2"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: non-finite {method} mean loss at epoch 0: the tuple losses "
+        f"sum past the float64 range\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_pretrain_unknown_method_exit_1(work, tmp_path, capsys):
     code = main(["pretrain", "--data", str(work / "data"),
                  "--method", "triplet", "--out", str(tmp_path / "e.ckpt")])
