@@ -109,8 +109,7 @@ def _run_pretrain(resolved, run, paths) -> list[Path]:
     save_encoder(out, encoder, {"method": method, "seed": run["seed"],
                                 "epochs": resolved["pretrain"]["epochs"]})
     losses_csv = Path(str(out) + ".losses.csv")
-    write_csv(losses_csv, ["epoch", "mean_loss"],
-              ((r.epoch, r.value) for r in result.epochs))
+    write_csv(losses_csv, ["epoch", "mean_loss"], enumerate(result.epoch_losses))
     return [out, losses_csv]
 
 
@@ -135,7 +134,7 @@ def _run_finetune(resolved, run, paths) -> list[Path]:
     })
     log_csv = Path(str(out) + ".log.csv")
     write_csv(log_csv, ["epoch", "train_accuracy"],
-              ((r.epoch, r.value) for r in result.epochs))
+              enumerate(result.epoch_accuracies))
     return [out, log_csv]
 
 

@@ -77,35 +77,19 @@ class PretrainConfig:
         return "second" if LOSS_ARITY[self.loss_kind] == 4 else "first"
 
 
-@dataclass(frozen=True)
-class EpochRecord:
-    """One finished training epoch: its index from 0; its mean tuple loss
-    (pretraining) or training frame accuracy as a fraction (fine-tuning);
-    and the tuples or frames it trained on."""
-
-    epoch: int
-    value: float
-    work: int
-
-
 @dataclass
 class PretrainResult:
-    epochs: list[EpochRecord]
+    epoch_losses: list[float]
     tuples_per_epoch: int
-
-    @property
-    def epoch_losses(self) -> list[float]:
-        return [record.value for record in self.epochs]
 
 
 def pretrain(encoder: EncoderModel, videos: list[FrameSequence],
-             cfg: PretrainConfig, rng, on_epoch=None) -> PretrainResult:
+             cfg: PretrainConfig, rng) -> PretrainResult:
     """Train the encoder in place on temporal-coherence tuples.
 
     Labels on the videos, if any, are never read. `rng` is a
-    numpy Generator or an integer seed. Returns one record per epoch,
-    each also passed to `on_epoch(record)`, if given, after the epoch's
-    last Adam step.
+    numpy Generator or an integer seed. Returns the per-epoch mean tuple
+    loss history.
     """
     if not videos:
         raise ValueError("need at least one video to pretrain on")
@@ -121,7 +105,7 @@ def pretrain(encoder: EncoderModel, videos: list[FrameSequence],
     arity = LOSS_ARITY[kind]
     rng = np.random.default_rng(rng)
     adam = AdamState(lr=cfg.lr)
-    records: list[EpochRecord] = []
+    history: list[float] = []
     tuples_per_epoch = cfg.sampler.tuples_per_video * len(videos)
     for epoch in range(cfg.epochs):
         schedule = build_epoch_schedule(lengths, cfg.sampler, rng,
@@ -157,10 +141,8 @@ def pretrain(encoder: EncoderModel, videos: list[FrameSequence],
             raise NonFiniteLossError(
                 f"non-finite {cfg.method} mean loss at epoch {epoch}: the "
                 f"tuple losses sum past the float64 range")
-        records.append(EpochRecord(epoch, mean_loss, tuples_per_epoch))
-        if on_epoch is not None:
-            on_epoch(records[-1])
-    return PretrainResult(records, tuples_per_epoch)
+        history.append(mean_loss)
+    return PretrainResult(history, tuples_per_epoch)
 
 
 @dataclass(frozen=True)
@@ -191,20 +173,16 @@ class FinetuneConfig:
 
 @dataclass
 class FinetuneResult:
-    epochs: list[EpochRecord]
+    epoch_accuracies: list[float]  # fractions, collected while training
     stopped_early: bool
 
     @property
-    def epoch_accuracies(self) -> list[float]:
-        return [record.value for record in self.epochs]
-
-    @property
     def epochs_run(self) -> int:
-        return len(self.epochs)
+        return len(self.epoch_accuracies)
 
 
 def finetune(model: PhaseModel, videos: list[FrameSequence],
-             cfg: FinetuneConfig, rng, on_epoch=None) -> FinetuneResult:
+             cfg: FinetuneConfig, rng) -> FinetuneResult:
     """Train the phase model in place on labeled videos.
 
     Videos are visited in a fresh random order each epoch (`rng` is a numpy
@@ -213,9 +191,7 @@ def finetune(model: PhaseModel, videos: list[FrameSequence],
     (detached) across the rest. Chunk gradients of the mean cross entropy
     are summed until an Adam step: every `accumulate_batches`-th chunk of
     an epoch, counted across video boundaries, and the epoch's last chunk
-    end a step. Returns one record per epoch, each also passed to
-    `on_epoch(record)`, if given, after the epoch's last Adam step and
-    before the stopping check.
+    end a step.
     """
     if not videos:
         raise ValueError("need at least one video to fine-tune on")
@@ -233,7 +209,7 @@ def finetune(model: PhaseModel, videos: list[FrameSequence],
     adam = AdamState(lr=cfg.lr)
     params = model.parameters()
     epoch_frames = sum(v.num_frames for v in videos)
-    records: list[EpochRecord] = []
+    history: list[float] = []
     stopped = False
     for epoch in range(cfg.max_epochs):
         visit = [videos[int(vi)] for vi in rng.permutation(len(videos))]
@@ -265,13 +241,11 @@ def finetune(model: PhaseModel, videos: list[FrameSequence],
                 pending = {}
             correct += int((np.argmax(logits, axis=1) == labels).sum())
         accuracy = correct / epoch_frames
-        records.append(EpochRecord(epoch, accuracy, epoch_frames))
-        if on_epoch is not None:
-            on_epoch(records[-1])
+        history.append(accuracy)
         if accuracy > cfg.stop_train_accuracy:
             stopped = True
             break
-    return FinetuneResult(records, stopped)
+    return FinetuneResult(history, stopped)
 
 
 def predict_sequence(model: PhaseModel, seq: FrameSequence) -> np.ndarray:

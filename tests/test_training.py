@@ -58,18 +58,6 @@ def assert_params_differ(model, saved):
                for name, arr in model.parameters().items())
 
 
-def assert_records(result, seen, values, work):
-    """`result` holds one record per epoch, counting from 0, with the
-    given values bit for bit and the given work; `seen`, what `on_epoch`
-    received, is those same objects in the same order."""
-    assert [r.epoch for r in result.epochs] == list(range(len(values)))
-    assert [np.float64(r.value).tobytes() for r in result.epochs] == [
-        np.float64(v).tobytes() for v in values]
-    assert [r.work for r in result.epochs] == [work] * len(values)
-    assert len(seen) == len(result.epochs)
-    assert all(a is b for a, b in zip(seen, result.epochs))
-
-
 # ----------------------------------------------------------- config objects
 
 def test_pretrain_config_validation():
@@ -114,11 +102,8 @@ def test_pretrain_zero_epochs_is_noop(rng):
     videos = unlabeled_videos(rng)
     enc = EncoderModel.create(6, [8], 4).init_uniform_fan(rng)
     before = snapshot(enc)
-    seen = []
     result = pretrain(enc, videos,
-                      PretrainConfig(epochs=0, sampler=SMALL_SAMPLER), rng=0,
-                      on_epoch=seen.append)
-    assert result.epochs == [] and seen == []
+                      PretrainConfig(epochs=0, sampler=SMALL_SAMPLER), rng=0)
     assert result.epoch_losses == []
     assert result.tuples_per_epoch == 200
     assert_params_equal(enc, before)
@@ -151,42 +136,27 @@ def test_pretrain_updates_parameters(rng):
 
 
 def test_pretrain_same_seed_bitwise_identical(rng):
-    # The second run also hands each epoch's record to `on_epoch`, which
-    # must change nothing it trains.
     videos = unlabeled_videos(rng)
     results = []
     encoders = []
-    seen = []
-    params_seen = []
-
-    def on_epoch(record):
-        seen.append(record)
-        params_seen.append(snapshot(encoders[-1]))
-
-    for hook in (None, on_epoch):
+    for _ in range(2):
         enc = EncoderModel.create(6, [8], 4).init_uniform_fan(
             np.random.default_rng(9))
-        encoders.append(enc)
         results.append(pretrain(enc, videos,
                                 PretrainConfig(epochs=3, sampler=SMALL_SAMPLER),
-                                rng=17, on_epoch=hook))
+                                rng=17))
+        encoders.append(enc)
     assert results[0].epoch_losses == results[1].epoch_losses
     assert_params_equal(encoders[0], snapshot(encoders[1]))
-    assert_records(results[1], seen, results[0].epoch_losses, 200)
-    assert results[1].tuples_per_epoch == 200
-    # Each record comes after its epoch's last Adam step.
-    assert_params_equal(encoders[1], params_seen[-1])
-    assert_params_differ(encoders[1], params_seen[-2])
 
 
 @pytest.mark.parametrize("method", sorted(PRETRAIN_METHODS))
 def test_pretrain_refuses_a_loss_sum_past_float64(rng, method):
     # Every tuple loss is about the margin, so finite, but 64 of them sum
-    # to infinity; the refusal comes before any record or warning.
+    # to infinity; the refusal comes before any loss history or warning.
     videos = unlabeled_videos(rng)
     enc = EncoderModel.create(6, [8], 4).init_uniform_fan(rng)
     huge = LossConfig(margin_contrastive=1e307, margin_ranking=1e307)
-    seen = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteLossError,
@@ -194,8 +164,7 @@ def test_pretrain_refuses_a_loss_sum_past_float64(rng, method):
             pretrain(enc, videos,
                      PretrainConfig(method=method, epochs=2, loss=huge,
                                     sampler=SMALL_SAMPLER),
-                     rng=0, on_epoch=seen.append)
-    assert seen == []
+                     rng=0)
 
 
 def test_pretrain_raises_on_non_finite_features(rng):
@@ -304,48 +273,38 @@ def make_model(rng, dim=6, emb=5, hidden=8, phases=3):
 def test_finetune_stop_zero_runs_exactly_one_epoch(rng):
     videos = labeled_videos(rng)
     model = make_model(rng)
-    seen = []
     result = finetune(model, videos,
                       FinetuneConfig(stop_train_accuracy=0.0, max_epochs=50,
-                                     lr=1e-3), rng=0, on_epoch=seen.append)
+                                     lr=1e-3), rng=0)
     assert result.epochs_run == 1
     assert result.stopped_early
     assert len(result.epoch_accuracies) == 1
     assert result.epoch_accuracies[0] > 0.0
-    # The epoch that stops the run still delivers its record.
-    assert_records(result, seen, result.epoch_accuracies, 3 * 45)
 
 
 def test_finetune_max_epochs_zero_is_noop(rng):
     videos = labeled_videos(rng)
     model = make_model(rng)
     before = snapshot(model)
-    seen = []
-    result = finetune(model, videos, FinetuneConfig(max_epochs=0), rng=0,
-                      on_epoch=seen.append)
+    result = finetune(model, videos, FinetuneConfig(max_epochs=0), rng=0)
     assert result.epochs_run == 0
-    assert result.epochs == [] and seen == []
     assert result.epoch_accuracies == []
     assert not result.stopped_early
     assert_params_equal(model, before)
 
 
 def test_finetune_same_seed_bitwise_identical(rng):
-    # The second run also hands each epoch's record to `on_epoch`, which
-    # must change nothing it trains.
     videos = labeled_videos(rng)
     cfg = FinetuneConfig(max_epochs=3, stop_train_accuracy=1.0, lr=1e-3)
     models = []
-    results = []
-    seen = []
-    for hook in (None, seen.append):
+    accs = []
+    for _ in range(2):
         model = make_model(np.random.default_rng(4))
-        results.append(finetune(model, videos, cfg, rng=11, on_epoch=hook))
+        result = finetune(model, videos, cfg, rng=11)
         models.append(model)
-    assert results[0].epoch_accuracies == results[1].epoch_accuracies
+        accs.append(result.epoch_accuracies)
+    assert accs[0] == accs[1]
     assert_params_equal(models[0], snapshot(models[1]))
-    assert_records(results[1], seen, results[0].epoch_accuracies, 3 * 45)
-    assert not results[1].stopped_early
 
 
 def test_accumulation_count_changes_the_updates(rng):
@@ -392,18 +351,11 @@ def test_finetune_steps_every_accumulate_batches_chunks_and_at_epoch_end(
     monkeypatch.setattr(PhaseModel, "forward_chunk_cached", counting_forward)
     monkeypatch.setattr(PhaseModel, "zero_state", recording_zero_state)
     monkeypatch.setattr(training, "adam_step", recording_adam_step)
-    steps_at_record = []
-
-    def on_epoch(record):
-        steps_at_record.append(len(steps))
-
     result = finetune(model, videos,
                       FinetuneConfig(max_epochs=2, stop_train_accuracy=1.0,
                                      accumulate_batches=3, batch_frames=10),
-                      rng=3, on_epoch=on_epoch)
+                      rng=3)
     assert result.epochs_run == 2
-    # Each record comes after its epoch's last Adam step.
-    assert steps_at_record == [5, 10]
     assert chunks == 2 * 13
     assert len(steps) == 2 * math.ceil(13 / 3)
     # Every third chunk of an epoch ends a step, and so does its last.
