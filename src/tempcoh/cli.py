@@ -108,7 +108,7 @@ def _run_pretrain(resolved, run, paths) -> list[Path]:
     out = Path(paths["out"])
     save_encoder(out, encoder, {"method": method, "seed": run["seed"],
                                 "epochs": resolved["pretrain"]["epochs"]})
-    losses_csv = Path(str(out) + ".losses.csv")
+    losses_csv = Path(str(out) + _SIDECARS["pretrain"])
     write_csv(losses_csv, ["epoch", "mean_loss"], enumerate(result.epoch_losses))
     return [out, losses_csv]
 
@@ -132,7 +132,7 @@ def _run_finetune(resolved, run, paths) -> list[Path]:
         "epochs_run": result.epochs_run,
         "stopped_early": result.stopped_early,
     })
-    log_csv = Path(str(out) + ".log.csv")
+    log_csv = Path(str(out) + _SIDECARS["finetune"])
     write_csv(log_csv, ["epoch", "train_accuracy"],
               enumerate(result.epoch_accuracies))
     return [out, log_csv]
@@ -161,7 +161,7 @@ def _run_eval(resolved, run, paths) -> list[Path]:
               for field in ("mean", "std", "count"))
     write_csv(out, ["video_id", *(name for name, _ in summaries)],
               [*per_video, *totals])
-    txt = Path(str(out) + ".txt")
+    txt = Path(str(out) + _SIDECARS["eval"])
     _write_table(txt, f"evaluation over {result.report.num_videos} video(s)",
                  [["metric", "mean ± std", "n"],
                   *([name, _cell(s), str(s.count)] for name, s in summaries)])
@@ -283,7 +283,7 @@ def _run_retrieve(resolved, run, paths) -> list[Path]:
               ([f"{res.query_video}:{res.query_frame}", m.video_id,
                 m.frame_index, m.distance, res.query_phase, m.retrieved_phase]
                for res in results for m in res.matches))
-    txt = Path(str(out) + ".txt")
+    txt = Path(str(out) + _SIDECARS["retrieve"])
     agreement_text = "n/a" if agreement is None else fnum(agreement)
     atomic_write_text(txt, (
         f"queries: {len(results)}\n"
@@ -310,6 +310,11 @@ _RUNNERS = {
     "retrieve": (_run_retrieve, ("seed", "queries", "split", "query_split"),
                  ("data", "model", "out"), ".manifest.json"),
 }
+
+# command -> the suffix of the one file its runner writes beside its `out`
+# file, named by appending the suffix to `out`.
+_SIDECARS = {"pretrain": ".losses.csv", "finetune": ".log.csv", "eval": ".txt",
+             "retrieve": ".txt"}
 
 # (test, what) of each `run` or `paths` value a runner requires, for
 # `json_value`; every other one is a string.
@@ -388,6 +393,24 @@ def _artifact_version(outputs: list[Path]) -> str:
     return digest.hexdigest()[:12]
 
 
+def _check_inputs_kept(command: str, paths: dict, manifest_path: Path) -> None:
+    """A ValueError naming both paths when a `command` run would write at
+    or inside one of its inputs: its `data` directory, or its `init` or
+    `model` checkpoint. A run writes `out` (for `synth` and `compare`, the
+    files inside it), the sidecar named from a file `out`, and its
+    manifest."""
+    out = Path(paths["out"]).resolve()
+    written = (out, Path(str(out) + _SIDECARS.get(command, "")),
+               manifest_path.resolve())
+    for key in ("data", "init", "model"):
+        given = paths.get(key) and Path(paths[key]).resolve()
+        for path in written:
+            if given and path.is_relative_to(given):
+                raise ValueError(f"{command} would write {path}, at or inside "
+                                 f"its --{key} input {given}; a run never "
+                                 f"writes over its inputs")
+
+
 def _execute(command: str, resolved: dict, run: dict, paths: dict,
              manifest_path: Path) -> int:
     # A command whose manifest goes inside `out` writes a directory there,
@@ -401,6 +424,7 @@ def _execute(command: str, resolved: dict, run: dict, paths: dict,
     elif out.is_dir():
         raise IsADirectoryError(f"{out}: a directory, but {command} writes "
                                 f"a file there")
+    _check_inputs_kept(command, paths, manifest_path)
     started = time.perf_counter()
     outputs = _RUNNERS[command][0](resolved, run, paths)
     manifest = {

@@ -12,8 +12,14 @@ directory is tied together by a JSON manifest. Checkpoints reuse the same
 binary envelope followed by a named float32 parameter table and a JSON
 metadata trailer.
 
+`check_fps` owns the frame rate rule (a finite positive number that a
+feature file's float32 holds to within FPS_TOLERANCE) and
+`check_num_phases` the dataset phase count rule (an integer from 2 to
+PHASE_ID_MAX + 1, since labels load as int32), for `FrameSequence`,
+`synthetic.SynthConfig`, `save_dataset` and `load_dataset` alike, and
+`sampling.SamplerConfig` takes its fps through `check_fps` too.
 `FrameSequence` owns a video's rules: features a (frames, dim) array with
-both sizes >= 1 and every value finite, and a finite positive fps.
+both sizes >= 1 and every value finite, and an fps `check_fps` takes.
 `load_features` builds through it, as `load_model` builds through the model
 constructors, and re-raises their ValueError naming the file. `models.py`
 owns the names of the parameters a checkpoint stores; `_recorded_sizes`
@@ -47,7 +53,6 @@ import math
 import os
 import re
 import struct
-import sys
 from dataclasses import dataclass
 from pathlib import Path, PurePath
 
@@ -73,6 +78,25 @@ def check_split(name: str, where: str = "", error=ValueError) -> None:
                     f"{SPLIT_NAMES}")
 
 
+def check_fps(fps, where: str = "", error=ValueError) -> None:
+    """Raise `error`, its message prefixed `where`, unless `fps` is a
+    finite positive number that float32 holds to within FPS_TOLERANCE."""
+    # The bound comes first: past it, the float32 cast overflows, and an int
+    # past float64 cannot be converted at all.
+    if not (0 < fps <= float(np.finfo(np.float32).max)
+            and abs(float(np.float32(fps)) - fps) <= FPS_TOLERANCE):
+        raise error(f"{where}fps must be a finite positive number that float32 "
+                    f"holds to within {FPS_TOLERANCE:g}, got {_clip(repr(fps))}")
+
+
+def check_num_phases(num_phases, where: str = "", error=ValueError) -> None:
+    """Raise `error`, its message prefixed `where`, unless `num_phases` is
+    an integer from 2 to PHASE_ID_MAX + 1."""
+    if not (is_int(num_phases) and 2 <= num_phases <= PHASE_ID_MAX + 1):
+        raise error(f"{where}num_phases must be an integer in "
+                    f"[2, {PHASE_ID_MAX + 1}], got {_clip(repr(num_phases))}")
+
+
 @dataclass
 class FrameSequence:
     """One video's per-frame feature vectors, with optional phase labels."""
@@ -87,8 +111,7 @@ class FrameSequence:
         if self.features.ndim != 2 or 0 in self.features.shape:
             raise ValueError(f"features must be a (num_frames, dim) array with "
                              f"both sizes >= 1, got shape {self.features.shape}")
-        if not 0 < self.fps <= sys.float_info.max:
-            raise ValueError(f"fps must be a finite positive number, got {self.fps}")
+        check_fps(self.fps)
         if not np.isfinite(self.features).all():
             raise ValueError("features contain non-finite values")
         if self.labels is not None:
@@ -506,18 +529,19 @@ def save_dataset(directory, dataset: Dataset) -> list[Path]:
     """Write features, labels, splits and the JSON manifest. Returns the
     paths of the files written: `dataset.json`, `splits.txt`, then per
     video its `.feat` file and, if the video is labeled, its labels file.
-    Every video id and the fps are checked before anything is written."""
+    The phase count, the fps, every video id and every label, which must
+    lie in [0, num_phases), are checked before anything is written."""
+    check_num_phases(dataset.num_phases, "refusing to write dataset: ", DataFormatError)
+    check_fps(dataset.fps, "refusing to write dataset: ", DataFormatError)
     for seq in dataset.videos:
         _check_video_id(seq.video_id)
-    # The feature files hold the fps as float32, and `load_dataset` refuses
-    # one more than FPS_TOLERANCE away from the manifest's.
-    with np.errstate(over="ignore"):
-        stored = float(np.float32(dataset.fps))
-    if not (0 < dataset.fps <= sys.float_info.max
-            and abs(stored - dataset.fps) <= FPS_TOLERANCE):
-        raise DataFormatError(f"refusing to write dataset: fps must be a "
-                              f"finite positive number that float32 holds to "
-                              f"within {FPS_TOLERANCE:g}, got {dataset.fps!r}")
+        if seq.labels is not None and seq.labels.size:
+            low, high = int(seq.labels.min()), int(seq.labels.max())
+            if low < 0 or high >= dataset.num_phases:
+                raise DataFormatError(
+                    f"refusing to write dataset: video {seq.video_id!r} has "
+                    f"phase id {low if low < 0 else high}, outside "
+                    f"[0, {dataset.num_phases})")
     directory = Path(directory)
     entries = []
     video_files = []
@@ -589,11 +613,11 @@ def load_dataset(directory) -> Dataset:
     value("format", lambda v: v == "tempcoh-dataset", "'tempcoh-dataset'")
     value("version", lambda v: is_int(v) and v == FORMAT_VERSION,
           str(FORMAT_VERSION))
-    num_phases = value("num_phases", lambda v: is_int(v) and 2 <= v <= PHASE_ID_MAX + 1,
-                       f"an integer in [2, {PHASE_ID_MAX + 1}]")
+    num_phases = value("num_phases", is_int, "an integer")
+    check_num_phases(num_phases, f"{manifest_path}: ", DataFormatError)
     feature_dim = value("feature_dim", *_int_at_least(1))
-    fps = float(value("fps", lambda v: is_number(v) and 0 < v <= sys.float_info.max,
-                      "a finite positive number"))
+    fps = value("fps", is_number, "a number")
+    check_fps(fps, f"{manifest_path}: ", DataFormatError)
     entries = value("videos", lambda v: isinstance(v, list), "a list")
     root = directory.resolve()
     splits = load_splits(_member_path(directory, root, manifest, "splits_file",
@@ -636,7 +660,7 @@ def load_dataset(directory) -> Dataset:
             seq.labels = labels
         videos.append(seq)
     try:
-        return Dataset(videos, splits, num_phases, fps, manifest_path)
+        return Dataset(videos, splits, num_phases, float(fps), manifest_path)
     except ValueError as exc:
         raise DataFormatError(f"{manifest_path}: {exc}") from exc
 

@@ -36,6 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .data_io import check_fps
 from .errors import NoValidDistantFrame, allocating
 
 
@@ -51,8 +52,7 @@ class SamplerConfig:
     def __post_init__(self):
         if self.delta_seconds < 0 or self.gamma_seconds < 0:
             raise ValueError("delta_seconds and gamma_seconds must be >= 0")
-        if self.fps <= 0:
-            raise ValueError("fps must be positive")
+        check_fps(self.fps)
         if not all(math.isfinite(s * self.fps)
                    for s in (self.delta_seconds, self.gamma_seconds)):
             raise ValueError("delta_seconds and gamma_seconds times fps must "

@@ -10,9 +10,11 @@ similar for reasons beyond the phase label.
 
 `generate_dataset` names the `SynthConfig` fields behind a failure as keys
 of the `synth` config section: the sizes for an allocation that cannot be
-made, the scales for features beyond float32. `SynthConfig` itself refuses a
-`num_phases * max_duration` beyond int64, naming both keys as an overflow,
-and a `skip_probability` at which a video keeps at least two of its
+made, the scales for features beyond float32. `SynthConfig` itself refuses
+a `num_phases` or `fps` through `data_io.check_num_phases` and
+`data_io.check_fps`, so no dataset is generated that `load_dataset` would
+refuse; a `num_phases * max_duration` beyond int64, naming both keys as an
+overflow; and a `skip_probability` at which a video keeps at least two of its
 `num_phases` phases with probability below MIN_KEEP_TWO, naming both keys.
 `check_video_count` owns the least number of videos a dataset is generated
 with, one per split, for `generate_dataset` and the CLI's `synth` alike.
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import SPLIT_NAMES, Dataset, FrameSequence
+from .data_io import SPLIT_NAMES, Dataset, FrameSequence, check_fps, check_num_phases
 from .errors import allocating
 
 
@@ -45,8 +47,7 @@ class SynthConfig:
     skip_probability: float = 0.1
 
     def __post_init__(self):
-        if self.num_phases < 2:
-            raise ValueError("num_phases must be >= 2")
+        check_num_phases(self.num_phases)
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
         if not 1 <= self.min_duration <= self.max_duration:
@@ -59,8 +60,7 @@ class SynthConfig:
         for key in SCALE_KEYS:
             if not 0 <= getattr(self, key) <= sys.float_info.max:
                 raise ValueError(f"{key} must be finite and non-negative")
-        if not 0 < self.fps <= sys.float_info.max:
-            raise ValueError("fps must be finite and positive")
+        check_fps(self.fps)
         if not 0.0 <= self.skip_probability < 1.0:
             raise ValueError("skip_probability must be in [0, 1)")
         # `generate_procedure` redraws a video's phases until it keeps two,

@@ -370,6 +370,25 @@ def test_synth_frame_count_overflow_is_refused_naming_its_keys(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value,rule", [
+    ("fps", "1000.1", "fps must be a finite positive number that float32 "
+     "holds to within 1e-05, got 1000.1"),
+    ("num_phases", "2147483649", "num_phases must be an integer in "
+     "[2, 2147483648], got 2147483649"),
+], ids=["fps-beyond-float32", "num-phases-beyond-int32-labels"])
+def test_synth_refuses_before_generating_what_load_dataset_would_refuse(
+        tmp_path, capsys, monkeypatch, key, value, rule):
+    def no_generation(*args):
+        raise AssertionError("generation started before the range check")
+
+    monkeypatch.setattr(cli, "generate_dataset", no_generation)
+    out = tmp_path / "data"
+    assert main(["synth", "--out", str(out), "--videos", "4",
+                 "--set", f"synth.{key}={value}"]) == 1
+    assert capsys.readouterr().err == f"error: [synth] {rule}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["prototype_scale", "drift_step", "noise_std"])
 def test_synth_float32_overflow_is_one_error_naming_the_scale_keys(
         tmp_path, capsys, key):
@@ -709,6 +728,55 @@ def test_an_out_of_the_wrong_kind_is_refused_before_the_run(work, tmp_path,
         assert capsys.readouterr().err.startswith(f"error: {out}: ")
     assert (out.read_text() == "kept" if suffix.startswith("/")
             else not any(out.iterdir()))
+
+
+def _tree_bytes(root: Path) -> dict:
+    """path -> bytes of every file under `root`."""
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command,args,out,clash", [
+    ("finetune", ["--data", "data", "--labeled-sets", "A", "--init", "enc.ckpt"],
+     "enc.ckpt", "enc.ckpt, at or inside its --init input {root}/enc.ckpt"),
+    ("pretrain", ["--data", "data", "--method", "contrastive2"],
+     "data/dataset.json", "data/dataset.json, at or inside its --data input "
+     "{root}/data"),
+    ("compare", ["--data", "data", "--seeds", "1", "--methods", "contrastive2"],
+     "data", "data, at or inside its --data input {root}/data"),
+    ("eval", ["--data", "data", "--model", "model.ckpt.txt"], "model.ckpt",
+     "model.ckpt.txt, at or inside its --model input {root}/model.ckpt.txt"),
+], ids=["finetune-init", "pretrain-into-data", "compare-into-data",
+        "eval-sidecar"])
+def test_a_run_never_writes_over_its_inputs(work, tmp_path, capsys, monkeypatch,
+                                            command, args, out, clash):
+    def no_run(*args):
+        raise AssertionError("the run started before its inputs were checked")
+
+    root = tmp_path.resolve()
+    shutil.copytree(work / "data", root / "data")
+    shutil.copy(work / "enc.ckpt", root)
+    # Named as the text table of `eval --out model.ckpt`.
+    shutil.copy(work / "model.ckpt", root / "model.ckpt.txt")
+    monkeypatch.chdir(root)
+    _, *rest = cli._RUNNERS[command]
+    # A manifest of the same run with a harmless `out`, to replay edited.
+    monkeypatch.setitem(cli._RUNNERS, command, (lambda *a: [], *rest))
+    assert main([command, *args, "--out", "fine"]) == 0
+    manifest = root / "run.json"
+    Path(str(root / "fine") + rest[-1]).rename(manifest)
+    recorded = read_manifest(manifest)
+    recorded["paths"]["out"] = str(root / out)
+    manifest.write_text(json.dumps(recorded))
+    monkeypatch.setitem(cli._RUNNERS, command, (no_run, *rest))
+    before = _tree_bytes(root)
+    capsys.readouterr()
+    message = (f"{command} would write {root}/{clash.format(root=root)}; a run "
+               f"never writes over its inputs")
+    assert main([command, *args, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["replay", str(manifest)]) == 2
+    assert capsys.readouterr().err == f"error: {manifest}: {message}\n"
+    assert _tree_bytes(root) == before
 
 
 # A short sweep: 2 seeds at base seed 11, one pretraining epoch and at most
@@ -1504,13 +1572,17 @@ def test_json_readers_refuse_in_one_message_form(work, tmp_path, document,
 
 
 @pytest.mark.parametrize("key,value,message", [
-    ("num_phases", 1, "[synth] num_phases must be >= 2"),
+    ("num_phases", 1, "[synth] num_phases must be an integer in "
+     "[2, 2147483648], got 1"),
+    ("fps", 1000.1, "[synth] fps must be a finite positive number that float32 "
+     "holds to within 1e-05, got 1000.1"),
     ("skip_probability", 1.0, "[synth] skip_probability must be in [0, 1)"),
     # `synth` would redraw each video's phases about 1.7e7 times.
     ("skip_probability", 0.9999, "[synth] synth.skip_probability 0.9999 and "
      "synth.num_phases 4 keep at least two of a video's phases with "
      "probability below 1e-06"),
-], ids=["num-phases", "skip-probability", "skip-probability-near-1"])
+], ids=["num-phases", "fps-beyond-float32", "skip-probability",
+        "skip-probability-near-1"])
 def test_replay_names_the_manifest_for_out_of_range_config(work, tmp_path, capsys,
                                                            key, value, message):
     def edit(manifest):
@@ -2004,14 +2076,20 @@ def test_readme_commands_parse():
 
 
 def test_readme_configuration_matches_the_schema(tmp_path):
-    """The README's defaults table gives every key once, with its built-in
-    default, and its `ini` example is a config file that parses."""
+    """The README's defaults table gives every key once, no other key, and
+    each key's built-in default, and its `ini` example is a config file
+    that parses."""
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     text = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    header = "| section.key | default | meaning |\n|---|---|---|\n"
+    rows = text.split(header, 1)[1].split("\n\n", 1)[0].splitlines()
     seen = []
-    # Rows like `pretrain.epochs` / `batch_size` / `lr` | 25 / 64 / 1e-3.
-    for keys, defaults in re.findall(r"^\| (`[^|]*`) \| ([^|]*) \|", text,
-                                     re.M):
+    # Rows like `pretrain.epochs` / `batch_size` / `lr` | 25 / 64 / 1e-3;
+    # every row of the table must have that form.
+    for row in rows:
+        match = re.match(r"\| (`[^|]*`) \| ([^|]*) \|", row)
+        assert match, row
+        keys, defaults = match.groups()
         first, *rest = (name.strip("` ") for name in keys.split(" / "))
         section, first_key = first.split(".")
         names = [first_key, *rest]

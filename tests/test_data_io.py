@@ -7,6 +7,7 @@ just the round-trip.
 
 import copy
 import json
+import re
 import struct
 
 import numpy as np
@@ -37,6 +38,7 @@ from tempcoh.data_io import (
 )
 from tempcoh.errors import CheckpointError, DataFormatError, TempcohError
 from tempcoh.models import EncoderModel, PhaseModel
+from tempcoh.sampling import SamplerConfig
 from tempcoh.synthetic import SynthConfig, generate_dataset
 from tempcoh.training import evaluate
 
@@ -217,6 +219,15 @@ def test_overlapping_writers_of_one_path_use_their_own_temp_files(tmp_path):
 
 
 # ------------------------------------------------------------------ labels
+
+@pytest.mark.parametrize("labels", [np.zeros((2, 3), np.int32), np.int32(1)],
+                         ids=["2-d", "0-d"])
+def test_save_labels_refuses_labels_that_are_not_one_dimensional(tmp_path,
+                                                                 labels):
+    with pytest.raises(ValueError, match="labels must be one-dimensional"):
+        save_labels(tmp_path / "x.labels.csv", labels)
+    assert list(tmp_path.iterdir()) == []
+
 
 def test_labels_round_trip(tmp_path, rng):
     labels = rng.integers(0, 7, size=30).astype(np.int32)
@@ -683,6 +694,90 @@ def test_save_dataset_fps_within_float32_round_trips(tmp_path, rng, fps):
         seq.fps = fps
     save_dataset(tmp_path / "data", dataset)
     assert load_dataset(tmp_path / "data").fps == fps
+
+
+@pytest.mark.parametrize("num_phases", [1, 0, 2**31 + 1, 4.0, True],
+                         ids=["one", "zero", "past-int32-labels", "float", "bool"])
+def test_save_dataset_refuses_a_num_phases_load_dataset_would_refuse(tmp_path, rng,
+                                                                     num_phases):
+    dataset = _dataset_with_id(rng, "v1")
+    dataset.num_phases = num_phases
+    with pytest.raises(DataFormatError, match=re.escape(
+            f"refusing to write dataset: num_phases must be an integer in "
+            f"[2, 2147483648], got {num_phases!r}")):
+        save_dataset(tmp_path / "data", dataset)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("label", [-1, 4, 99])
+def test_save_dataset_refuses_labels_load_dataset_would_refuse(tmp_path, rng,
+                                                               label):
+    # `make_seq` labels lie in [0, 4), and the dataset has 4 phases.
+    dataset = _dataset_with_id(rng, "v1")
+    dataset.videos[2].labels[3] = label
+    with pytest.raises(DataFormatError, match=re.escape(
+            f"refusing to write dataset: video 'v2' has phase id {label}, "
+            f"outside [0, 4)")):
+        save_dataset(tmp_path / "data", dataset)
+    assert list(tmp_path.iterdir()) == []
+
+
+FPS_RULE = ("fps must be a finite positive number that float32 holds to "
+            "within 1e-05, got 1000.1")
+PHASE_COUNT_RULE = "num_phases must be an integer in [2, 2147483648], got 1"
+
+
+def _saved_manifest_with(tmp_path, rng, key, value):
+    """The path of a saved dataset's manifest, once `key` is set to `value`."""
+    root = tmp_path / "data"
+    save_dataset(root, _dataset_with_id(rng, "v1"))
+    manifest_path = root / "dataset.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest[key] = value
+    manifest_path.write_text(json.dumps(manifest))
+    return manifest_path
+
+
+def test_every_site_refuses_an_fps_in_the_words_of_check_fps(tmp_path, rng):
+    for build in (lambda: FrameSequence("v", np.zeros((2, 3)), 1000.1),
+                  lambda: SynthConfig(fps=1000.1),
+                  lambda: SamplerConfig(fps=1000.1)):
+        with pytest.raises(ValueError, match=f"^{re.escape(FPS_RULE)}$"):
+            build()
+    dataset = _dataset_with_id(rng, "v1")
+    dataset.fps = 1000.1
+    with pytest.raises(DataFormatError, match=re.escape(
+            f"refusing to write dataset: {FPS_RULE}")):
+        save_dataset(tmp_path / "out", dataset)
+    manifest_path = _saved_manifest_with(tmp_path, rng, "fps", 1000.1)
+    with pytest.raises(DataFormatError,
+                       match=f"^{re.escape(f'{manifest_path}: {FPS_RULE}')}$"):
+        load_dataset(manifest_path.parent)
+
+
+def test_every_site_refuses_a_phase_count_in_the_words_of_check_num_phases(
+        tmp_path, rng):
+    with pytest.raises(ValueError, match=f"^{re.escape(PHASE_COUNT_RULE)}$"):
+        SynthConfig(num_phases=1)
+    dataset = _dataset_with_id(rng, "v1")
+    dataset.num_phases = 1
+    with pytest.raises(DataFormatError, match=re.escape(
+            f"refusing to write dataset: {PHASE_COUNT_RULE}")):
+        save_dataset(tmp_path / "out", dataset)
+    manifest_path = _saved_manifest_with(tmp_path, rng, "num_phases", 1)
+    with pytest.raises(DataFormatError, match=re.escape(
+            f"{manifest_path}: {PHASE_COUNT_RULE}")):
+        load_dataset(manifest_path.parent)
+
+
+@pytest.mark.parametrize("fps", [1e-3, 5.0, 29.97, 255.3, 1000.0, 2.0**100])
+def test_check_fps_takes_what_float32_holds(fps):
+    dio.check_fps(fps)
+
+
+@pytest.mark.parametrize("num_phases", [2, 7, 2**31])
+def test_check_num_phases_takes_every_count_int32_labels_can_name(num_phases):
+    dio.check_num_phases(num_phases)
 
 
 # --------------------------------------------------------------- checkpoints

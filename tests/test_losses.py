@@ -126,6 +126,20 @@ def test_dimension_mismatch_rejected():
         contrastive_loss((0, 0), (0, 1, 2), (0, 4))
 
 
+@pytest.mark.parametrize("call,problem", [
+    (lambda: contrastive_loss(np.zeros((1, 2)), (0, 1), (0, 4)),
+     r"anchor must be a 1-d vector, got shape \(1, 2\)"),
+    (lambda: batch_loss_and_gradients(
+        "contrastive", [np.zeros((2, 3)), np.zeros((3, 3)), np.zeros((2, 3))]),
+     "branch shapes differ"),
+    (lambda: batch_loss_and_gradients("contrastive", [0.0, 0.0, 0.0]),
+     "embeddings must have at least one dimension"),
+], ids=["2-d-scalar-loss-input", "batch-sizes-differ", "0-d-branches"])
+def test_misshapen_inputs_rejected(call, problem):
+    with pytest.raises(ValueError, match=problem):
+        call()
+
+
 # ------------------------------------------------------ subgradient choices
 
 def test_contrastive_near_term_subgradient_zero_at_coincidence():

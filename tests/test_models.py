@@ -214,13 +214,32 @@ def _layer(rows, cols):
     ([np.ones((), np.float32)], [np.zeros((), np.float32)], "2-D"),
     ([np.ones((2, 4, 3), np.float32)], [np.zeros(2, np.float32)], "2-D"),
     (*zip(_layer(4, 3), _layer(2, 5)), "takes 5 inputs, layer 0 gives 4"),
+    (_layer(4, 3)[:1] * 2, _layer(4, 3)[1:], "non-empty and aligned"),
 ], ids=["one-long-bias", "2-d-bias", "1-d-weight", "0-d-weight", "3-d-weight",
-        "broken-chain"])
+        "broken-chain", "misaligned"])
 def test_encoder_refuses_layers_that_do_not_chain(weights, biases, problem):
     # A 1-long bias used to broadcast over the layer's rows, and a 3->4,
     # 5->2 chain used to report layer_sizes [3, 4, 2].
     with pytest.raises(ValueError, match=problem):
         EncoderModel(list(weights), list(biases))
+
+
+@pytest.mark.parametrize("sizes", [(0, [], 2), (3, [4, 0], 2), (3, [], 0)],
+                         ids=["input", "hidden", "embedding"])
+def test_encoder_create_refuses_a_size_below_1(sizes):
+    with pytest.raises(ValueError, match="all layer sizes must be >= 1"):
+        EncoderModel.create(*sizes)
+
+
+@pytest.mark.parametrize("call,problem", [
+    (lambda enc: enc.forward_cached(np.zeros(4)), r"\(batch, features\)"),
+    (lambda enc: enc.backward(EncoderModel.create(4, [3], 3).forward_cached(
+        np.ones((2, 4)))[1], np.ones((2, 3))), "cache does not match"),
+], ids=["1-d-forward-cached", "cache-of-another-encoder"])
+def test_encoder_refuses_inputs_and_caches_that_do_not_fit(rng, call, problem):
+    # A one-layer encoder; the other encoder's cache holds two layers.
+    with pytest.raises(ValueError, match=problem):
+        call(f64_encoder(rng, sizes=(4, 3)))
 
 
 @pytest.mark.parametrize("index,shape", [
