@@ -16,15 +16,24 @@ metadata trailer.
 feature file's float32 holds to within FPS_TOLERANCE) and
 `check_num_phases` the dataset phase count rule (an integer from 2 to
 PHASE_ID_MAX + 1, since labels load as int32), for `FrameSequence`,
-`synthetic.SynthConfig`, `save_dataset` and `load_dataset` alike, and
+`Dataset`, `synthetic.SynthConfig` and `load_dataset` alike, and
 `sampling.SamplerConfig` takes its fps through `check_fps` too.
 `FrameSequence` owns a video's rules: features a (frames, dim) array with
-both sizes >= 1 and every value finite, and an fps `check_fps` takes.
-`load_features` builds through it, as `load_model` builds through the model
-constructors, and re-raises their ValueError naming the file. `models.py`
-owns the names of the parameters a checkpoint stores; `_recorded_sizes`
-here owns the sizes its metadata records, which both savers write and
-`load_model` requires to equal those of the model its parameters build.
+both sizes >= 1 and every value finite, an fps `check_fps` takes, and
+labels, if any, one integer in [0, PHASE_ID_MAX] per frame, refused rather
+than wrapped or cast. `Dataset.check` owns a dataset's rules: its phase
+count and fps, at least one video, distinct ids that the splits assign
+exactly, and per video the dataset's fps, the first video's width and
+labels in [0, num_phases). A `Dataset` is checked when built, and
+`save_dataset` checks it again before writing anything, since it may have
+changed since. `load_dataset` adds only the checks of each file against
+the manifest, which name that file.
+`load_features` builds through `FrameSequence`, as `load_model` builds
+through the model constructors, and re-raises their ValueError naming the
+file. `models.py` owns the names of the parameters a checkpoint stores;
+`_recorded_sizes` here owns the sizes its metadata records, which both
+savers write and `load_model` requires to equal those of the model its
+parameters build.
 `save_features` checks finiteness again, since features can be edited in
 place after construction.
 
@@ -115,9 +124,15 @@ class FrameSequence:
         if not np.isfinite(self.features).all():
             raise ValueError("features contain non-finite values")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int32)
-            if self.labels.shape != (self.features.shape[0],):
+            labels = np.asarray(self.labels)
+            if labels.shape != (self.features.shape[0],):
                 raise ValueError("labels must have one entry per frame")
+            # Refused before the int32 cast, which would wrap or truncate.
+            if labels.dtype.kind not in "iu" or not (
+                    0 <= labels.min() and labels.max() <= PHASE_ID_MAX):
+                raise ValueError(f"video {self.video_id!r}: labels must be "
+                                 f"integers in [0, {PHASE_ID_MAX}]")
+            self.labels = labels.astype(np.int32, copy=False)
 
     @property
     def num_frames(self) -> int:
@@ -139,18 +154,42 @@ class Dataset:
     manifest_path: Path | None = None  # the dataset.json it was loaded from
 
     def __post_init__(self):
+        self.check()
+
+    def check(self, where: str = "", error=ValueError) -> None:
+        """Raise `error`, its message prefixed `where` and naming any video
+        at fault, unless the dataset has a phase count and an fps that
+        `check_num_phases` and `check_fps` take; at least one video, under
+        distinct ids that `splits` assigns exactly, to splits `check_split`
+        takes; and for each video the dataset's fps as its feature file holds
+        it, the first video's feature width, and labels in [0, num_phases)."""
+        check_num_phases(self.num_phases, where, error)
+        check_fps(self.fps, where, error)
+        if not self.videos:
+            raise error(f"{where}a dataset needs at least one video")
         ids = {}  # a dict keeps the videos' order
         for v in self.videos:
             if v.video_id in ids:
-                raise ValueError(f"duplicate video id {v.video_id!r}")
+                raise error(f"{where}duplicate video id {v.video_id!r}")
             ids[v.video_id] = v
+            at = f"{where}video {v.video_id!r} has "
+            # The fps that the video's feature file holds, a float32.
+            if abs(float(np.float32(v.fps)) - self.fps) > FPS_TOLERANCE:
+                raise error(f"{at}fps {v.fps}, the dataset {self.fps}")
+            if v.feature_dim != self.feature_dim:
+                raise error(f"{at}feature dim {v.feature_dim}, the dataset "
+                            f"{self.feature_dim}")
+            low, high = (0, 0) if v.labels is None else (v.labels.min(), v.labels.max())
+            if low < 0 or high >= self.num_phases:
+                raise error(f"{at}phase id {low if low < 0 else high}, outside "
+                            f"[0, {self.num_phases})")
         for vid in (*ids, *self.splits):
             if (vid in ids) != (vid in self.splits):
                 problem = "not in splits" if vid in ids else "not a video"
-                raise ValueError(f"splits must assign exactly the dataset's "
-                                 f"video ids; {vid!r} is {problem}")
+                raise error(f"{where}splits must assign exactly the dataset's "
+                            f"video ids; {vid!r} is {problem}")
         for name in self.splits.values():
-            check_split(name)
+            check_split(name, where, error)
 
     @property
     def feature_dim(self) -> int:
@@ -529,19 +568,11 @@ def save_dataset(directory, dataset: Dataset) -> list[Path]:
     """Write features, labels, splits and the JSON manifest. Returns the
     paths of the files written: `dataset.json`, `splits.txt`, then per
     video its `.feat` file and, if the video is labeled, its labels file.
-    The phase count, the fps, every video id and every label, which must
-    lie in [0, num_phases), are checked before anything is written."""
-    check_num_phases(dataset.num_phases, "refusing to write dataset: ", DataFormatError)
-    check_fps(dataset.fps, "refusing to write dataset: ", DataFormatError)
+    `Dataset.check` and every video id are checked before anything is
+    written, since the dataset may have changed after it was built."""
+    dataset.check("refusing to write dataset: ", DataFormatError)
     for seq in dataset.videos:
         _check_video_id(seq.video_id)
-        if seq.labels is not None and seq.labels.size:
-            low, high = int(seq.labels.min()), int(seq.labels.max())
-            if low < 0 or high >= dataset.num_phases:
-                raise DataFormatError(
-                    f"refusing to write dataset: video {seq.video_id!r} has "
-                    f"phase id {low if low < 0 else high}, outside "
-                    f"[0, {dataset.num_phases})")
     directory = Path(directory)
     entries = []
     video_files = []
@@ -653,11 +684,14 @@ def load_dataset(directory) -> Dataset:
             labels_path = _member_path(directory, root, entry, "labels",
                                        manifest_path, at)
             labels = load_labels(labels_path, seq.num_frames)
-            if labels is not None and labels.size and labels.max() >= num_phases:
+            if labels is None:
+                raise DataFormatError(f"{labels_path}: 0 label rows for "
+                                      f"{seq.num_frames} frames")
+            if labels.max() >= num_phases:
                 raise DataFormatError(
                     f"{labels_path}: phase id {labels.max()} "
                     f">= num_phases {num_phases}")
-            seq.labels = labels
+            seq = FrameSequence(seq.video_id, seq.features, seq.fps, labels)
         videos.append(seq)
     try:
         return Dataset(videos, splits, num_phases, float(fps), manifest_path)

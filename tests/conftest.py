@@ -1,5 +1,11 @@
 """Shared pytest configuration and small test helpers."""
 
+import os
+
+# One BLAS thread unless the caller sets a count. OpenBLAS reads the count
+# once, when numpy loads it, so it is set before numpy is imported.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings

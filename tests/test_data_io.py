@@ -51,14 +51,36 @@ def make_seq(rng, video_id="vid", frames=20, dim=3, labeled=True):
 
 # ----------------------------------------------------------- FrameSequence
 
-def test_frame_sequence_validation(rng):
-    with pytest.raises(ValueError):
-        FrameSequence("v", np.zeros((0, 3), dtype=np.float32), 5.0)
-    with pytest.raises(ValueError):
-        FrameSequence("v", np.zeros((2, 3), dtype=np.float32), 0.0)
-    with pytest.raises(ValueError):
-        FrameSequence("v", np.zeros((2, 3), dtype=np.float32), 5.0,
-                      labels=np.zeros(3, dtype=np.int32))
+LABELS_RULE = "video 'v': labels must be integers in [0, 2147483647]"
+
+
+@pytest.mark.parametrize("frames,fps,labels,problem", [
+    (0, 5.0, None, "features"),
+    (2, 0.0, None, "fps"),
+    (2, 5.0, np.zeros(3, dtype=np.int32), "one entry per frame"),
+    # Past int32 a label used to wrap to a wrong phase id, 2**32 + 1 to 1.
+    (2, 5.0, np.array([2**32 + 1, 0]), LABELS_RULE),
+    (2, 5.0, np.array([2**31, 0]), LABELS_RULE),
+    (2, 5.0, [0, 2**64], LABELS_RULE),
+    (2, 5.0, np.array([-1, 0]), LABELS_RULE),
+    # A float or bool label used to be cast to an int32 phase id.
+    (2, 5.0, np.array([0.0, 1.0]), LABELS_RULE),
+    (2, 5.0, np.array([True, False]), LABELS_RULE),
+], ids=["no-frames", "zero-fps", "labels-per-frame", "label-past-int32",
+        "label-2**31", "label-past-uint64", "negative-label", "float-labels",
+        "bool-labels"])
+def test_frame_sequence_validation(frames, fps, labels, problem):
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        FrameSequence("v", np.zeros((frames, 3), dtype=np.float32), fps, labels)
+
+
+@pytest.mark.parametrize("labels", [
+    np.array([0, 2**31 - 1]), np.array([3, 0], dtype=np.uint8), [1, 0],
+    np.array([2, 1], dtype=np.int32)])
+def test_frame_sequence_takes_every_label_int32_holds(labels):
+    seq = FrameSequence("v", np.zeros((2, 3), dtype=np.float32), 5.0, labels)
+    assert seq.labels.dtype == np.int32
+    assert seq.labels.tolist() == np.asarray(labels).tolist()
 
 
 @pytest.mark.parametrize("fps", [float("nan"), float("inf"), float("-inf"), -1.0])
@@ -328,6 +350,23 @@ def test_dataset_label_at_or_above_num_phases_names_the_labels_file(tmp_path,
                              f"{dataset.num_phases}") as err:
         load_dataset(root)
     assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("text", ["frame_index,phase_id\n", ""],
+                         ids=["header-only", "empty"])
+def test_dataset_labels_file_without_rows_names_the_file(tmp_path, rng, text):
+    # `load_labels` reads such a file as no labels, but the manifest says
+    # the video has them.
+    dataset = generate_dataset(SynthConfig(min_duration=5, max_duration=9,
+                                           feature_dim=4), 4, rng)
+    root = tmp_path / "data"
+    save_dataset(root, dataset)
+    first = dataset.videos[0]
+    path = root / f"{first.video_id}.feat.labels.csv"
+    path.write_text(text)
+    with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: 0 label "
+                       f"rows for {first.num_frames} frames$"):
+        load_dataset(root)
 
 
 @pytest.mark.parametrize("text", ["[]", "7", "null", '"dataset"'])
@@ -718,6 +757,53 @@ def test_save_dataset_refuses_labels_load_dataset_would_refuse(tmp_path, rng,
     with pytest.raises(DataFormatError, match=re.escape(
             f"refusing to write dataset: video 'v2' has phase id {label}, "
             f"outside [0, 4)")):
+        save_dataset(tmp_path / "data", dataset)
+    assert list(tmp_path.iterdir()) == []
+
+
+def _clear_videos(dataset):
+    dataset.videos.clear()
+    dataset.splits.clear()
+
+
+def _v3_off_128_fps_as_float32(dataset):
+    # 128.000009 lies within 1e-5 of 128, but its feature file would hold
+    # the float32 128.0000153.
+    dataset.fps = 128.0
+    for v in dataset.videos:
+        v.fps = 128.000009 if v.video_id == "v3" else 128.0
+
+
+@pytest.mark.parametrize("edit,problem", [
+    (lambda d: setattr(d.videos[2], "fps", 25.0),
+     "video 'v2' has fps 25.0, the dataset 5.0"),
+    (_v3_off_128_fps_as_float32,
+     "video 'v3' has fps 128.000009, the dataset 128.0"),
+    (lambda d: setattr(d.videos[1], "features", np.zeros((6, 5), np.float32)),
+     "video 'v1' has feature dim 5, the dataset 3"),
+    (lambda d: d.videos[2].labels.__setitem__(3, 4),
+     "video 'v2' has phase id 4, outside [0, 4)"),
+    (lambda d: d.videos[0].labels.__setitem__(0, -1),
+     "video 'v0' has phase id -1, outside [0, 4)"),
+    (lambda d: setattr(d, "num_phases", 1),
+     "num_phases must be an integer in [2, 2147483648], got 1"),
+    (lambda d: setattr(d, "fps", float("nan")),
+     "fps must be a finite positive number that float32 holds to within "
+     "1e-05, got nan"),
+    (_clear_videos, "a dataset needs at least one video"),
+], ids=["fps-disagreement", "fps-disagreement-as-float32", "width-disagreement",
+        "label-at-num-phases", "negative-label", "one-phase", "nan-fps",
+        "no-videos"])
+def test_dataset_refuses_what_load_dataset_would_refuse(tmp_path, rng, edit,
+                                                        problem):
+    # A Dataset refuses it when built, and save_dataset refuses it, in the
+    # same words, in a Dataset changed after it was built.
+    dataset = _dataset_with_id(rng, "v1")
+    edit(dataset)
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        Dataset(dataset.videos, dataset.splits, dataset.num_phases, dataset.fps)
+    refusal = re.escape(f"refusing to write dataset: {problem}")
+    with pytest.raises(DataFormatError, match=f"^{refusal}$"):
         save_dataset(tmp_path / "data", dataset)
     assert list(tmp_path.iterdir()) == []
 
