@@ -34,8 +34,10 @@ file. `models.py` owns the names of the parameters a checkpoint stores;
 `_recorded_sizes` here owns the sizes its metadata records, which both
 savers write and `load_model` requires to equal those of the model its
 parameters build.
-`save_features` checks finiteness again, since features can be edited in
-place after construction.
+`FrameSequence.check_finite` owns the finiteness rule, which
+`FrameSequence` holds when built and `save_features` and `save_dataset`
+check again before writing, since features can be edited in place after
+construction; `Dataset.check` leaves it out, so a load adds no pass.
 
 `json_value` is the one checker of a value read from a JSON document,
 `dataset.json` and checkpoint metadata here and the run manifest in
@@ -49,10 +51,13 @@ without labels.
 
 All writers go through a temp file of their own in the target's directory
 plus os.replace, so a crash never leaves a half-written file under the final
-name; the target's directory is created when it does not exist yet. Every
-CSV, the label sidecars among them, is written by `write_csv`. Readers
-reject truncated input (reporting the byte offset) and non-finite values,
-and paths named in a dataset manifest that leave its directory.
+name; the target's directory is created when it does not exist yet. A write
+that would not change a file leaves it in place, its inode and mtime
+unchanged, so a replay that reproduces its outputs rewrites only its
+manifest. Every CSV, the label sidecars among them, is written by
+`write_csv`. Readers reject truncated input (reporting the byte offset) and
+non-finite values, and paths named in a dataset manifest that leave its
+directory.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ import json
 import math
 import os
 import re
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path, PurePath
@@ -121,8 +127,7 @@ class FrameSequence:
             raise ValueError(f"features must be a (num_frames, dim) array with "
                              f"both sizes >= 1, got shape {self.features.shape}")
         check_fps(self.fps)
-        if not np.isfinite(self.features).all():
-            raise ValueError("features contain non-finite values")
+        self.check_finite()
         if self.labels is not None:
             labels = np.asarray(self.labels)
             if labels.shape != (self.features.shape[0],):
@@ -133,6 +138,13 @@ class FrameSequence:
                 raise ValueError(f"video {self.video_id!r}: labels must be "
                                  f"integers in [0, {PHASE_ID_MAX}]")
             self.labels = labels.astype(np.int32, copy=False)
+
+    def check_finite(self, where: str = "", error=ValueError) -> None:
+        """Raise `error`, its message prefixed `where` and naming the video,
+        unless every feature value is finite. Writers call it again, since
+        features can be edited in place after construction."""
+        if not np.isfinite(self.features).all():
+            raise error(f"{where}video {self.video_id!r} has non-finite features")
 
     @property
     def num_frames(self) -> int:
@@ -226,6 +238,27 @@ class Dataset:
         raise KeyError(video_id)
 
 
+def _holds_same_bytes(path: Path, tmp: Path) -> bool:
+    """Whether `path` is a regular file, not a symlink, whose bytes are
+    those of `tmp`; compared a block at a time, never buffered whole."""
+    try:
+        st = os.lstat(path)
+        if not stat.S_ISREG(st.st_mode) or st.st_size != os.stat(tmp).st_size:
+            return False
+        with open(path, "rb") as old, open(tmp, "rb") as new:
+            # The file opened is the one lstat saw, not one swapped in since.
+            if not os.path.samestat(st, os.fstat(old.fileno())):
+                return False
+            while True:
+                block = new.read(1 << 16)
+                if block != old.read(1 << 16):
+                    return False
+                if not block:
+                    return True
+    except OSError:  # absent or unreadable: replace it
+        return False
+
+
 def _atomic_write(path, write_fn) -> None:
     path = Path(path)
     # A stat when the directory exists, as it does for all but the first
@@ -240,7 +273,13 @@ def _atomic_write(path, write_fn) -> None:
     try:
         with f:
             write_fn(f)
-        os.replace(tmp, path)
+        # A file that already holds these bytes stays in place: on ext4 a
+        # rename over an existing file starts writeback of the new one, and
+        # a later unlink of it waits for that, about 60 ms a file.
+        if _holds_same_bytes(path, tmp):
+            tmp.unlink()
+        else:
+            os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -396,17 +435,14 @@ def _check_envelope(r: _Reader) -> None:
 
 
 def save_features(path, seq: FrameSequence) -> None:
-    arr = seq.features
-    if not np.isfinite(arr).all():
-        raise DataFormatError(f"refusing to write non-finite features for "
-                              f"video {seq.video_id!r}")
+    seq.check_finite("refusing to write features: ", DataFormatError)
 
     def write(f):
         f.write(MAGIC)
         f.write(struct.pack("<H", FORMAT_VERSION))
         f.write(_pack_string(seq.video_id))
         f.write(struct.pack("<IIf", seq.num_frames, seq.feature_dim, seq.fps))
-        f.write(arr.astype("<f4", copy=False).tobytes(order="C"))
+        f.write(seq.features.astype("<f4", copy=False).tobytes(order="C"))
 
     _atomic_write(path, write)
 
@@ -568,11 +604,13 @@ def save_dataset(directory, dataset: Dataset) -> list[Path]:
     """Write features, labels, splits and the JSON manifest. Returns the
     paths of the files written: `dataset.json`, `splits.txt`, then per
     video its `.feat` file and, if the video is labeled, its labels file.
-    `Dataset.check` and every video id are checked before anything is
-    written, since the dataset may have changed after it was built."""
+    `Dataset.check`, every video id and every video's features are checked
+    before anything is written, since the dataset may have changed after it
+    was built."""
     dataset.check("refusing to write dataset: ", DataFormatError)
     for seq in dataset.videos:
         _check_video_id(seq.video_id)
+        seq.check_finite("refusing to write dataset: ", DataFormatError)
     directory = Path(directory)
     entries = []
     video_files = []

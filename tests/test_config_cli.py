@@ -7,6 +7,7 @@ command writes a manifest that `replay` must reproduce byte for byte.
 import argparse
 import copy
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -1872,7 +1873,10 @@ def _tree(roots) -> dict:
 
 
 def test_fuzz_replay_manifest(replay_sources, tmp_path_factory):
-    path = tmp_path_factory.mktemp("replay-fuzz") / "fuzzed.manifest.json"
+    # Each example writes a manifest of its own name: rewriting one path many
+    # times in quick succession costs about 60 ms a write on ext4.
+    root = tmp_path_factory.mktemp("replay-fuzz")
+    count = itertools.count()
     # Every command writes its outputs under the parent of its `out` path.
     roots = {Path(m["paths"]["out"]).parent for m in replay_sources.values()}
     before = _tree(roots)
@@ -1883,6 +1887,7 @@ def test_fuzz_replay_manifest(replay_sources, tmp_path_factory):
         command = data.draw(st.sampled_from(sorted(replay_sources)),
                             label="command")
         manifest = _fuzzed(data.draw, copy.deepcopy(replay_sources[command]))
+        path = root / f"{next(count)}.fuzzed.manifest.json"
         path.write_text(json.dumps(manifest))
         executed = []
         with mock.patch.object(cli, "_execute",

@@ -6,8 +6,11 @@ just the round-trip.
 """
 
 import copy
+import itertools
 import json
+import os
 import re
+import shutil
 import struct
 
 import numpy as np
@@ -237,6 +240,88 @@ def test_overlapping_writers_of_one_path_use_their_own_temp_files(tmp_path):
 
     dio._atomic_write(target, outer)
     assert target.read_bytes() == b"outer"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+# A write that would not change its target leaves the target in place.
+
+def test_writing_the_same_bytes_twice_keeps_the_file(tmp_path):
+    target = tmp_path / "out.bin"
+    dio.atomic_write_bytes(target, b"same")
+    before = target.stat()
+    dio.atomic_write_bytes(target, b"same")
+    after = target.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert target.read_bytes() == b"same"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+@pytest.mark.parametrize("old,new", [(b"abcd", b"abce"), (b"abcd", b"abc"),
+                                     (b"", b"x")],
+                         ids=["same-size", "shorter", "from-empty"])
+def test_writing_other_bytes_replaces_the_file(tmp_path, old, new):
+    target = tmp_path / "out.bin"
+    dio.atomic_write_bytes(target, old)
+    before = target.stat().st_ino
+    dio.atomic_write_bytes(target, new)
+    assert target.read_bytes() == new
+    assert target.stat().st_ino != before
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_large_writes_compare_past_the_first_block(tmp_path):
+    # The comparison reads a block at a time; the difference lies past the
+    # first block.
+    target = tmp_path / "out.bin"
+    data = bytes(300_000)
+    dio.atomic_write_bytes(target, data)
+    same = target.stat().st_ino
+    dio.atomic_write_bytes(target, data)
+    assert target.stat().st_ino == same
+    dio.atomic_write_bytes(target, data[:-1] + b"\1")
+    assert target.stat().st_ino != same
+    assert target.read_bytes() == data[:-1] + b"\1"
+
+
+def test_a_symlink_to_the_same_bytes_is_replaced_by_a_file(tmp_path):
+    source = tmp_path / "source.bin"
+    source.write_bytes(b"same")
+    before = source.stat()
+    link = tmp_path / "link.bin"
+    link.symlink_to(source)
+    dio.atomic_write_bytes(link, b"same")
+    assert not link.is_symlink() and link.read_bytes() == b"same"
+    after = source.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert source.read_bytes() == b"same"
+    assert link.stat().st_ino != source.stat().st_ino
+    assert sorted(tmp_path.iterdir()) == [link, source]
+
+
+def test_a_directory_target_still_raises(tmp_path):
+    target = tmp_path / "out"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        dio.atomic_write_bytes(target, b"data")
+    assert target.is_dir() and list(target.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [target]
+
+
+@pytest.mark.parametrize("written", [b"same", b"so"], ids=["same", "prefix"])
+def test_a_failed_write_over_the_same_bytes_leaves_the_file(tmp_path, written):
+    target = tmp_path / "out.bin"
+    dio.atomic_write_bytes(target, b"same")
+    before = target.stat()
+
+    def boom(f):
+        f.write(written)
+        raise RuntimeError("disk on fire")
+
+    with pytest.raises(RuntimeError):
+        dio._atomic_write(target, boom)
+    after = target.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert target.read_bytes() == b"same"
     assert list(tmp_path.iterdir()) == [target]
 
 
@@ -761,6 +846,17 @@ def test_save_dataset_refuses_labels_load_dataset_would_refuse(tmp_path, rng,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_save_dataset_refuses_non_finite_features_before_writing(tmp_path, rng,
+                                                                 value):
+    dataset = _dataset_with_id(rng, "v1")
+    dataset.videos[2].features[1, 1] = value
+    with pytest.raises(DataFormatError, match=re.escape(
+            "refusing to write dataset: video 'v2' has non-finite features")):
+        save_dataset(tmp_path / "data", dataset)
+    assert list(tmp_path.iterdir()) == []
+
+
 def _clear_videos(dataset):
     dataset.videos.clear()
     dataset.splits.clear()
@@ -1169,8 +1265,20 @@ METADATA_KEYS = ["layer_sizes", "trainable", "encoder_layer_sizes",
 
 
 @pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    """A function giving a new path in one directory at each call, `name`
+    prefixed with a count, so that each fuzz example writes a fresh file.
+    Rewriting one path many times in quick succession costs about 60 ms a
+    write on ext4, which flushes a file that replaces existing data."""
+    root = tmp_path_factory.mktemp("fuzz-files")
+    count = itertools.count()
+    return lambda name: root / f"{next(count)}.{name}"
+
+
+@pytest.fixture(scope="module")
 def saved_checkpoints(tmp_path_factory):
-    """(loader, path, valid bytes) for a small encoder and phase model."""
+    """(loader, path, valid bytes) for a small encoder and phase model;
+    the files at `path` are left as saved."""
     root = tmp_path_factory.mktemp("fuzz")
     rng = np.random.default_rng(0)
     out = []
@@ -1181,11 +1289,6 @@ def saved_checkpoints(tmp_path_factory):
     return out
 
 
-def _valid_checkpoint(path, raw):
-    path.write_bytes(raw)
-    return load_checkpoint(path)
-
-
 def _loads_or_names_the_file(loader, path):
     try:
         loader(path)
@@ -1194,32 +1297,37 @@ def _loads_or_names_the_file(loader, path):
 
 
 @given(st.data())
-def test_fuzz_checkpoint_metadata_value(saved_checkpoints, data):
-    for loader, path, raw in saved_checkpoints:
-        kind, params, _ = _valid_checkpoint(path, raw)
+def test_fuzz_checkpoint_metadata_value(fuzz_path, saved_checkpoints, data):
+    for loader, saved, _ in saved_checkpoints:
+        kind, params, _ = load_checkpoint(saved)
+        path = fuzz_path(saved.name)
         save_checkpoint(path, kind, params, data.draw(JSON_VALUES, label="metadata"))
         _loads_or_names_the_file(loader, path)
 
 
 @given(st.data())
-def test_fuzz_checkpoint_metadata_key_values(saved_checkpoints, data):
-    for loader, path, raw in saved_checkpoints:
-        kind, params, metadata = _valid_checkpoint(path, raw)
+def test_fuzz_checkpoint_metadata_key_values(fuzz_path, saved_checkpoints,
+                                             data):
+    for loader, saved, _ in saved_checkpoints:
+        kind, params, metadata = load_checkpoint(saved)
         for key in data.draw(st.lists(st.sampled_from(METADATA_KEYS), min_size=1,
                                       max_size=3), label="keys"):
             metadata[key] = data.draw(JSON_VALUES | SIZE_LISTS | st.integers(), label=key)
+        path = fuzz_path(saved.name)
         save_checkpoint(path, kind, params, metadata)
         _loads_or_names_the_file(loader, path)
 
 
 @given(st.data())
-def test_fuzz_checkpoint_truncated_or_byte_flipped(saved_checkpoints, data):
-    for loader, path, raw in saved_checkpoints:
+def test_fuzz_checkpoint_truncated_or_byte_flipped(fuzz_path, saved_checkpoints,
+                                                   data):
+    for loader, saved, raw in saved_checkpoints:
         damaged = bytearray(raw[:data.draw(st.integers(0, len(raw)), label="length")])
         flips = st.tuples(st.integers(0, max(len(damaged) - 1, 0)), st.integers(1, 255))
         for pos, mask in data.draw(st.lists(flips, max_size=4), label="flips"):
             if damaged:
                 damaged[pos] ^= mask
+        path = fuzz_path(saved.name)
         path.write_bytes(bytes(damaged))
         _loads_or_names_the_file(loader, path)
 
@@ -1316,11 +1424,6 @@ def _damaged(draw, raw: bytes) -> bytes:
     return bytes(damaged)
 
 
-@pytest.fixture(scope="module")
-def fuzz_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("text-fuzz")
-
-
 def _read_or_name_the_file(reader, path):
     try:
         return reader(path)
@@ -1331,10 +1434,10 @@ def _read_or_name_the_file(reader, path):
 
 @settings(max_examples=300)
 @given(st.data())
-def test_fuzz_labels_file(fuzz_dir, data):
+def test_fuzz_labels_file(fuzz_path, data):
     raw = data.draw(st.one_of(label_files(), label_files(), st.binary(max_size=80)),
                     label="file")
-    path = fuzz_dir / "labels.csv"
+    path = fuzz_path("labels.csv")
     path.write_bytes(_damaged(data.draw, raw))
     labels = _read_or_name_the_file(load_labels, path)
     if labels is not None:
@@ -1420,8 +1523,8 @@ def edited_label_files(draw):
 
 @settings(max_examples=400)
 @given(st.data())
-def test_load_labels_equals_the_per_row_reference(fuzz_dir, data):
-    path = fuzz_dir / "reference.labels.csv"
+def test_load_labels_equals_the_per_row_reference(fuzz_path, data):
+    path = fuzz_path("reference.labels.csv")
     if data.draw(st.booleans(), label="saved"):
         save_labels(path, data.draw(LABEL_VALUES, label="labels"))
     else:
@@ -1459,10 +1562,10 @@ def test_load_labels_edge_files_equal_the_per_row_reference(tmp_path, text):
 
 @settings(max_examples=300)
 @given(st.data())
-def test_fuzz_splits_file(fuzz_dir, data):
+def test_fuzz_splits_file(fuzz_path, data):
     raw = data.draw(st.one_of(split_files(), split_files(), st.binary(max_size=80)),
                     label="file")
-    path = fuzz_dir / "splits.txt"
+    path = fuzz_path("splits.txt")
     path.write_bytes(_damaged(data.draw, raw))
     splits = _read_or_name_the_file(load_splits, path)
     if splits is not None:
@@ -1502,10 +1605,10 @@ def feature_files(draw):
 
 @settings(max_examples=300)
 @given(st.data())
-def test_fuzz_feature_file(fuzz_dir, data):
+def test_fuzz_feature_file(fuzz_path, data):
     raw = data.draw(st.one_of(feature_files(), feature_files(),
                               st.binary(max_size=80)), label="file")
-    path = fuzz_dir / "video.feat"
+    path = fuzz_path("video.feat")
     path.write_bytes(_damaged(data.draw, raw))
     seq = _read_or_name_the_file(load_features, path)
     if seq is not None:
@@ -1532,7 +1635,7 @@ MEMBER_PATHS = st.sampled_from([
 
 @pytest.fixture(scope="module")
 def fuzz_dataset(tmp_path_factory):
-    """(directory, manifest) of a small saved dataset."""
+    """(directory, manifest) of a small saved dataset, left as saved."""
     root = tmp_path_factory.mktemp("dataset-fuzz") / "data"
     dataset = generate_dataset(SynthConfig(min_duration=5, max_duration=9,
                                            feature_dim=4), 4,
@@ -1572,8 +1675,13 @@ def _edited_manifest(draw, root, valid) -> str:
 
 @settings(max_examples=300)
 @given(st.data())
-def test_fuzz_dataset_manifest(fuzz_dataset, data):
-    root, valid = fuzz_dataset
+def test_fuzz_dataset_manifest(fuzz_path, fuzz_dataset, data):
+    source, valid = fuzz_dataset
+    # Each example gets a fresh directory, its members hard links to the
+    # saved ones, and writes its own `dataset.json` there.
+    root = fuzz_path("data")
+    shutil.copytree(source, root, copy_function=os.link,
+                    ignore=shutil.ignore_patterns("dataset.json"))
     if data.draw(st.booleans(), label="edit keys"):
         raw = _edited_manifest(data.draw, root, valid).encode()
     else:

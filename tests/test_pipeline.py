@@ -179,13 +179,12 @@ def run_arm_digest() -> str:
     return digest.hexdigest()
 
 
-def cli_chain_digest(work: Path) -> str:
-    """The criterion-8 chain: synth, pretrain, finetune --init, eval.
-    Checkpoints hash as their parameters, since a phase-model checkpoint
-    records the absolute path of its initial encoder."""
+def _cli_chain_steps(work: Path) -> list[tuple[list[str], Path]]:
+    """(argv, run manifest) of each step of the criterion-8 chain: synth,
+    pretrain, finetune --init, eval."""
     data, enc = work / "data", work / "enc.ckpt"
     model, report = work / "model.ckpt", work / "report.csv"
-    steps = [
+    return [
         (["synth", "--out", str(data), "--videos", "8", "--seed", "1", *TINY],
          data / "run_manifest.json"),
         (["pretrain", "--data", str(data), "--method", "contrastive2",
@@ -197,8 +196,14 @@ def cli_chain_digest(work: Path) -> str:
         (["eval", "--data", str(data), "--model", str(model),
           "--out", str(report)], Path(f"{report}.manifest.json")),
     ]
+
+
+def cli_chain_digest(work: Path) -> str:
+    """The criterion-8 chain's outputs. Checkpoints hash as their
+    parameters, since a phase-model checkpoint records the absolute path of
+    its initial encoder."""
     digest = hashlib.sha256()
-    for argv, manifest in steps:
+    for argv, manifest in _cli_chain_steps(work):
         assert main(argv) == 0
         outputs = json.loads(manifest.read_text(encoding="utf-8"))["outputs"]
         for path in sorted(outputs):
@@ -250,6 +255,27 @@ def test_run_arm_outputs_match_pinned_digest():
 def test_cli_chain_outputs_match_pinned_digest(tmp_path):
     expected = _pinned("cli_chain")
     assert cli_chain_digest(tmp_path) == expected
+
+
+def _files(root: Path) -> dict[Path, tuple[int, bytes]]:
+    return {p: (p.stat().st_ino, p.read_bytes()) for p in root.rglob("*")
+            if p.is_file()}
+
+
+def test_replay_replaces_only_its_manifest(tmp_path):
+    # A write that would not change a file leaves it in place, so a replay
+    # that reproduces its outputs keeps each one's inode and bytes.
+    steps = _cli_chain_steps(tmp_path)
+    for argv, _ in steps:
+        assert main(argv) == 0
+    for _, manifest in steps:
+        outputs = json.loads(manifest.read_text(encoding="utf-8"))["outputs"]
+        before = _files(tmp_path)
+        assert outputs and set(map(Path, outputs)) <= before.keys()
+        assert main(["replay", str(manifest)]) == 0
+        after = _files(tmp_path)
+        assert after.keys() == before.keys()
+        assert {p for p in after if after[p] != before[p]} <= {manifest}
 
 
 def test_run_arm_digest_is_the_same_at_one_and_two_blas_threads():
